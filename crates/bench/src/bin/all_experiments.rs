@@ -8,19 +8,9 @@ use sdbp_bench::experiments;
 fn main() {
     let lab = sdbp_core::Lab::new();
     let started = std::time::Instant::now();
-    println!("{}", experiments::table1(&lab));
-    println!("{}", experiments::table2(&lab));
-    println!("{}", experiments::fig1_6(&lab));
-    println!("{}", experiments::fig7_12(&lab));
-    println!("{}", experiments::table3(&lab));
-    println!("{}", experiments::table4(&lab));
-    println!("{}", experiments::table5(&lab));
-    println!("{}", experiments::fig13(&lab));
-    println!("{}", experiments::ablate_shift(&lab));
-    println!("{}", experiments::ablate_cutoff(&lab));
-    println!("{}", experiments::ablate_selection(&lab));
-    println!("{}", experiments::ablate_doubling(&lab));
-    println!("{}", experiments::ablate_mcfarling(&lab));
+    for experiment in experiments::SUITE {
+        println!("{}", experiment(&lab));
+    }
     eprintln!(
         "all experiments completed in {:.1?} on {} threads; lifetime cache: {}",
         started.elapsed(),

@@ -799,6 +799,25 @@ pub fn ablate_selection(lab: &Lab) -> String {
     )
 }
 
+/// The full experiment suite in `all_experiments` order. Run on one shared
+/// [`Lab`], the outputs, each followed by a newline, are
+/// `results_full.txt`.
+pub const SUITE: [fn(&Lab) -> String; 13] = [
+    table1,
+    table2,
+    fig1_6,
+    fig7_12,
+    table3,
+    table4,
+    table5,
+    fig13,
+    ablate_shift,
+    ablate_cutoff,
+    ablate_selection,
+    ablate_doubling,
+    ablate_mcfarling,
+];
+
 /// Every spec the full experiment suite runs, in execution order.
 ///
 /// This is the harness's own pre-flight surface: `sdbp check --suite` and

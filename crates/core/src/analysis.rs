@@ -9,8 +9,7 @@
 use crate::combined::CombinedPredictor;
 use crate::metrics::SimStats;
 use crate::simulator::Simulator;
-use sdbp_trace::{BranchAddr, BranchSource};
-use std::collections::HashMap;
+use sdbp_trace::{BranchAddr, BranchSource, PcMap};
 
 /// Per-branch counters from one analyzed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,13 +57,13 @@ impl BranchRecord {
 #[derive(Debug, Clone, Default)]
 pub struct BranchAnalysis {
     stats: SimStats,
-    branches: HashMap<BranchAddr, BranchRecord>,
+    branches: PcMap<BranchRecord>,
 }
 
 impl BranchAnalysis {
     /// Simulates `source` through `predictor`, recording per-branch detail.
     pub fn run<S: BranchSource>(source: S, predictor: &mut CombinedPredictor) -> Self {
-        let mut branches: HashMap<BranchAddr, BranchRecord> = HashMap::new();
+        let mut branches: PcMap<BranchRecord> = PcMap::default();
         let stats = Simulator::new().run_with_observer(source, predictor, |event, res| {
             let r = branches.entry(event.pc).or_default();
             r.executed += 1;

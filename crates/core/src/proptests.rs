@@ -3,10 +3,13 @@
 //! *fused* in one traversal — at an arbitrary chunk size, so chunk
 //! boundaries straddle warm-up and event positions arbitrarily — must be
 //! bit-identical to running each consumer alone over its own traversal.
+//! Measurement runs with an arbitrary hint database and shift policy, so the
+//! hinted per-event resolve path is pinned alongside the pure-dynamic batch
+//! path.
 
 #![cfg(test)]
 
-use crate::{CombinedPredictor, MeasurePass, Simulator};
+use crate::{CombinedPredictor, MeasurePass, ShiftPolicy, Simulator};
 use proptest::prelude::*;
 use sdbp_passes::{LockstepRunner, Pass, PassRunner};
 use sdbp_predictors::{Gshare, PredictorConfig, PredictorKind};
@@ -21,8 +24,30 @@ fn arb_events() -> impl Strategy<Value = Vec<BranchEvent>> {
     })
 }
 
-fn measure(events: &[BranchEvent], warmup: u64) -> crate::SimStats {
-    let mut combined = CombinedPredictor::pure_dynamic(Gshare::new(1024));
+/// A hint set over the same word range as [`arb_events`], so hints hit.
+fn arb_hints() -> impl Strategy<Value = HintDatabase> {
+    proptest::collection::vec((0u64..512, any::<bool>()), 0..64).prop_map(|v| {
+        v.into_iter()
+            .map(|(w, taken)| (BranchAddr(w * 4), taken))
+            .collect()
+    })
+}
+
+fn policy(shift: bool) -> ShiftPolicy {
+    if shift {
+        ShiftPolicy::Shift
+    } else {
+        ShiftPolicy::NoShift
+    }
+}
+
+fn measure(
+    events: &[BranchEvent],
+    warmup: u64,
+    hints: &HintDatabase,
+    shift: ShiftPolicy,
+) -> crate::SimStats {
+    let mut combined = CombinedPredictor::new(Gshare::new(1024), hints.clone(), shift);
     Simulator::new()
         .with_warmup(warmup)
         .run(SliceSource::new(events), &mut combined)
@@ -39,6 +64,8 @@ proptest! {
         events in arb_events(),
         chunk in 1usize..70,
         warmup_events in 0usize..40,
+        hints in arb_hints(),
+        shift in any::<bool>(),
     ) {
         // A warm-up boundary placed on an arbitrary event (possibly past
         // the end of the stream), so chunk straddles hit it everywhere.
@@ -54,14 +81,13 @@ proptest! {
         let mut engine = config.build_any();
         let seq_accuracy =
             AccuracyProfile::collect(SliceSource::new(&events), &mut engine);
-        let seq_stats = measure(&events, warmup);
+        let seq_stats = measure(&events, warmup, &hints, policy(shift));
 
         // Fused: all three ride one chunked traversal.
         let mut bias_pass = BiasPass::new();
         let mut acc_engine = config.build_any();
         let mut acc_pass = AccuracyPass::new(&mut acc_engine);
-        let mut combined =
-            CombinedPredictor::new(config.build_any(), HintDatabase::new(), Default::default());
+        let mut combined = CombinedPredictor::new(config.build_any(), hints, policy(shift));
         let mut measure_pass = MeasurePass::new(&mut combined).with_warmup(warmup);
         let stats = PassRunner::new().with_chunk(chunk).run(
             SliceSource::new(&events),
@@ -75,7 +101,8 @@ proptest! {
     }
 
     /// Lockstep multi-config execution — arbitrary sets of predictor
-    /// configurations with arbitrary per-member warm-up boundaries riding
+    /// configurations, each hinted or not under its own shift policy, with
+    /// arbitrary per-member warm-up boundaries riding
     /// one arbitrarily chunked traversal — is bit-identical to measuring
     /// each configuration on its own dedicated traversal. This is the
     /// equivalence the sweep's lockstep grouping (and the CLI's
@@ -84,14 +111,21 @@ proptest! {
     fn lockstep_measurement_is_bit_identical_to_sequential_runs(
         events in arb_events(),
         chunk in 1usize..70,
+        hints in arb_hints(),
         members in proptest::collection::vec(
-            (0usize..PredictorKind::ALL.len(), 5u32..10, 0usize..40),
+            (
+                0usize..PredictorKind::ALL.len(),
+                5u32..10,
+                0usize..40,
+                any::<bool>(),
+                any::<bool>(),
+            ),
             1..6,
         ),
     ) {
-        let configs: Vec<(PredictorConfig, u64)> = members
+        let configs: Vec<(PredictorConfig, u64, HintDatabase, ShiftPolicy)> = members
             .iter()
-            .map(|&(kind_idx, size_shift, warmup_events)| {
+            .map(|&(kind_idx, size_shift, warmup_events, hinted, shift)| {
                 let config = PredictorConfig::new(
                     PredictorKind::ALL[kind_idx],
                     1usize << size_shift,
@@ -103,20 +137,18 @@ proptest! {
                     .take(warmup_events)
                     .map(|e| e.instructions())
                     .sum();
-                (config, warmup)
+                // Unhinted members take the pure-dynamic batch path.
+                let db = if hinted { hints.clone() } else { HintDatabase::new() };
+                (config, warmup, db, policy(shift))
             })
             .collect();
 
         // Sequential reference: one dedicated traversal per member.
         let sequential: Vec<crate::SimStats> = configs
             .iter()
-            .map(|&(config, warmup)| {
-                let mut combined = CombinedPredictor::new(
-                    config.build_any(),
-                    HintDatabase::new(),
-                    Default::default(),
-                );
-                let mut pass = MeasurePass::new(&mut combined).with_warmup(warmup);
+            .map(|(config, warmup, db, shift)| {
+                let mut combined = CombinedPredictor::new(config.build_any(), db.clone(), *shift);
+                let mut pass = MeasurePass::new(&mut combined).with_warmup(*warmup);
                 PassRunner::new()
                     .with_chunk(chunk)
                     .run(SliceSource::new(&events), &mut [&mut pass]);
@@ -127,14 +159,14 @@ proptest! {
         // Lockstep: every member rides the same traversal.
         let mut combineds: Vec<CombinedPredictor> = configs
             .iter()
-            .map(|&(config, _)| {
-                CombinedPredictor::new(config.build_any(), HintDatabase::new(), Default::default())
+            .map(|(config, _, db, shift)| {
+                CombinedPredictor::new(config.build_any(), db.clone(), *shift)
             })
             .collect();
         let mut measures: Vec<MeasurePass> = combineds
             .iter_mut()
             .zip(&configs)
-            .map(|(combined, &(_, warmup))| MeasurePass::new(combined).with_warmup(warmup))
+            .map(|(combined, &(_, warmup, ..))| MeasurePass::new(combined).with_warmup(warmup))
             .collect();
         let outcome = {
             let mut passes: Vec<&mut dyn Pass> =

@@ -1,8 +1,7 @@
 //! Per-branch dynamic-predictor accuracy profiles.
 
 use sdbp_predictors::{DynamicPredictor, Prediction};
-use sdbp_trace::{BranchAddr, BranchEvent, BranchSource};
-use std::collections::HashMap;
+use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, PcMap};
 
 /// Per-branch prediction accuracy of a specific dynamic predictor.
 ///
@@ -29,7 +28,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccuracyProfile {
-    sites: HashMap<BranchAddr, SiteAccuracy>,
+    sites: PcMap<SiteAccuracy>,
 }
 
 /// Per-site counters backing [`AccuracyProfile`].

@@ -1,7 +1,6 @@
 //! Per-branch bias profiles.
 
-use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, SiteStats};
-use std::collections::HashMap;
+use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, PcMap, SiteStats};
 
 /// Execution/taken counts per static branch, gathered from one or more runs.
 ///
@@ -27,7 +26,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BiasProfile {
-    sites: HashMap<BranchAddr, SiteStats>,
+    sites: PcMap<SiteStats>,
 }
 
 impl BiasProfile {

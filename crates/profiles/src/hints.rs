@@ -1,7 +1,6 @@
 //! The static-hint database.
 
-use sdbp_trace::BranchAddr;
-use std::collections::HashMap;
+use sdbp_trace::{BranchAddr, PcMap};
 use std::fmt;
 
 /// The set of branches selected for static prediction, with their hints.
@@ -25,7 +24,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HintDatabase {
-    hints: HashMap<BranchAddr, bool>,
+    hints: PcMap<bool>,
 }
 
 impl HintDatabase {

@@ -26,10 +26,9 @@
 use crate::codec::binary::{read_header, EventDecoder};
 use crate::codec::text::{parse_record_fields, parse_text_line, ParsedLine};
 use crate::error::TraceError;
-use crate::event::BranchEvent;
+use crate::event::{BranchEvent, PcSet};
 use crate::source::BranchSource;
 use crate::trace::{Trace, TraceBuilder};
-use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -621,7 +620,7 @@ pub fn scan_path(path: &Path) -> Result<TraceScan, TraceError> {
     let mut stream = open_path(path)?;
     let format = stream.format();
     let mut taken = 0u64;
-    let mut sites = HashSet::new();
+    let mut sites = PcSet::default();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |bytes: &[u8]| {
         for &b in bytes {
@@ -631,7 +630,7 @@ pub fn scan_path(path: &Path) -> Result<TraceScan, TraceError> {
     };
     while let Some(e) = stream.next_event() {
         taken += u64::from(e.taken);
-        sites.insert(e.pc.0);
+        sites.insert(e.pc);
         fold(&e.pc.0.to_le_bytes());
         fold(&[u8::from(e.taken)]);
         fold(&e.gap.to_le_bytes());

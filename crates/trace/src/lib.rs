@@ -47,7 +47,7 @@ mod error;
 
 pub use codec::{read_binary, read_text, write_binary, write_text};
 pub use error::{RecordError, TraceError};
-pub use event::{BranchAddr, BranchEvent, Outcome};
+pub use event::{BranchAddr, BranchEvent, Outcome, PcHasher, PcMap, PcSet};
 pub use import::{
     autodetect, import_trace, open_path, scan_path, write_perf_text, ImportStream, TraceFormat,
     TraceImporter, TraceScan,

@@ -9,9 +9,8 @@
 //! * the train-vs-ref behavioral comparison (Table 5) via
 //!   [`TraceStats::compare`].
 
-use crate::event::{BranchAddr, BranchEvent};
+use crate::event::{BranchAddr, BranchEvent, PcMap};
 use crate::source::BranchSource;
-use std::collections::HashMap;
 
 /// Execution statistics of one static branch site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,7 +76,7 @@ impl SiteStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceStats {
-    sites: HashMap<BranchAddr, SiteStats>,
+    sites: PcMap<SiteStats>,
     dynamic_branches: u64,
     total_instructions: u64,
 }
