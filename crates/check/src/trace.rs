@@ -290,6 +290,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn oversized_binary_gaps_are_admission_errors() {
+        // An sdbt header promising one event, then a record whose gap is
+        // 2^32: it must not wrap to gap 0 and be admitted.
+        let mut bytes = b"SDBT\x01\x00\x00\x01\x01".to_vec();
+        bytes.extend_from_slice(&[0x80, 0x40]); // pc delta 0x1000, zig-zagged
+        bytes.extend_from_slice(&[0x81, 0x80, 0x80, 0x80, 0x20]); // gap 2^32, taken
+        let dir = tempdir();
+        let path = dir.join("wide.sdbt");
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = scan_path(&path).unwrap();
+        assert_eq!(scan.events, 0);
+        let error = scan.error.as_deref().expect("the record is rejected");
+        assert!(error.contains("gap of 4294967296"), "{error}");
+        let diags = lint_trace_scan(&scan, "wide.sdbt");
+        assert_eq!(diags.errors(), 1);
+        assert!(
+            diags.render_text().contains("SDBP072"),
+            "{}",
+            diags.render_text()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn tempdir() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "sdbp-check-trace-{}-{:?}",

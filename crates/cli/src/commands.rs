@@ -9,11 +9,10 @@ use sdbp_core::{
 };
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::{BiasProfile, HintDatabase, SelectionScheme};
-use sdbp_trace::{read_binary, read_text, write_binary, write_text, BranchSource, Trace};
+use sdbp_trace::{import_trace, write_binary, write_text, BranchSource, Trace};
 use sdbp_util::table::{fixed, grouped, pct, TableWriter};
 use sdbp_workloads::{imports, open_source, Benchmark, InputSet, WorkloadFamily};
 use std::fs;
-use std::io::BufReader;
 use std::path::Path;
 
 type CmdResult = Result<(), CliError>;
@@ -73,15 +72,10 @@ fn predictor_of(args: &Args) -> Result<PredictorConfig, CliError> {
     .map_err(CliError::usage)
 }
 
+/// Reads a trace file in any importable format, the same autodetection
+/// `ingest` and `grid --trace` use; any decode error fails the command.
 fn load_trace(path: &str) -> Result<Trace, CliError> {
-    let file =
-        fs::File::open(path).map_err(|e| CliError::Failure(format!("cannot open {path}: {e}")))?;
-    let mut reader = BufReader::new(file);
-    if path.ends_with(".txt") || path.ends_with(".text") {
-        read_text(&mut reader).map_err(|e| CliError::Failure(format!("{path}: {e}")))
-    } else {
-        read_binary(&mut reader).map_err(|e| CliError::Failure(format!("{path}: {e}")))
-    }
+    import_trace(Path::new(path)).map_err(|e| CliError::Failure(format!("{path}: {e}")))
 }
 
 /// `sdbp gen` — generate a trace file from a synthetic workload.
@@ -1271,6 +1265,31 @@ mod tests {
         .unwrap();
         stats(&args(&["stats", "--trace", trace_str])).unwrap();
         sim(&args(&["sim", "--trace", trace_str, "--size", "1024"])).unwrap();
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_files_load_in_every_format_whatever_their_extension() {
+        let dir = std::env::temp_dir().join("sdbp-cli-load-trace-test");
+        fs::create_dir_all(&dir).unwrap();
+        let trace = open_source(Benchmark::Compress, InputSet::Ref, 1)
+            .take_instructions(20_000)
+            .collect_trace();
+        for extension in ["sdbt", "trace", "perf"] {
+            let path = dir.join(format!("compress.{extension}"));
+            let mut buf = Vec::new();
+            match extension {
+                "sdbt" => write_binary(&mut buf, &trace),
+                "trace" => write_text(&mut buf, &trace),
+                _ => sdbp_trace::write_perf_text(&mut buf, &trace),
+            }
+            .unwrap();
+            fs::write(&path, &buf).unwrap();
+            let p = path.to_str().unwrap();
+            assert_eq!(load_trace(p).unwrap().events(), trace.events(), "{p}");
+            stats(&args(&["stats", "--trace", p])).unwrap();
+            sim(&args(&["sim", "--trace", p, "--size", "1024"])).unwrap();
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

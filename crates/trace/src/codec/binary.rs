@@ -18,9 +18,9 @@
 //! signed; packing `taken` into the gap word saves one byte per event.
 //!
 //! The decode path is split into [`read_header`] and [`EventDecoder`] so the
-//! streaming importer in [`crate::import`] can drive the same decoder one
-//! event at a time in bounded memory; [`read_binary`] is the materializing
-//! wrapper.
+//! streaming importer in [`crate::import`] can drive the same decoder in
+//! bounded memory, a buffered chunk or one event at a time; [`read_binary`]
+//! is the materializing wrapper.
 
 use super::varint;
 use crate::error::TraceError;
@@ -108,34 +108,60 @@ impl EventDecoder {
     /// Decodes the next event record, given the header's promised count.
     ///
     /// A varint cut off mid-event is reported as
-    /// [`TraceError::TruncatedEvents`] carrying how far the decode got.
+    /// [`TraceError::TruncatedEvents`] carrying how far the decode got, and
+    /// a gap above `u32::MAX` as [`TraceError::GapOverflow`].
     pub fn next<R: Read>(&mut self, r: &mut R, expected: u64) -> Result<BranchEvent, TraceError> {
-        let delta = match varint::read_u64(r) {
-            Ok(v) => zigzag_decode(v),
-            Err(TraceError::TruncatedVarint) => {
-                return Err(TraceError::TruncatedEvents {
-                    expected,
-                    decoded: self.decoded,
-                })
-            }
-            Err(e) => return Err(e),
+        let decoded = self.decoded;
+        let truncated = |e| match e {
+            TraceError::TruncatedVarint => TraceError::TruncatedEvents { expected, decoded },
+            e => e,
         };
-        let packed = match varint::read_u64(r) {
-            Ok(v) => v,
-            Err(TraceError::TruncatedVarint) => {
-                return Err(TraceError::TruncatedEvents {
-                    expected,
-                    decoded: self.decoded,
-                })
+        let pc_zig = varint::read_u64(r).map_err(truncated)?;
+        let packed = varint::read_u64(r).map_err(truncated)?;
+        self.event(pc_zig, packed)
+    }
+
+    /// Decodes the whole records at the front of `bytes` into `out`, at
+    /// most `max` of them and never past the header's `expected` count,
+    /// returning how many bytes they took.
+    ///
+    /// Stops at the first record not wholly inside `bytes`, or not
+    /// well-formed: [`EventDecoder::next`] decodes that one from the
+    /// reader, which sees past the end of `bytes` and reports the errors.
+    pub fn decode_slice(
+        &mut self,
+        bytes: &[u8],
+        expected: u64,
+        out: &mut Vec<BranchEvent>,
+        max: usize,
+    ) -> Result<usize, TraceError> {
+        let mut used = 0;
+        for _ in 0..max {
+            if self.decoded >= expected {
+                break;
             }
-            Err(e) => return Err(e),
-        };
-        let pc = self.prev_pc.wrapping_add(delta as u64);
-        let taken = packed & 1 == 1;
-        let gap = (packed >> 1) as u32;
+            let Some((pc_zig, a)) = varint::decode_u64(&bytes[used..]) else {
+                break;
+            };
+            let Some((packed, b)) = varint::decode_u64(&bytes[used + a..]) else {
+                break;
+            };
+            out.push(self.event(pc_zig, packed)?);
+            used += a + b;
+        }
+        Ok(used)
+    }
+
+    /// Turns one record's two varints into the next event.
+    fn event(&mut self, pc_zig: u64, packed: u64) -> Result<BranchEvent, TraceError> {
+        let gap = u32::try_from(packed >> 1).map_err(|_| TraceError::GapOverflow {
+            event: self.decoded,
+            gap: packed >> 1,
+        })?;
+        let pc = self.prev_pc.wrapping_add(zigzag_decode(pc_zig) as u64);
         self.prev_pc = pc;
         self.decoded += 1;
-        Ok(BranchEvent::new(BranchAddr(pc), taken, gap))
+        Ok(BranchEvent::new(BranchAddr(pc), packed & 1 == 1, gap))
     }
 }
 
@@ -188,6 +214,7 @@ pub fn write_binary<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError
 ///   foreign input,
 /// * [`TraceError::TruncatedVarint`] / [`TraceError::TruncatedEvents`] for
 ///   cut-off payloads,
+/// * [`TraceError::GapOverflow`] for a record whose gap exceeds `u32`,
 /// * [`TraceError::Io`] for underlying reader failures.
 pub fn read_binary<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
     let header = read_header(r)?;
@@ -293,6 +320,49 @@ mod tests {
             ),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn oversized_gaps_are_rejected_by_both_decode_paths() {
+        // One valid record, then one whose gap is 2^32: a bare `as u32`
+        // would wrap it to 0.
+        let mut buf = Vec::new();
+        for (pc_zig, packed) in [(8, 5 << 1), (2, (1u64 << 33) | 1)] {
+            varint::write_u64(&mut buf, pc_zig).unwrap();
+            varint::write_u64(&mut buf, packed).unwrap();
+        }
+        let overflow = |e: TraceError| matches!(e, TraceError::GapOverflow { event: 1, gap } if gap == 1 << 32);
+
+        let mut reader = &buf[..];
+        let mut decoder = EventDecoder::default();
+        assert_eq!(decoder.next(&mut reader, 2).unwrap().gap, 5);
+        assert!(overflow(decoder.next(&mut reader, 2).unwrap_err()));
+
+        let mut out = Vec::new();
+        let err = EventDecoder::default()
+            .decode_slice(&buf, 2, &mut out, 8)
+            .unwrap_err();
+        assert!(overflow(err));
+        assert_eq!(out.len(), 1, "the valid record before it is kept");
+    }
+
+    #[test]
+    fn slice_decoding_stops_at_a_record_cut_by_the_buffer_end() {
+        let trace = sample_trace();
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &trace).unwrap();
+        let mut r = &buf[..];
+        read_header(&mut r).unwrap();
+        let mut out = Vec::new();
+        let mut decoder = EventDecoder::default();
+        let used = decoder
+            .decode_slice(&r[..r.len() - 1], 3, &mut out, 8)
+            .unwrap();
+        assert_eq!(out, trace.events()[..2]);
+        // The reader finishes the cut record from where the slice stopped.
+        let mut rest = &r[used..];
+        assert_eq!(decoder.next(&mut rest, 3).unwrap(), trace.events()[2]);
+        assert_eq!(decoder.decode_slice(rest, 3, &mut out, 8).unwrap(), 0);
     }
 
     #[test]

@@ -65,6 +65,28 @@ pub(crate) mod varint {
         }
     }
 
+    /// Decodes a varint from the front of `bytes`, returning it with its
+    /// length in bytes.
+    ///
+    /// `None` when `bytes` ends mid-varint or the varint is overlong: the
+    /// caller hands both cases to [`read_u64`], which reads past the end of
+    /// `bytes` and reports the errors.
+    #[inline]
+    pub fn decode_u64(bytes: &[u8]) -> Option<(u64, usize)> {
+        let mut value = 0u64;
+        for (i, &b) in bytes.iter().take(10).enumerate() {
+            let shift = 7 * i as u32;
+            if shift == 63 && b > 1 {
+                return None;
+            }
+            value |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some((value, i + 1));
+            }
+        }
+        None
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -106,6 +128,24 @@ pub(crate) mod varint {
                 read_u64(&mut &buf[..]),
                 Err(TraceError::TruncatedVarint)
             ));
+            assert_eq!(decode_u64(&buf), None);
+        }
+
+        #[test]
+        fn slice_decoder_agrees_with_the_reader() {
+            for v in [0, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
+                let mut buf = Vec::new();
+                write_u64(&mut buf, v).unwrap();
+                let len = buf.len();
+                buf.push(0x55);
+                assert_eq!(decode_u64(&buf), Some((v, len)));
+                assert_eq!(decode_u64(&buf[..len - 1]), None, "cut mid-varint");
+            }
+            // A tenth byte may carry only bit 63.
+            let mut top = [0xffu8; 10];
+            top[9] = 0x02;
+            assert!(read_u64(&mut &top[..]).is_err());
+            assert_eq!(decode_u64(&top), None);
         }
     }
 }

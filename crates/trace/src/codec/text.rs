@@ -76,6 +76,68 @@ pub(crate) fn parse_record_fields<'a>(
     Ok(BranchEvent::new(BranchAddr(pc), taken, gap))
 }
 
+/// Whether `b` separates record fields for [`parse_record_bytes`]: a
+/// space, tab or carriage return, all whitespace to `split_whitespace` too.
+pub(crate) fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r')
+}
+
+fn skip_blanks(s: &[u8], mut i: usize) -> usize {
+    while s.get(i).copied().is_some_and(is_blank) {
+        i += 1;
+    }
+    i
+}
+
+/// A field of 1 to `max_len` digits in `radix` at `s[at..]`, ending at a
+/// blank or at the end of `s`: its value and the index after it.
+fn digits(s: &[u8], at: usize, radix: u32, max_len: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut i = at;
+    while let Some(&b) = s.get(i) {
+        if is_blank(b) {
+            break;
+        }
+        if i - at == max_len {
+            return None;
+        }
+        value = value * u64::from(radix) + u64::from(char::from(b).to_digit(radix)?);
+        i += 1;
+    }
+    (i > at).then_some((value, i))
+}
+
+/// The byte-level fast path of [`parse_record_fields`], for one line
+/// without its `\n`: parses the common record shape
+/// `<1-16 hex digits> T|t|N|n|1|0 [<1-9 decimal digits>]`, its fields
+/// separated by spaces, tabs or carriage returns.
+///
+/// Returns `None` for anything else: every malformed line, and the records
+/// only the full grammar accepts (a `0x` or `+` prefix, direction words,
+/// longer numbers, other whitespace, non-ASCII bytes). Callers hand those
+/// lines to [`parse_text_line`] or the perf parser, which stay the only
+/// full grammar.
+pub(crate) fn parse_record_bytes(s: &[u8]) -> Option<BranchEvent> {
+    let (pc, i) = digits(s, skip_blanks(s, 0), 16, 16)?;
+    let i = skip_blanks(s, i);
+    let taken = match s.get(i)? {
+        b'T' | b't' | b'1' => true,
+        b'N' | b'n' | b'0' => false,
+        _ => return None,
+    };
+    if s.get(i + 1).is_some_and(|&b| !is_blank(b)) {
+        return None;
+    }
+    let mut i = skip_blanks(s, i + 1);
+    let mut gap = 0;
+    if i < s.len() {
+        let (g, end) = digits(s, i, 10, 9)?;
+        gap = g as u32;
+        i = skip_blanks(s, end);
+    }
+    (i == s.len()).then(|| BranchEvent::new(BranchAddr(pc), taken, gap))
+}
+
 /// Parses one line of the sdbp text format.
 ///
 /// Unknown `!` directives are ignored so the format can grow.

@@ -28,6 +28,14 @@ pub enum TraceError {
         /// Events actually decoded.
         decoded: u64,
     },
+    /// A binary event record declares a gap that does not fit the `u32`
+    /// of [`crate::BranchEvent::gap`] — corrupt input, not a long gap.
+    GapOverflow {
+        /// 0-based index of the offending event.
+        event: u64,
+        /// The declared gap.
+        gap: u64,
+    },
     /// The header declared a trace name longer than the decoder's sanity
     /// cap — corrupt input rather than a plausible name.
     NameTooLong {
@@ -128,6 +136,10 @@ impl fmt::Display for TraceError {
             TraceError::TruncatedEvents { expected, decoded } => write!(
                 f,
                 "trace payload truncated: expected {expected} events, decoded {decoded}"
+            ),
+            TraceError::GapOverflow { event, gap } => write!(
+                f,
+                "event {event} declares a gap of {gap} instructions, above the u32 limit"
             ),
             TraceError::NameTooLong { declared, limit } => write!(
                 f,

@@ -3,9 +3,9 @@
 //! The simulator's front door is [`crate::BranchSource`]; this module makes
 //! that literal for *files*. A [`TraceImporter`] turns an on-disk trace in
 //! any supported [`TraceFormat`] into an [`ImportStream`] — a bounded-memory
-//! `BranchSource` that decodes one event at a time, so a multi-gigabyte
-//! ChampSim-style capture streams through the pass framework exactly like a
-//! synthetic generator.
+//! `BranchSource` that decodes chunks straight out of one fixed read buffer,
+//! so a multi-gigabyte ChampSim-style capture streams through the pass
+//! framework exactly like a synthetic generator.
 //!
 //! Three formats are supported:
 //!
@@ -24,11 +24,13 @@
 //! `sdbp check` admission lints) surfaces it up front.
 
 use crate::codec::binary::{read_header, EventDecoder};
-use crate::codec::text::{parse_record_fields, parse_text_line, ParsedLine};
+use crate::codec::text::{
+    is_blank, parse_record_bytes, parse_record_fields, parse_text_line, ParsedLine,
+};
 use crate::error::TraceError;
 use crate::event::{BranchEvent, PcSet};
 use crate::source::BranchSource;
-use crate::trace::{Trace, TraceBuilder};
+use crate::trace::{Trace, TraceMeta};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -37,6 +39,12 @@ use std::str::FromStr;
 
 /// How many bytes of the input [`autodetect`] inspects.
 const SNIFF_LEN: usize = 4096;
+/// The read buffer of a stream opened from a file: the chunked decoder
+/// works on it in place, and a record cut by its end goes to the reference
+/// decoder, so it only needs to hold many lines.
+const READ_BUF_LEN: usize = 64 * 1024;
+/// Events per [`BranchSource::fill_events`] pull in the whole-file readers.
+const CHUNK_EVENTS: usize = 8192;
 
 /// The on-disk trace formats the importer seam understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,7 +122,8 @@ pub trait TraceImporter: Sync {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "<import>".to_string());
-        ImportStream::open(self.format(), Box::new(BufReader::new(file)), label)
+        let reader = BufReader::with_capacity(READ_BUF_LEN, file);
+        ImportStream::open(self.format(), Box::new(reader), label)
     }
 }
 
@@ -264,25 +273,16 @@ pub fn open_path(path: &Path) -> Result<ImportStream, TraceError> {
 /// Everything [`open_path`] reports, plus any mid-stream decode error.
 pub fn import_trace(path: &Path) -> Result<Trace, TraceError> {
     let mut stream = open_path(path)?;
-    let mut builder = TraceBuilder::new();
-    while let Some(e) = stream.next_event() {
-        builder.push(e);
-    }
+    let mut events = Vec::new();
+    while stream.fill_events(&mut events, CHUNK_EVENTS) > 0 {}
     if let Some(e) = stream.take_error() {
         return Err(e);
     }
-    let name = stream.label().to_string();
-    let mut trace = builder.finish();
-    if !name.is_empty() {
-        trace = Trace::from_parts(
-            crate::trace::TraceMeta {
-                total_instructions: trace.meta().total_instructions,
-                name,
-            },
-            trace.into_iter().collect(),
-        );
-    }
-    Ok(trace)
+    let meta = TraceMeta {
+        total_instructions: stream.instructions_emitted(),
+        name: stream.label().to_string(),
+    };
+    Ok(Trace::from_parts(meta, events))
 }
 
 enum StreamKind {
@@ -296,9 +296,17 @@ enum StreamKind {
 
 /// A bounded-memory streaming [`BranchSource`] over an imported trace file.
 ///
-/// Decodes one event per [`next_event`](BranchSource::next_event) call and
-/// never materializes the file. Because `BranchSource` has no error channel,
-/// a decode failure ends the stream; the failure is retained and exposed via
+/// Never materializes the file. [`next_event`](BranchSource::next_event)
+/// decodes one record through the reference decoders: `EventDecoder::next`
+/// for binary, and a line read into a `String` for `parse_text_line` or
+/// [`parse_perf_line`]. [`fill_events`](BranchSource::fill_events) decodes
+/// whole records straight out of the reader's buffer, and hands every record
+/// its byte-level parser does not accept to the same reference decoders: a
+/// record cut by the buffer end, a directive, a comment, an unusual spelling
+/// or an error. Both produce the same events, label and errors.
+///
+/// Because `BranchSource` has no error channel, a decode failure ends the
+/// stream; the failure is retained and exposed via
 /// [`error`](ImportStream::error) so admission tooling (`sdbp ingest`, the
 /// SDBP07x lints) can distinguish clean EOF from truncation.
 pub struct ImportStream {
@@ -499,8 +507,118 @@ impl BranchSource for ImportStream {
         Some(e)
     }
 
+    fn fill_events(&mut self, buf: &mut Vec<BranchEvent>, max: usize) -> usize {
+        let start = buf.len();
+        if max > 0 {
+            buf.extend(self.pending.take());
+        }
+        while buf.len() - start < max && self.error.is_none() {
+            let before = buf.len();
+            let want = max - (before - start);
+            // A read error here is left for the reference decoder to meet.
+            if let Ok(bytes) = self.reader.fill_buf() {
+                let used = match &mut self.kind {
+                    StreamKind::Binary { decoder, expected } => {
+                        match decoder.decode_slice(bytes, *expected, buf, want) {
+                            Ok(used) => used,
+                            Err(e) => {
+                                self.error = Some(e);
+                                0
+                            }
+                        }
+                    }
+                    StreamKind::Text => decode_lines(bytes, false, buf, want, &mut self.lineno),
+                    StreamKind::Perf => decode_lines(bytes, true, buf, want, &mut self.lineno),
+                };
+                self.reader.consume(used);
+            }
+            if buf.len() == before {
+                match self.pull() {
+                    Some(e) => buf.push(e),
+                    None => break,
+                }
+            }
+        }
+        let filled = &buf[start..];
+        self.emitted += filled.len() as u64;
+        self.instructions += filled.iter().map(BranchEvent::instructions).sum::<u64>();
+        filled.len()
+    }
+
     fn label(&self) -> &str {
         &self.label
+    }
+}
+
+/// Decodes the whole lines at the front of `bytes` that the byte-level
+/// parser accepts into `out`, at most `max` of them, and returns how many
+/// bytes they took. Stops at the first line cut by the end of `bytes` or
+/// declined by the parser, for the reference parser to take.
+fn decode_lines(
+    bytes: &[u8],
+    perf: bool,
+    out: &mut Vec<BranchEvent>,
+    max: usize,
+    lineno: &mut usize,
+) -> usize {
+    let mut used = 0;
+    for _ in 0..max {
+        let rest = &bytes[used..];
+        let Some(len) = find_newline(rest) else {
+            break;
+        };
+        let line = &rest[..len];
+        let record = if perf { perf_record(line) } else { Some(line) };
+        let Some(e) = record.and_then(parse_record_bytes) else {
+            break;
+        };
+        out.push(e);
+        *lineno += 1;
+        used += len + 1;
+    }
+    used
+}
+
+/// The index of the first `\n` in `bytes`, found eight bytes per step.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        // High bit set in each zero byte of `x`, exact up to the first one.
+        let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zeros != 0 {
+            return Some(at + zeros.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| at + i)
+}
+
+/// The record of a perf line for the byte-level parser: the bytes after the
+/// last token ending in `:`, found by scanning back from the line end, or
+/// the whole line when no token ends in `:`.
+///
+/// `None` leaves the line to [`parse_perf_line`]: blank and comment lines,
+/// non-ASCII bytes (which may be whitespace or invalid UTF-8), and a last
+/// `:` that does not end a token.
+fn perf_record(line: &[u8]) -> Option<&[u8]> {
+    let first = *line.iter().find(|&&b| !is_blank(b))?;
+    if first == b'#' || !first.is_ascii_graphic() || !line.is_ascii() {
+        return None;
+    }
+    match line.iter().rposition(|&b| b == b':') {
+        Some(colon) => {
+            let record = &line[colon + 1..];
+            record
+                .first()
+                .is_some_and(|&b| is_blank(b))
+                .then_some(record)
+        }
+        None => Some(line),
     }
 }
 
@@ -628,12 +746,16 @@ pub fn scan_path(path: &Path) -> Result<TraceScan, TraceError> {
             digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    while let Some(e) = stream.next_event() {
-        taken += u64::from(e.taken);
-        sites.insert(e.pc);
-        fold(&e.pc.0.to_le_bytes());
-        fold(&[u8::from(e.taken)]);
-        fold(&e.gap.to_le_bytes());
+    let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
+    while stream.fill_events(&mut chunk, CHUNK_EVENTS) > 0 {
+        for e in &chunk {
+            taken += u64::from(e.taken);
+            sites.insert(e.pc);
+            fold(&e.pc.0.to_le_bytes());
+            fold(&[u8::from(e.taken)]);
+            fold(&e.gap.to_le_bytes());
+        }
+        chunk.clear();
     }
     Ok(TraceScan {
         format,
@@ -833,6 +955,61 @@ mod tests {
     }
 
     #[test]
+    fn find_newline_agrees_with_a_byte_scan() {
+        // Neighbours of `\n` in value and in the high bit, and two newlines
+        // within one word, at every alignment and length.
+        let text = b"ab\ncd\x0b\x8a\x09\x8b\n\nefghijklmnop\x0a\x0a\x8aq\n";
+        for start in 0..text.len() {
+            for end in start..=text.len() {
+                let s = &text[start..end];
+                assert_eq!(find_newline(s), s.iter().position(|&b| b == b'\n'));
+            }
+        }
+    }
+
+    /// `trace` exported in every format.
+    pub(super) fn export_all(trace: &Trace) -> [(TraceFormat, Vec<u8>); 3] {
+        TraceFormat::ALL.map(|format| {
+            let mut buf = Vec::new();
+            match format {
+                TraceFormat::SdbtBinary => write_binary(&mut buf, trace),
+                TraceFormat::SdbpText => write_text(&mut buf, trace),
+                TraceFormat::PerfText => write_perf_text(&mut buf, trace),
+            }
+            .unwrap();
+            (format, buf)
+        })
+    }
+
+    #[test]
+    fn scan_values_are_pinned_in_every_format() {
+        // The digest keys imported profiles in the disk store, so no decode
+        // path may change it, in any format.
+        const DIGEST: u64 = 0xbe32_baf2_f2c4_90f9;
+        let dir = std::env::temp_dir().join(format!("sdbp-scan-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (format, bytes) in export_all(&sample_trace()) {
+            let path = dir.join(format.name());
+            std::fs::write(&path, bytes).unwrap();
+            let scan = scan_path(&path).unwrap();
+            assert_eq!(scan.format, format);
+            assert_eq!(
+                (
+                    scan.events,
+                    scan.total_instructions,
+                    scan.taken,
+                    scan.distinct_sites,
+                    scan.digest
+                ),
+                (3, 11, 2, 3, DIGEST),
+                "{format}"
+            );
+            assert!(scan.error.is_none(), "{format}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn format_names_roundtrip_through_fromstr() {
         for f in TraceFormat::ALL {
             assert_eq!(f.name().parse::<TraceFormat>().unwrap(), f);
@@ -843,6 +1020,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::export_all;
     use super::*;
     use crate::codec::write_binary;
     use crate::event::BranchAddr;
@@ -915,6 +1093,249 @@ mod proptests {
                 let events: Vec<_> = std::iter::from_fn(|| s.next_event()).collect();
                 prop_assert!(events.len() <= trace.len());
                 prop_assert_eq!(&events[..], &trace.events()[..events.len()]);
+            }
+        }
+
+        // The chunked decoder against the reference decoder: in every
+        // format, with any read-buffer capacity (so records straddle
+        // refills), any chunk sizes and any truncation, `fill_events`
+        // yields what `next_event` yields, and a whole export round-trips.
+        #[test]
+        fn chunked_import_matches_next_event(
+            trace in arb_trace(),
+            format in 0usize..3,
+            capacity in 1usize..65,
+            chunks in proptest::collection::vec(1usize..40, 1..5),
+            cut in any::<u64>(),
+        ) {
+            let (format, mut bytes) = export_all(&trace)[format].clone();
+            let whole = cut.is_multiple_of(4);
+            match cut % 4 {
+                0 => {}
+                // Bytes past the header's event count, or a bad last line.
+                1 => bytes.extend_from_slice(b"\x01\x02 junk\n"),
+                _ => bytes.truncate((cut % (bytes.len() as u64 + 1)) as usize),
+            }
+            let chunked = drain_with(format, &bytes, capacity, Some(&chunks[..]));
+            prop_assert_eq!(&chunked, &drain_with(format, &bytes, capacity, None));
+            if whole {
+                let drained = chunked.unwrap();
+                prop_assert_eq!(drained.error, None);
+                prop_assert_eq!(drained.events, trace.events());
+            }
+        }
+    }
+
+    const FALLBACK: &str = "<fallback>";
+
+    /// Everything a drain of a stream observes.
+    #[derive(Debug, PartialEq)]
+    struct Drained {
+        events: Vec<BranchEvent>,
+        label: String,
+        error: Option<String>,
+        emitted: u64,
+        instructions: u64,
+    }
+
+    /// Drains `bytes` read through a buffer of `capacity` bytes: through
+    /// `fill_events` with the `chunks` sizes in turn, or through
+    /// `next_event` when `chunks` is `None`.
+    fn drain_with(
+        format: TraceFormat,
+        bytes: &[u8],
+        capacity: usize,
+        chunks: Option<&[usize]>,
+    ) -> Result<Drained, String> {
+        let reader = BufReader::with_capacity(capacity, Cursor::new(bytes.to_vec()));
+        let mut s = ImportStream::open(format, Box::new(reader), FALLBACK.into())
+            .map_err(|e| e.to_string())?;
+        let mut events = Vec::new();
+        match chunks {
+            None => events.extend(std::iter::from_fn(|| s.next_event())),
+            Some(chunks) => {
+                assert_eq!(s.fill_events(&mut events, 0), 0);
+                for &max in chunks.iter().cycle() {
+                    let n = s.fill_events(&mut events, max);
+                    assert!(n <= max);
+                    if n == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(Drained {
+            events,
+            label: s.label().to_string(),
+            error: s.error().map(|e| e.to_string()),
+            emitted: s.emitted(),
+            instructions: s.instructions_emitted(),
+        })
+    }
+
+    /// What one line contributes to a stream.
+    #[derive(Debug, PartialEq)]
+    enum LineOutcome {
+        Event(BranchEvent),
+        Name(String),
+        Nothing,
+        Error(String),
+    }
+
+    /// Lines assembled from prefix, pc, separator, direction and tail
+    /// pieces. Half the draws take the first, well-formed piece; the others
+    /// spell each field every way the byte-level parser must decline or
+    /// reject: non-ASCII bytes (Unicode whitespace among them), `\x0B`,
+    /// tabs, `\r`, `0x`, direction words, 17+ hex digits, gaps of 10+
+    /// digits, stray colons, comments and directives.
+    fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+        const PREFIX: [&[u8]; 16] = [
+            b"",
+            b"nginx 4242 [003] 17.654321: branches: ",
+            b"cpu:\t",
+            b"a:b ",
+            b"x :",
+            b":",
+            b" \t",
+            b"\x0b",
+            b"#",
+            b"# cycles: ",
+            b"!name ",
+            b"\xc2\xa0",
+            b"\xc2\xa0# ",
+            b"\xc3\xa9: ",
+            b"c\xff: ",
+            b"\xe2\x80\x83",
+        ];
+        const PC: [&[u8]; 13] = [
+            b"12a3",
+            b"0",
+            b"FFFFffffFFFFffff",
+            b"00000000000000001",
+            b"10000000000000000",
+            b"0x10",
+            b"0x0x10",
+            b"0x",
+            b"+1f",
+            b"g1",
+            b"",
+            b"\xc3\xa9",
+            b"1:",
+        ];
+        const SEP: [&[u8]; 12] = [
+            b" ",
+            b"\t",
+            b" \r ",
+            b"\r",
+            b"\x0b",
+            b"\x0c",
+            b"\xc2\xa0",
+            b"\xc2\x85",
+            b"\xe2\x80\x83",
+            b"",
+            b":",
+            b": ",
+        ];
+        const DIR: [&[u8]; 12] = [
+            b"T",
+            b"N",
+            b"t",
+            b"n",
+            b"1",
+            b"0",
+            b"taken",
+            b"not-taken",
+            b"X",
+            b"",
+            b"TT",
+            b"10",
+        ];
+        const TAIL: [&[u8]; 19] = [
+            b" 5",
+            b"",
+            b"\t999999999",
+            b" 4294967295",
+            b" 4294967296",
+            b" 0000000005",
+            b" 12345678901",
+            b" +5",
+            b" 5 6",
+            b" 5\r",
+            b" \r",
+            b" ",
+            b" \xc3\xa9",
+            b"\x0b5",
+            b" 5:",
+            b": 7 T 1",
+            b"\xc2\xa0",
+            b" 5\x0c",
+            b"\t\t7\t",
+        ];
+        fn pick<'a>(pieces: &[&'a [u8]], i: usize) -> &'a [u8] {
+            pieces.get(i).copied().unwrap_or(pieces[0])
+        }
+        (
+            0..2 * PREFIX.len(),
+            0..2 * PC.len(),
+            0..2 * SEP.len(),
+            0..2 * DIR.len(),
+            0..2 * TAIL.len(),
+        )
+            .prop_map(|(p, c, s, d, t)| {
+                [
+                    pick(&PREFIX, p),
+                    pick(&PC, c),
+                    pick(&SEP, s),
+                    pick(&DIR, d),
+                    pick(&TAIL, t),
+                ]
+                .concat()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        // The byte-level parser against the reference grammar, one line at
+        // a time after a well-formed first line: the chunked decoder agrees
+        // with `next_event`, and with `parse_text_line`/`parse_perf_line` on
+        // the event, the name, or the error and its line number.
+        #[test]
+        fn chunked_lines_match_the_reference_parsers(
+            line in arb_line(),
+            capacity in 1usize..129,
+        ) {
+            let bytes = [&b"1 T\n"[..], &line, b"\n"].concat();
+            for format in [TraceFormat::SdbpText, TraceFormat::PerfText] {
+                let drained = drain_with(format, &bytes, capacity, Some(&[CHUNK_EVENTS][..])).unwrap();
+                prop_assert_eq!(&drained, &drain_with(format, &bytes, capacity, None).unwrap());
+                let got = match (&drained.error, drained.events.get(1)) {
+                    (Some(e), _) => LineOutcome::Error(e.clone()),
+                    (None, Some(&e)) => LineOutcome::Event(e),
+                    (None, None) if drained.label != FALLBACK => {
+                        LineOutcome::Name(drained.label.clone())
+                    }
+                    (None, None) => LineOutcome::Nothing,
+                };
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    // Not UTF-8: `read_line` fails, on either path.
+                    prop_assert!(matches!(got, LineOutcome::Error(_)), "{got:?}");
+                    continue;
+                };
+                let expected = match format {
+                    TraceFormat::PerfText => match parse_perf_line(text, 2) {
+                        Ok(Some(e)) => LineOutcome::Event(e),
+                        Ok(None) => LineOutcome::Nothing,
+                        Err(e) => LineOutcome::Error(e.to_string()),
+                    },
+                    _ => match parse_text_line(text, 2) {
+                        Ok(ParsedLine::Event(e)) => LineOutcome::Event(e),
+                        Ok(ParsedLine::Name(n)) => LineOutcome::Name(n),
+                        Ok(ParsedLine::Nothing) => LineOutcome::Nothing,
+                        Err(e) => LineOutcome::Error(e.to_string()),
+                    },
+                };
+                prop_assert_eq!(got, expected, "line {:?} as {}", text, format);
             }
         }
     }
