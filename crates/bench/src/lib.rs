@@ -95,8 +95,9 @@ pub fn run_verbose(lab: &Lab, s: &ExperimentSpec) -> Report {
 /// Reports come back in spec order, bit-identical to a serial run.
 ///
 /// Every cell is pre-flighted through `sdbp-check`'s coded diagnostics (on
-/// top of the sweep's strict-mode validation), so a misconfigured grid
-/// fails fast with `SDBP`-coded reasons instead of wasting a long run.
+/// top of the sweep's own `ExperimentSpec::validate` gate), so a
+/// misconfigured grid fails fast with `SDBP`-coded reasons instead of
+/// wasting a long run.
 ///
 /// Thread count follows the engine's resolution: the `SDBP_THREADS`
 /// environment variable if set, otherwise all available cores.

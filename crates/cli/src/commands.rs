@@ -305,7 +305,6 @@ pub fn sweep(args: &Args) -> CmdResult {
     let result = Sweep::new(specs)
         .with_threads(threads)
         .with_verbose(true)
-        .with_lockstep(!args.has_flag("no-lockstep"))
         .run();
     let summary = result.summary();
     let mut t = TableWriter::with_columns(&["size", "MISPs/KI", "accuracy", "collisions", "hints"]);
@@ -423,11 +422,7 @@ pub fn grid(args: &Args) -> CmdResult {
         }
         layout.push(rows);
     }
-    let mut sweep = Sweep::new(specs)
-        .with_threads(threads)
-        .with_verbose(true)
-        .with_fusion(!args.has_flag("no-fuse"))
-        .with_lockstep(!args.has_flag("no-lockstep"));
+    let mut sweep = Sweep::new(specs).with_threads(threads).with_verbose(true);
     if let Some(dir) = args.get("store") {
         sweep = sweep
             .with_store(dir)
@@ -761,19 +756,20 @@ pub fn bench_kernel(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `sdbp bench-passes` — time a profile-heavy grid with pass fusion on and
-/// off, and write the machine-readable `BENCH_passes.json` report.
+/// `sdbp bench-passes` — time a profile-heavy grid cell by cell and through
+/// the planned sweep, and write the machine-readable `BENCH_passes.json`
+/// report.
 pub fn bench_passes(args: &Args) -> CmdResult {
     let quick = args.has_flag("quick");
     let out = args.get_or("out", "BENCH_passes.json");
     eprintln!(
-        "benchmarking pass fusion ({} mode)...",
+        "benchmarking traversal sharing ({} mode)...",
         if quick { "quick" } else { "full" }
     );
     let report = sdbp_bench::passes::run(quick, |m| {
         eprintln!(
             "  {:<8} {:>8.3} s  {:>3} traversals",
-            m.label, m.seconds, m.traversals
+            m.label, m.seconds, m.outcome.traversals
         );
     });
     print!("{}", report.summary());

@@ -110,8 +110,9 @@ commands:
                                reference kernel) and write a machine-readable
                                report (--out BENCH_simkernel.json, --quick
                                for the CI smoke budget)
-  bench-passes                 time a profile-heavy grid with pass fusion on
-                               and off and write a machine-readable report
+  bench-passes                 time a profile-heavy grid cell by cell and
+                               through the sweep's shared traversals and
+                               write a machine-readable report
                                (--out BENCH_passes.json, --quick for the CI
                                smoke budget)
   bench-frontier               run the predictor-frontier ablation — gshare,
@@ -167,14 +168,6 @@ common options:
   --max-cells N                                    with --store: stop after N
                                                    executed cells (testing
                                                    interruption/resume)
-  --no-fuse                                        grid: disable fused
-                                                   multi-pass profiling (one
-                                                   traversal per profile
-                                                   artifact, for A/B checks)
-  --no-lockstep                                    sweep/grid: disable lockstep
-                                                   multi-config measurement
-                                                   (one traversal per cell,
-                                                   for A/B checks)
 
 parallelism:
   sweep and grid run their cells across worker threads sharing one artifact
@@ -183,9 +176,8 @@ parallelism:
   stderr summary line reports threads, wall time, speedup, and cache
   hit/miss counters, plus the profile traversals saved by pass fusion
   (each benchmark's bias and accuracy profiles are collected in one fused
-  trace traversal unless --no-fuse) and the measurement traversals saved
-  by lockstep execution (cells sharing a branch stream ride one traversal
-  together unless --no-lockstep; results stay bit-identical either way).
+  trace traversal) and the measurement traversals saved by lockstep
+  execution (cells sharing a branch stream ride one traversal together).
   The summary also reports per-cell throughput as min/median/max Mbr/s.
   SDBP_THREADS=N overrides the default thread count process-wide (the
   --threads flag wins when both are given).

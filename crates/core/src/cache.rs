@@ -10,12 +10,16 @@
 //! experiment as the pre-sweep [`Lab`](crate::Lab) did.
 //!
 //! The cache is fully thread-safe: keys are claimed under a short-lived map
-//! lock, and the artifact itself is produced inside a per-key
-//! [`OnceLock`], so two threads racing on the *same* key block only each
-//! other while threads working on *different* keys proceed in parallel.
-//! Because generation is deterministic (seeded [`sdbp_util`] RNG all the
-//! way down), a cached artifact is bit-identical to a freshly computed one —
-//! which is what keeps parallel sweeps bit-identical to serial runs.
+//! lock, and each artifact lands in a per-key [`OnceLock`]. Event streams
+//! are generated inside it, so two threads racing on the *same* stream
+//! block only each other while threads working on *different* keys proceed
+//! in parallel. Profiles are computed outside it, so two threads racing on
+//! one profile may both compute it and the slot keeps one copy; a
+//! [`Sweep`](crate::Sweep) avoids the race by computing every profile its
+//! cells read before any cell runs. Because generation is deterministic
+//! (seeded [`sdbp_util`] RNG all the way down), a cached artifact is
+//! bit-identical to a freshly computed one — which is what keeps parallel
+//! sweeps bit-identical to serial runs.
 //!
 //! Event streams dominate memory (tens of MB per default-budget run), so
 //! the trace store is bounded: completed traces are evicted
@@ -367,16 +371,16 @@ impl ArtifactCache {
 
     /// The (cached) bias profile of a run **and** the accuracy profiles of
     /// every predictor in `predictors` on it, computing whatever is missing
-    /// in one fused traversal.
+    /// in one fused traversal. With no predictors this is a bias-only
+    /// lookup.
     ///
-    /// Semantically equivalent to one [`ArtifactCache::bias_profile`] call
-    /// plus one [`ArtifactCache::accuracy_profile`] call per predictor —
-    /// same artifacts (bit-identical, since every pass is chunk-invariant),
-    /// same hit/miss/disk accounting — but all artifacts that are in neither
-    /// the memory nor the disk tier are collected in a **single** traversal
-    /// of the event stream instead of one traversal each. The traversals
-    /// avoided that way are counted in
-    /// [`CacheStats::fused_traversals_saved`].
+    /// Each artifact is looked up in memory, then in the disk tier; every
+    /// artifact that neither tier holds is collected in a **single**
+    /// traversal of the event stream and persisted. Each artifact counts as
+    /// one hit or one miss, and each one computed beyond the first in that
+    /// traversal counts in [`CacheStats::fused_traversals_saved`]. Every
+    /// pass is chunk-invariant, so a fused artifact is bit-identical to one
+    /// collected on a traversal of its own.
     ///
     /// Accuracy profiles are returned in `predictors` order.
     pub fn profile_bundle(
@@ -388,8 +392,8 @@ impl ArtifactCache {
         predictors: &[PredictorConfig],
     ) -> (Arc<BiasProfile>, Vec<Arc<AccuracyProfile>>) {
         let key = (benchmark, input, seed, instructions);
-        // Claim every slot up front (short map locks, as in the sequential
-        // paths), then decide which artifacts actually need computing.
+        // Claim every slot up front under short map locks, then decide
+        // which artifacts actually need computing.
         let bias_slot = {
             let mut map = self.bias.lock().expect("cache lock");
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
@@ -407,10 +411,8 @@ impl ArtifactCache {
                 .collect()
         };
 
-        // Probe the disk tier for each artifact that is cold in memory —
-        // mirroring the sequential lookups, which only touch disk on a
-        // memory miss. Whatever the disk cannot supply joins the fused
-        // traversal.
+        // Probe the disk tier only for artifacts that are cold in memory.
+        // Whatever the disk cannot supply joins the fused traversal.
         let mut bias_value: Option<Arc<BiasProfile>> = None;
         let mut bias_cold = false;
         if bias_slot.get().is_none() {
@@ -532,80 +534,6 @@ impl ArtifactCache {
             let removed = store.entries.remove(&victim).expect("victim present");
             total -= removed.instructions;
         }
-    }
-
-    /// The (cached) bias profile of a generated run.
-    pub fn bias_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-    ) -> Arc<BiasProfile> {
-        let key = (benchmark, input, seed, instructions);
-        let slot = {
-            let mut map = self.bias.lock().expect("cache lock");
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-        };
-        let mut computed = false;
-        let profile = slot.get_or_init(|| {
-            computed = true;
-            let disk_key = bias_profile_digest(benchmark, input, seed, instructions);
-            if let Some(stored) = self.disk_fetch::<BiasProfile>(disk_key) {
-                return Arc::new(stored);
-            }
-            let events = self.events(benchmark, input, seed, instructions);
-            let profile = Arc::new(BiasProfile::from_source(SliceSource::new(&events)));
-            self.disk_persist(disk_key, &*profile);
-            profile
-        });
-        let counter = if computed {
-            &self.bias_misses
-        } else {
-            &self.bias_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(profile)
-    }
-
-    /// The (cached) per-branch accuracy profile of `predictor` on a
-    /// generated run.
-    pub fn accuracy_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-        predictor: PredictorConfig,
-    ) -> Arc<AccuracyProfile> {
-        let key = ((benchmark, input, seed, instructions), predictor);
-        let slot = {
-            let mut map = self.accuracy.lock().expect("cache lock");
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
-        };
-        let mut computed = false;
-        let profile = slot.get_or_init(|| {
-            computed = true;
-            let disk_key = accuracy_profile_digest(benchmark, input, seed, instructions, predictor);
-            if let Some(stored) = self.disk_fetch::<AccuracyProfile>(disk_key) {
-                return Arc::new(stored);
-            }
-            let events = self.events(benchmark, input, seed, instructions);
-            let mut dynamic = predictor.build_any();
-            let profile = Arc::new(AccuracyProfile::collect(
-                SliceSource::new(&events),
-                &mut dynamic,
-            ));
-            self.disk_persist(disk_key, &*profile);
-            profile
-        });
-        let counter = if computed {
-            &self.accuracy_misses
-        } else {
-            &self.accuracy_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(profile)
     }
 
     /// Probes the disk tier for a profile filed under a derived key.
@@ -746,11 +674,29 @@ mod tests {
         ArtifactCache::with_trace_capacity(DEFAULT_TRACE_CACHE_INSTRUCTIONS)
     }
 
+    fn gshare() -> PredictorConfig {
+        PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap()
+    }
+
+    /// A bias-only bundle of compress/ref at `seed`.
+    fn bias(c: &ArtifactCache, seed: u64) -> Arc<BiasProfile> {
+        c.profile_bundle(Benchmark::Compress, InputSet::Ref, seed, BUDGET, &[])
+            .0
+    }
+
+    /// The accuracy profile of `predictor` on compress/ref at seed 1, from
+    /// a bundle that also reads the run's bias profile.
+    fn accuracy(c: &ArtifactCache, predictor: PredictorConfig) -> Arc<AccuracyProfile> {
+        let (_, mut accs) =
+            c.profile_bundle(Benchmark::Compress, InputSet::Ref, 1, BUDGET, &[predictor]);
+        accs.pop().expect("one predictor, one profile")
+    }
+
     #[test]
     fn repeated_lookups_hit() {
         let c = cache();
-        let a = c.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
-        let b = c.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let a = bias(&c, 1);
+        let b = bias(&c, 1);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
         let s = c.stats();
         assert_eq!((s.bias_misses, s.bias_hits), (1, 1));
@@ -761,8 +707,8 @@ mod tests {
     #[test]
     fn different_seed_is_a_miss() {
         let c = cache();
-        let a = c.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
-        let b = c.bias_profile(Benchmark::Compress, InputSet::Ref, 2, BUDGET);
+        let a = bias(&c, 1);
+        let b = bias(&c, 2);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(*a, *b, "different seeds draw different streams");
         let s = c.stats();
@@ -790,15 +736,16 @@ mod tests {
     #[test]
     fn accuracy_profiles_key_on_predictor_too() {
         let c = cache();
-        let gshare = PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap();
         let bimodal = PredictorConfig::new(PredictorKind::Bimodal, 1024).unwrap();
-        let a = c.accuracy_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare);
-        let b = c.accuracy_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET, bimodal);
-        let a2 = c.accuracy_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare);
+        let a = accuracy(&c, gshare());
+        let b = accuracy(&c, bimodal);
+        let a2 = accuracy(&c, gshare());
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &a2));
         let s = c.stats();
         assert_eq!((s.accuracy_misses, s.accuracy_hits), (2, 1));
+        // The run's bias profile is shared by every bundle.
+        assert_eq!((s.bias_misses, s.bias_hits), (1, 2));
         // Both profiles replayed the single cached trace.
         assert_eq!((s.trace_misses, s.trace_hits), (1, 1));
     }
@@ -841,13 +788,14 @@ mod tests {
 
     #[test]
     fn profile_bundle_matches_sequential_lookups() {
-        let gshare = PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap();
+        let gshare = gshare();
         let bimodal = PredictorConfig::new(PredictorKind::Bimodal, 1024).unwrap();
 
-        let seq = cache();
-        let bias_ref = seq.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
-        let acc_g = seq.accuracy_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare);
-        let acc_b = seq.accuracy_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET, bimodal);
+        // Sequential reference: each profile over a traversal of its own.
+        let events = cache().events(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let collect = |predictor: PredictorConfig| {
+            AccuracyProfile::collect(SliceSource::new(&events), &mut predictor.build_any())
+        };
 
         let c = cache();
         let (bias, accs) = c.profile_bundle(
@@ -857,9 +805,13 @@ mod tests {
             BUDGET,
             &[gshare, bimodal],
         );
-        assert_eq!(*bias, *bias_ref, "fused bias is bit-identical");
-        assert_eq!(*accs[0], *acc_g, "fused accuracy is bit-identical");
-        assert_eq!(*accs[1], *acc_b);
+        assert_eq!(
+            *bias,
+            BiasProfile::from_source(SliceSource::new(&events)),
+            "fused bias is bit-identical"
+        );
+        assert_eq!(*accs[0], collect(gshare), "fused accuracy is bit-identical");
+        assert_eq!(*accs[1], collect(bimodal));
         let s = c.stats();
         assert_eq!((s.bias_misses, s.accuracy_misses), (1, 2));
         assert_eq!(s.trace_misses, 1, "one traversal generated the trace");
@@ -976,7 +928,7 @@ mod tests {
         let store = temp_store("share");
         let warm = cache();
         warm.attach_store(Arc::clone(&store));
-        let original = warm.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let original = bias(&warm, 1);
         assert_eq!(
             warm.stats().disk_misses,
             1,
@@ -986,7 +938,7 @@ mod tests {
         // A fresh cache models a new process: memory is cold, disk is warm.
         let cold = cache();
         cold.attach_store(Arc::clone(&store));
-        let revived = cold.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let revived = bias(&cold, 1);
         assert_eq!(*revived, *original);
         let s = cold.stats();
         assert_eq!((s.disk_hits, s.disk_misses), (1, 0));
@@ -1000,47 +952,54 @@ mod tests {
         let store = temp_store("heal");
         let warm = cache();
         warm.attach_store(Arc::clone(&store));
-        let original = warm.accuracy_profile(
-            Benchmark::Compress,
-            InputSet::Ref,
-            1,
-            BUDGET,
-            PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap(),
-        );
+        let original = bias(&warm, 1);
         // Damage the stored object behind the link.
-        let key = accuracy_profile_digest(
-            Benchmark::Compress,
-            InputSet::Ref,
-            1,
-            BUDGET,
-            PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap(),
-        );
+        let key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
         let target = store.get_link(key).unwrap().unwrap();
         std::fs::write(store.object_path(target), b"garbage").unwrap();
 
         let healing = cache();
         healing.attach_store(Arc::clone(&store));
-        let recomputed = healing.accuracy_profile(
-            Benchmark::Compress,
-            InputSet::Ref,
-            1,
-            BUDGET,
-            PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap(),
-        );
+        let recomputed = bias(&healing, 1);
         assert_eq!(*recomputed, *original, "corruption never surfaces");
         assert_eq!(healing.stats().disk_misses, 1);
 
         // The rewrite healed the store: a third cache hits cleanly.
         let healed = cache();
         healed.attach_store(Arc::clone(&store));
-        let _ = healed.accuracy_profile(
-            Benchmark::Compress,
-            InputSet::Ref,
-            1,
-            BUDGET,
-            PredictorConfig::new(PredictorKind::Gshare, 1024).unwrap(),
-        );
+        let _ = bias(&healed, 1);
         assert_eq!(healed.stats().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn bundle_heals_a_corrupt_accuracy_while_the_bias_loads_from_disk() {
+        let store = temp_store("mixed");
+        let warm = cache();
+        warm.attach_store(Arc::clone(&store));
+        let original = accuracy(&warm, gshare());
+        let key = accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
+        let target = store.get_link(key).unwrap().unwrap();
+        std::fs::write(store.object_path(target), b"garbage").unwrap();
+
+        // One bundle: the bias revives from disk, the damaged accuracy
+        // object is deleted and recomputed on the bundle's one traversal.
+        let healing = cache();
+        healing.attach_store(Arc::clone(&store));
+        let recomputed = accuracy(&healing, gshare());
+        assert_eq!(*recomputed, *original, "corruption never surfaces");
+        let s = healing.stats();
+        assert_eq!((s.disk_hits, s.disk_misses), (1, 1), "{s}");
+        assert_eq!((s.bias_misses, s.accuracy_misses), (1, 1));
+        assert_eq!(s.trace_misses, 1, "only the accuracy needed a traversal");
+        assert_eq!(s.fused_traversals_saved, 0);
+
+        let healed = cache();
+        healed.attach_store(Arc::clone(&store));
+        let _ = accuracy(&healed, gshare());
+        let s = healed.stats();
+        assert_eq!((s.disk_hits, s.disk_misses), (2, 0), "{s}");
+        assert_eq!(s.trace_misses, 0);
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -1063,9 +1022,9 @@ mod tests {
     #[test]
     fn stats_since_subtracts() {
         let c = cache();
-        let _ = c.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let _ = bias(&c, 1);
         let before = c.stats();
-        let _ = c.bias_profile(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let _ = bias(&c, 1);
         let delta = c.stats().since(&before);
         assert_eq!(delta.bias_hits, 1);
         assert_eq!(delta.bias_misses, 0);

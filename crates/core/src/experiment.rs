@@ -6,7 +6,7 @@
 //! self-trained (§5's upper bound), naive cross-trained, and cross-trained
 //! with the merged/filtered Spike-style database (§5.1 / Figure 13).
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, ArtifactKey};
 use crate::combined::{CombinedPredictor, ShiftPolicy};
 use crate::report::Report;
 use crate::simulator::MeasurePass;
@@ -14,8 +14,8 @@ use sdbp_artifacts::{CodecError, StoreError};
 use sdbp_passes::Pass;
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{
-    rank_interference, AccuracyProfile, BiasProfile, HintDatabase, InterferenceOptions,
-    ProfileDatabase, SelectError, SelectionScheme,
+    rank_interference, BiasProfile, HintDatabase, InterferenceOptions, ProfileDatabase,
+    SelectError, SelectionScheme,
 };
 use sdbp_workloads::{Benchmark, InputSet};
 use std::fmt;
@@ -172,13 +172,51 @@ impl ExperimentSpec {
         self.budget(input, self.profile_instructions)
     }
 
+    /// The run the measurement phase traverses. Cells with equal measurement
+    /// runs can share one traversal ([`Lab::run_lockstep`]).
+    pub(crate) fn measure_run(&self) -> ArtifactKey {
+        (
+            self.benchmark,
+            self.measure_input,
+            self.seed,
+            self.measure_budget(),
+        )
+    }
+
+    /// The profile artifacts hint selection reads, or `None` for the `None`
+    /// scheme, which reads none. [`Lab::select_hints`] reads exactly these,
+    /// and a [`Sweep`](crate::Sweep) computes them for all its cells before
+    /// any cell runs.
+    pub(crate) fn profile_reads(&self) -> Option<ProfileReads> {
+        if self.scheme == SelectionScheme::None {
+            return None;
+        }
+        let input = self.profile.profile_input(self.measure_input);
+        let merge = match self.profile {
+            ProfileSource::SelfTrained | ProfileSource::CrossTrained => None,
+            ProfileSource::MergedCrossTrained { max_bias_change } => {
+                let budget = self.budget(InputSet::Ref, self.profile_instructions);
+                let reference = (self.benchmark, InputSet::Ref, self.seed, budget);
+                Some((reference, max_bias_change))
+            }
+        };
+        Some(ProfileReads {
+            run: (self.benchmark, input, self.seed, self.profile_budget()),
+            accuracy: self
+                .scheme
+                .needs_accuracy_profile()
+                .then_some(self.predictor),
+            merge,
+        })
+    }
+
     /// Checks the structural invariants a spec must satisfy to produce a
     /// meaningful experiment, without running anything.
     ///
-    /// This is the lightweight gate behind [`Sweep`](crate::Sweep)'s strict
-    /// mode; the `sdbp-check` crate builds its coded diagnostics on top of
-    /// the same conditions (plus many more). A valid spec is guaranteed not
-    /// to panic inside [`Lab::run`] for spec-level reasons.
+    /// Every [`Sweep`](crate::Sweep) gates each cell on it; the `sdbp-check`
+    /// crate builds its coded diagnostics on top of the same conditions
+    /// (plus many more). A valid spec is guaranteed not to panic inside
+    /// [`Lab::run`] for spec-level reasons.
     ///
     /// # Errors
     ///
@@ -281,6 +319,19 @@ impl ExperimentSpec {
     }
 }
 
+/// The profile artifacts hint selection for one spec reads (see
+/// [`ExperimentSpec::profile_reads`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ProfileReads {
+    /// The profiling run; selection reads its bias profile.
+    pub(crate) run: ArtifactKey,
+    /// The predictor whose accuracy profile on `run` the scheme reads.
+    pub(crate) accuracy: Option<PredictorConfig>,
+    /// Merged cross-training: the `Ref` run whose bias profile is merged
+    /// with `run`'s, and the largest taken-rate change the merge keeps.
+    pub(crate) merge: Option<(ArtifactKey, f64)>,
+}
+
 /// One violated invariant found by [`ExperimentSpec::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecProblem {
@@ -309,8 +360,9 @@ pub enum ExperimentError {
     /// Hint selection failed.
     Select(SelectError),
     /// The spec was rejected before any simulation ran — by
-    /// [`ExperimentSpec::validate`] under a [`Sweep`](crate::Sweep)'s strict
-    /// mode, or by an installed pre-flight hook (see [`Lab::with_preflight`]).
+    /// [`ExperimentSpec::validate`], which every [`Sweep`](crate::Sweep)
+    /// applies, or by an installed pre-flight hook (see
+    /// [`Lab::with_preflight`]).
     Rejected {
         /// The rendered pre-flight diagnostics.
         reason: String,
@@ -508,7 +560,6 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<Report, ExperimentError> 
 pub struct Lab {
     cache: Arc<ArtifactCache>,
     preflight: Option<PreflightFn>,
-    fuse: bool,
 }
 
 /// A pre-flight validator installable into a [`Lab`] or a
@@ -531,7 +582,6 @@ impl Lab {
         Self {
             cache: Arc::new(ArtifactCache::new()),
             preflight: None,
-            fuse: true,
         }
     }
 
@@ -540,21 +590,7 @@ impl Lab {
         Self {
             cache,
             preflight: None,
-            fuse: true,
         }
-    }
-
-    /// Enables or disables pass fusion (on by default).
-    ///
-    /// A fused lab collects the bias profile and any needed accuracy
-    /// profiles of a run in **one** traversal of the event stream
-    /// ([`ArtifactCache::profile_bundle`]); an unfused lab performs the
-    /// classic one-artifact-per-traversal lookups. Results are bit-identical
-    /// either way — the escape hatch exists for benchmarking and for
-    /// isolating the fusion layer when debugging.
-    pub fn with_fusion(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
     }
 
     /// Installs a pre-flight validator that every subsequent [`Lab::run`]
@@ -571,92 +607,32 @@ impl Lab {
         Arc::clone(&self.cache)
     }
 
-    /// Returns the (cached) bias profile of a run.
-    pub fn bias_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-    ) -> Arc<BiasProfile> {
-        self.cache
-            .bias_profile(benchmark, input, seed, instructions)
-    }
-
-    /// Returns the (cached) per-branch accuracy profile of `predictor` on a
-    /// run.
-    pub fn accuracy_profile(
-        &self,
-        benchmark: Benchmark,
-        input: InputSet,
-        seed: u64,
-        instructions: u64,
-        predictor: PredictorConfig,
-    ) -> Arc<AccuracyProfile> {
-        self.cache
-            .accuracy_profile(benchmark, input, seed, instructions, predictor)
-    }
-
     /// Selects the hint database for a spec (phase one).
     ///
-    /// With fusion enabled (the default), the profiling run's bias profile
-    /// and the accuracy profile of the spec's predictor — when its scheme
-    /// needs one — are collected in a single traversal of the event stream;
-    /// see [`Lab::with_fusion`].
+    /// The profiling run's bias profile and the accuracy profile of the
+    /// spec's predictor — when its scheme needs one — are collected in a
+    /// single traversal of the event stream
+    /// ([`ArtifactCache::profile_bundle`]).
     ///
     /// A `Static_Collide` scheme additionally runs the static interference
     /// ranking ([`rank_interference`]) over the selection bias; that analysis
     /// needs the predictor's index function, so opaque predictors fail with
     /// [`SelectError::MissingInterferenceRanking`].
     pub fn select_hints(&self, spec: &ExperimentSpec) -> Result<HintDatabase, ExperimentError> {
-        if spec.scheme == SelectionScheme::None {
+        let Some(reads) = spec.profile_reads() else {
             return Ok(HintDatabase::new());
-        }
-        let profile_input = spec.profile.profile_input(spec.measure_input);
-        let profile_budget = spec.budget(profile_input, spec.profile_instructions);
-
-        let (profiled_bias, accuracy) = if self.fuse {
-            // One fused lookup: bias plus (at most) one accuracy profile,
-            // any cold artifact collected in the same traversal.
-            let predictors: &[PredictorConfig] = if spec.scheme.needs_accuracy_profile() {
-                std::slice::from_ref(&spec.predictor)
-            } else {
-                &[]
-            };
-            let (bias, mut accuracies) = self.cache.profile_bundle(
-                spec.benchmark,
-                profile_input,
-                spec.seed,
-                profile_budget,
-                predictors,
-            );
-            (bias, accuracies.pop())
-        } else {
-            let bias = self.bias_profile(spec.benchmark, profile_input, spec.seed, profile_budget);
-            let accuracy = spec.scheme.needs_accuracy_profile().then(|| {
-                self.accuracy_profile(
-                    spec.benchmark,
-                    profile_input,
-                    spec.seed,
-                    profile_budget,
-                    spec.predictor,
-                )
-            });
-            (bias, accuracy)
         };
-
-        let bias: Arc<BiasProfile> = match spec.profile {
-            // `profile_input` already names the profiled run for these two
-            // regimes, so the fused bias is the selection bias.
-            ProfileSource::SelfTrained | ProfileSource::CrossTrained => profiled_bias,
-            ProfileSource::MergedCrossTrained { max_bias_change } => {
-                // `profiled_bias` is the `Train` run (`profile_input` is
-                // `Train` for every cross-trained regime); the merge needs
-                // the `Ref` bias as well, which lives under a different key
-                // and therefore takes its own (cached) traversal.
-                let ref_budget = spec.budget(InputSet::Ref, spec.profile_instructions);
-                let reference =
-                    self.bias_profile(spec.benchmark, InputSet::Ref, spec.seed, ref_budget);
+        let (benchmark, input, seed, budget) = reads.run;
+        let (profiled_bias, mut accuracies) =
+            self.cache
+                .profile_bundle(benchmark, input, seed, budget, reads.accuracy.as_slice());
+        let accuracy = accuracies.pop();
+        let bias: Arc<BiasProfile> = match reads.merge {
+            None => profiled_bias,
+            Some(((benchmark, input, seed, budget), max_bias_change)) => {
+                let (reference, _) = self
+                    .cache
+                    .profile_bundle(benchmark, input, seed, budget, &[]);
                 let mut db = ProfileDatabase::new(spec.benchmark.name());
                 db.add_run("train", (*profiled_bias).clone());
                 db.add_run("ref", (*reference).clone());
@@ -691,31 +667,12 @@ impl Lab {
         Ok((combined, hints_len))
     }
 
-    /// Runs one experiment end to end (phase one + phase two).
+    /// Runs one experiment end to end (phase one + phase two): a lockstep
+    /// group of one ([`Lab::run_lockstep`]).
     pub fn run(&self, spec: &ExperimentSpec) -> Result<Report, ExperimentError> {
-        let (mut combined, hints_len) = self.phase_one(spec)?;
-        let measure_budget = spec.budget(spec.measure_input, spec.measure_instructions);
-        // The measurement phase rides the cache-aware pass runner: cached
-        // streams replay zero-copy, and budgets too large for the trace
-        // store stream straight off the generator in chunk-sized memory.
-        let mut measure = MeasurePass::new(&mut combined).with_warmup(spec.warmup_instructions);
-        self.cache.run_passes(
-            spec.benchmark,
-            spec.measure_input,
-            spec.seed,
-            measure_budget,
-            &mut [&mut measure],
-        );
-        let stats = measure.into_stats();
-        Ok(Report {
-            benchmark: spec.benchmark,
-            predictor: spec.predictor,
-            scheme_label: spec.scheme.label(),
-            shift: spec.shift,
-            measure_input: spec.measure_input,
-            hints: hints_len,
-            stats,
-        })
+        self.run_lockstep(&[spec])
+            .pop()
+            .expect("one member, one result")
     }
 
     /// Runs a group of experiments whose measurement runs share one event
@@ -724,9 +681,12 @@ impl Lab {
     /// memoized by the cache), then every member's measurement pass rides a
     /// single traversal of the shared stream instead of one traversal per
     /// member. Results come back in `specs` order and are bit-identical to
-    /// [`Lab::run`] on each member — measurement passes are independent
-    /// chunk-invariant consumers, which is exactly the pass framework's
-    /// lockstep guarantee (see `sdbp_passes::LockstepRunner`).
+    /// measuring each member on a traversal of its own — measurement passes
+    /// are independent chunk-invariant consumers of one
+    /// [`PassRunner`](sdbp_passes::PassRunner) traversal. Cached streams
+    /// replay zero-copy, and budgets too large for the trace store stream
+    /// straight off the generator in chunk-sized memory
+    /// ([`ArtifactCache::run_passes`]).
     ///
     /// Members whose pre-flight or selection fails report their error and
     /// simply do not join the traversal; the remaining members still share
@@ -742,16 +702,12 @@ impl Lab {
         let Some(first) = specs.first() else {
             return Vec::new();
         };
-        let measure_budget = first.measure_budget();
-        for spec in &specs[1..] {
-            assert!(
-                spec.benchmark == first.benchmark
-                    && spec.measure_input == first.measure_input
-                    && spec.seed == first.seed
-                    && spec.measure_budget() == measure_budget,
-                "lockstep members must share the measurement stream key"
-            );
-        }
+        let key = first.measure_run();
+        assert!(
+            specs.iter().all(|spec| spec.measure_run() == key),
+            "lockstep members must share the measurement stream key"
+        );
+        let (benchmark, input, seed, budget) = key;
         let mut slots: Vec<Option<Result<Report, ExperimentError>>> =
             Vec::with_capacity(specs.len());
         let mut metas: Vec<(usize, usize)> = Vec::new();
@@ -777,13 +733,8 @@ impl Lab {
             {
                 let mut passes: Vec<&mut dyn Pass> =
                     measures.iter_mut().map(|m| m as &mut dyn Pass).collect();
-                self.cache.run_passes(
-                    first.benchmark,
-                    first.measure_input,
-                    first.seed,
-                    measure_budget,
-                    &mut passes,
-                );
+                self.cache
+                    .run_passes(benchmark, input, seed, budget, &mut passes);
             }
             self.cache.note_lockstep_saved(measures.len() as u64 - 1);
             for (measure, &(i, hints_len)) in measures.into_iter().zip(&metas) {
@@ -880,28 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_labs_agree_bit_for_bit() {
-        for scheme in [
-            SelectionScheme::None,
-            SelectionScheme::static_95(),
-            SelectionScheme::static_acc(),
-        ] {
-            let s = spec(scheme);
-            let fused = Lab::new().run(&s).unwrap();
-            let unfused = Lab::new().with_fusion(false).run(&s).unwrap();
-            assert_eq!(fused, unfused);
-        }
-        let merged =
-            spec(SelectionScheme::static_acc()).with_profile(ProfileSource::MergedCrossTrained {
-                max_bias_change: 0.05,
-            });
-        assert_eq!(
-            Lab::new().run(&merged).unwrap(),
-            Lab::new().with_fusion(false).run(&merged).unwrap()
-        );
-    }
-
-    #[test]
     fn fused_lab_profiles_in_one_traversal() {
         let lab = Lab::new();
         let _ = lab.run(&spec(SelectionScheme::static_acc())).unwrap();
@@ -910,10 +839,6 @@ mod tests {
             stats.fused_traversals_saved, 1,
             "bias + accuracy collected together: {stats}"
         );
-
-        let unfused = Lab::new().with_fusion(false);
-        let _ = unfused.run(&spec(SelectionScheme::static_acc())).unwrap();
-        assert_eq!(unfused.cache().stats().fused_traversals_saved, 0);
     }
 
     #[test]

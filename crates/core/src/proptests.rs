@@ -11,7 +11,7 @@
 
 use crate::{CombinedPredictor, MeasurePass, ShiftPolicy, Simulator};
 use proptest::prelude::*;
-use sdbp_passes::{LockstepRunner, Pass, PassRunner};
+use sdbp_passes::{Pass, PassRunner};
 use sdbp_predictors::{Gshare, PredictorConfig, PredictorKind};
 use sdbp_profiles::{AccuracyPass, AccuracyProfile, BiasPass, BiasProfile, HintDatabase};
 use sdbp_trace::{BranchAddr, BranchEvent, SliceSource};
@@ -105,8 +105,7 @@ proptest! {
     /// arbitrary per-member warm-up boundaries riding
     /// one arbitrarily chunked traversal — is bit-identical to measuring
     /// each configuration on its own dedicated traversal. This is the
-    /// equivalence the sweep's lockstep grouping (and the CLI's
-    /// `--no-lockstep` escape hatch) relies on.
+    /// equivalence the sweep's lockstep grouping relies on.
     #[test]
     fn lockstep_measurement_is_bit_identical_to_sequential_runs(
         events in arb_events(),
@@ -168,15 +167,15 @@ proptest! {
             .zip(&configs)
             .map(|(combined, &(_, warmup, ..))| MeasurePass::new(combined).with_warmup(warmup))
             .collect();
-        let outcome = {
+        let stats = {
             let mut passes: Vec<&mut dyn Pass> =
                 measures.iter_mut().map(|m| m as &mut dyn Pass).collect();
-            LockstepRunner::new()
+            PassRunner::new()
                 .with_chunk(chunk)
                 .run(SliceSource::new(&events), &mut passes)
         };
-        prop_assert_eq!(outcome.traversals_saved, configs.len() as u64 - 1);
-        prop_assert_eq!(outcome.stats.events, events.len() as u64);
+        prop_assert_eq!(stats.passes, configs.len());
+        prop_assert_eq!(stats.events, events.len() as u64);
         for (measure, want) in measures.into_iter().zip(sequential) {
             prop_assert_eq!(measure.into_stats(), want);
         }

@@ -1,14 +1,16 @@
 //! The parallel experiment sweep engine.
 //!
 //! The paper's headline artifacts (Figures 1–13, Tables 1–5) are grids:
-//! predictor × size-in-bytes × selection-scheme × benchmark. [`Sweep`] runs
-//! such a grid across [`std::thread::scope`] workers that pull cells from a
-//! shared queue, while one [`ArtifactCache`] memoizes the bias/accuracy
-//! profiles and generated event streams every cell needs. Results come back
-//! in **spec order regardless of completion order**, and — because artifact
-//! generation is deterministic and cached artifacts are bit-identical to
-//! fresh ones — a parallel sweep produces exactly the same [`Report`]s as
-//! running the same specs serially through a [`Lab`] (this is tested).
+//! predictor × size-in-bytes × selection-scheme × benchmark. [`Sweep`] plans
+//! such a grid once, then runs the plan across [`std::thread::scope`]
+//! workers sharing one [`ArtifactCache`]. First one fused traversal per
+//! profiling run computes every profile the grid's cells read; then the
+//! cells that share a measurement stream ride one traversal together
+//! ([`Lab::run_lockstep`]). Results come back in **spec order regardless of
+//! completion order**, and — because artifact generation is deterministic
+//! and cached artifacts are bit-identical to fresh ones — a parallel sweep
+//! produces exactly the same [`Report`]s as running the same specs one by
+//! one through [`Lab::run`] (this is tested).
 //!
 //! Worker count resolution, in priority order: [`Sweep::with_threads`], the
 //! `SDBP_THREADS` environment variable, then [`std::thread::available_parallelism`];
@@ -36,22 +38,23 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
-use crate::cache::{ArtifactCache, CacheStats};
+use crate::cache::{ArtifactCache, ArtifactKey, CacheStats};
 use crate::experiment::{ExperimentError, ExperimentSpec, Lab, PreflightFn};
 use crate::manifest::{entry_for, RunStore};
 use crate::report::Report;
 use sdbp_predictors::PredictorConfig;
-use sdbp_profiles::SelectionScheme;
-use sdbp_workloads::{Benchmark, InputSet, WorkloadFamily};
+use sdbp_workloads::WorkloadFamily;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// What a worker records for one finished cell: the outcome and how long
-/// the cell ran on its thread.
+/// What a sweep records for one settled cell: the outcome and the time
+/// attributed to it.
 type CellOutcome = (Result<Report, ExperimentError>, Duration);
 
 /// The worker count a sweep uses when none is set explicitly: the
@@ -80,64 +83,30 @@ pub struct Sweep {
     threads: Option<usize>,
     cache: Arc<ArtifactCache>,
     verbose: bool,
-    strict: bool,
     preflight: Option<PreflightFn>,
     store_dir: Option<PathBuf>,
     resume: bool,
     cell_cap: Option<usize>,
-    fuse: bool,
-    lockstep: bool,
 }
 
 impl Sweep {
-    /// A sweep over `specs` with a fresh cache, automatic thread count, and
-    /// strict pre-flight validation **on** (see [`Sweep::with_strict`]).
+    /// A sweep over `specs` with a fresh cache and automatic thread count.
+    ///
+    /// Every cell is gated on [`ExperimentSpec::validate`]: invalid cells
+    /// come back as [`ExperimentError::Rejected`] without running, so a
+    /// thousand-cell grid fails fast and explainably instead of panicking
+    /// mid-sweep.
     pub fn new(specs: impl IntoIterator<Item = ExperimentSpec>) -> Self {
         Self {
             specs: specs.into_iter().collect(),
             threads: None,
             cache: Arc::new(ArtifactCache::new()),
             verbose: false,
-            strict: true,
             preflight: None,
             store_dir: None,
             resume: false,
             cell_cap: None,
-            fuse: true,
-            lockstep: true,
         }
-    }
-
-    /// Enables or disables lockstep multi-config execution (on by default).
-    ///
-    /// A lockstep sweep groups runnable cells that share a measurement
-    /// stream — the same `(benchmark, measure_input, seed, measure_budget)`
-    /// — and drives each group's measurement passes over **one** traversal
-    /// of that stream ([`Lab::run_lockstep`]) instead of one traversal per
-    /// cell: an 18-cell grid over one benchmark costs one trace decode, not
-    /// 18. Results are bit-identical either way (measurement passes are
-    /// independent chunk-invariant consumers); traversals avoided show up
-    /// in the summary's `lockstep_traversals_saved` counter. The escape
-    /// hatch exists for benchmarking the win and for isolating the lockstep
-    /// layer when debugging.
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
-        self
-    }
-
-    /// Enables or disables pass fusion (on by default; see
-    /// [`Lab::with_fusion`]).
-    ///
-    /// A fused sweep additionally *pre-warms* the cache: runnable cells
-    /// sharing a profiling run — the same
-    /// `(benchmark, input, seed, budget)` — pool their profile needs, so
-    /// the bias profile and every distinct predictor's accuracy profile of
-    /// that run are collected in **one** traversal instead of one per
-    /// profile. Results are bit-identical either way; traversals avoided
-    /// show up in the summary's cache counters.
-    pub fn with_fusion(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
     }
 
     /// Attaches a persistent run store at `dir`: profiles are cached on disk
@@ -157,10 +126,10 @@ impl Sweep {
     }
 
     /// Caps the number of cells actually executed this run (`0` lifts the
-    /// cap); the rest come back as [`ExperimentError::Skipped`]. With a
-    /// store and [`Sweep::with_resume`], a later run picks up the skipped
-    /// cells — this is how the resume-equivalence harness interrupts a grid
-    /// deterministically.
+    /// cap); the rest come back as [`ExperimentError::Skipped`]. Rejected
+    /// cells count toward the cap. With a store and [`Sweep::with_resume`],
+    /// a later run picks up the skipped cells — this is how the
+    /// resume-equivalence harness interrupts a grid deterministically.
     pub fn with_max_cells(mut self, cap: usize) -> Self {
         self.cell_cap = (cap > 0).then_some(cap);
         self
@@ -185,17 +154,9 @@ impl Sweep {
         self
     }
 
-    /// Controls strict mode (**on** by default): every cell is gated on
-    /// [`ExperimentSpec::validate`] and invalid cells come back as
-    /// [`ExperimentError::Rejected`] without running — a thousand-cell grid
-    /// fails fast and explainably instead of panicking mid-sweep.
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Installs an additional pre-flight validator run after strict
-    /// validation (e.g. `sdbp-check`'s full coded-diagnostics pass).
+    /// Installs an additional pre-flight validator run after
+    /// [`ExperimentSpec::validate`] (e.g. `sdbp-check`'s full
+    /// coded-diagnostics pass).
     pub fn with_preflight(mut self, preflight: PreflightFn) -> Self {
         self.preflight = Some(preflight);
         self
@@ -208,23 +169,85 @@ impl Sweep {
             .min(self.specs.len().max(1))
     }
 
-    /// Checks one spec against strict validation and the installed
-    /// pre-flight hook, in that order.
+    /// Checks one spec against [`ExperimentSpec::validate`] and the
+    /// installed pre-flight hook, in that order.
     fn preflight_cell(&self, spec: &ExperimentSpec) -> Result<(), ExperimentError> {
-        if self.strict {
-            if let Err(problems) = spec.validate() {
-                let reason = problems
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(ExperimentError::Rejected { reason });
-            }
+        if let Err(problems) = spec.validate() {
+            let reason = problems
+                .iter()
+                .map(|p| p.to_string())
+                .collect::<Vec<_>>()
+                .join("; ");
+            return Err(ExperimentError::Rejected { reason });
         }
         if let Some(preflight) = &self.preflight {
             preflight(spec).map_err(|reason| ExperimentError::Rejected { reason })?;
         }
         Ok(())
+    }
+
+    /// Decides what happens to every cell before anything runs.
+    ///
+    /// A cell the manifest already completed is replayed; past the cell cap
+    /// a cell is skipped; otherwise it counts toward the cap and is either
+    /// rejected by pre-flight or runnable. The runnable cells' profile
+    /// reads are pooled by profiling run, and the runnable cells are
+    /// grouped by measurement stream, both in first-appearance order.
+    fn plan(&self, run_store: Option<&RunStore>) -> Plan {
+        let mut executed = 0usize;
+        let cells: Vec<Disposition> = self
+            .specs
+            .iter()
+            .map(|spec| {
+                if self.resume {
+                    if let Some(entry) = run_store.and_then(|rs| rs.replay(spec)) {
+                        return Disposition::Replay(entry.outcome.clone());
+                    }
+                }
+                if self.cell_cap.is_some_and(|cap| executed >= cap) {
+                    return Disposition::Skip;
+                }
+                executed += 1;
+                match self.preflight_cell(spec) {
+                    Ok(()) => Disposition::Run,
+                    Err(rejection) => Disposition::Rejected(rejection),
+                }
+            })
+            .collect();
+        let runnable: Vec<usize> = cells
+            .iter()
+            .enumerate()
+            .filter_map(|(i, cell)| matches!(cell, Disposition::Run).then_some(i))
+            .collect();
+        let needs = runnable
+            .iter()
+            .filter_map(|&i| self.specs[i].profile_reads())
+            .flat_map(|reads| {
+                let reference = reads.merge.map(|(reference, _)| (reference, None));
+                std::iter::once((reads.run, reads.accuracy)).chain(reference)
+            });
+        let profile_runs = group_by(needs)
+            .into_iter()
+            .map(|(run, accuracies)| {
+                let mut predictors: Vec<PredictorConfig> = Vec::new();
+                for predictor in accuracies.into_iter().flatten() {
+                    if !predictors.contains(&predictor) {
+                        predictors.push(predictor);
+                    }
+                }
+                (run, predictors)
+            })
+            .collect();
+        let streams = runnable.iter().map(|&i| (self.specs[i].measure_run(), i));
+        let groups = group_by(streams)
+            .into_iter()
+            .map(|(_, members)| members)
+            .collect();
+        Plan {
+            cells,
+            profile_runs,
+            groups,
+        }
     }
 
     /// Executes every cell and returns the results in spec order.
@@ -236,11 +259,6 @@ impl Sweep {
     /// come back as [`ExperimentError::Skipped`] without touching it.
     pub fn run(self) -> SweepResult {
         let threads = self.threads();
-        let rejections: Vec<Option<ExperimentError>> = self
-            .specs
-            .iter()
-            .map(|spec| self.preflight_cell(spec).err())
-            .collect();
         let run_store = match &self.store_dir {
             Some(dir) => match RunStore::open(dir, self.resume) {
                 Ok(rs) => {
@@ -272,198 +290,83 @@ impl Sweep {
             },
             None => None,
         };
+        let started = Instant::now();
+        let before = self.cache.stats();
+        let plan = self.plan(run_store.as_deref());
         let Sweep {
             specs,
             cache,
             verbose,
-            resume,
             cell_cap,
-            fuse,
-            lockstep,
             ..
         } = self;
-        let started = Instant::now();
-        let before = cache.stats();
 
-        enum Disposition {
-            Run,
-            Replay(Result<Report, ExperimentError>),
-            Skip,
-        }
-        let mut runnable = 0usize;
-        let dispositions: Vec<Disposition> = specs
-            .iter()
-            .map(|spec| {
-                if resume {
-                    if let Some(entry) = run_store.as_deref().and_then(|rs| rs.replay(spec)) {
-                        return Disposition::Replay(entry.outcome.clone());
-                    }
-                }
-                if cell_cap.is_some_and(|cap| runnable >= cap) {
-                    return Disposition::Skip;
-                }
-                runnable += 1;
-                Disposition::Run
-            })
-            .collect();
-        let work: Vec<usize> = dispositions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| matches!(d, Disposition::Run).then_some(i))
-            .collect();
-
-        // Pre-warm: pool the profile needs of every runnable cell by
-        // profiling run, so each run's bias profile and all the accuracy
-        // profiles the grid needs on it are collected in one fused
-        // traversal. Workers then find everything hot. (Profiles are
-        // deterministic, so racing workers would be harmless — this is
-        // purely a traversal saver.)
-        if fuse {
-            type ProfileRun = (Benchmark, InputSet, u64, u64);
-            let mut groups: Vec<(ProfileRun, Vec<PredictorConfig>)> = Vec::new();
-            for &i in &work {
-                let spec = &specs[i];
-                if rejections[i].is_some() || spec.scheme == SelectionScheme::None {
-                    continue;
-                }
-                let input = spec.profile.profile_input(spec.measure_input);
-                let run = (spec.benchmark, input, spec.seed, spec.profile_budget());
-                let predictors = match groups.iter_mut().find(|(k, _)| *k == run) {
-                    Some((_, predictors)) => predictors,
-                    None => {
-                        groups.push((run, Vec::new()));
-                        &mut groups.last_mut().expect("just pushed").1
-                    }
-                };
-                if spec.scheme.needs_accuracy_profile() && !predictors.contains(&spec.predictor) {
-                    predictors.push(spec.predictor);
+        // Records a cell that ran or was rejected in the store's manifest
+        // and prints its progress line.
+        let total = specs.len();
+        let done = AtomicUsize::new(0);
+        let settle = |i: usize,
+                      spec: &ExperimentSpec,
+                      mut report: Result<Report, ExperimentError>,
+                      elapsed: Duration|
+         -> CellOutcome {
+            if let Some(rs) = &run_store {
+                if let Err(e) = rs.append(&entry_for(i, spec, &report, elapsed)) {
+                    report = Err(e);
                 }
             }
-            let next_group = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(groups.len()) {
-                    scope.spawn(|| loop {
-                        let g = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(((benchmark, input, seed, budget), predictors)) = groups.get(g)
-                        else {
-                            break;
-                        };
-                        let _ =
-                            cache.profile_bundle(*benchmark, *input, *seed, *budget, predictors);
-                    });
-                }
-            });
-        }
-
-        // The unit of work a worker pulls: with lockstep on, every runnable
-        // cell sharing a measurement stream — the same
-        // `(benchmark, measure_input, seed, measure_budget)` — forms one
-        // group whose members ride a single traversal; with lockstep off (or
-        // for cells whose stream is unique) groups are singletons and each
-        // cell takes its own traversal, exactly the classic protocol.
-        let groups: Vec<Vec<usize>> = if lockstep {
-            type MeasureKey = (Benchmark, InputSet, u64, u64);
-            let mut grouped: Vec<(MeasureKey, Vec<usize>)> = Vec::new();
-            for &i in &work {
-                let spec = &specs[i];
-                let key = (
-                    spec.benchmark,
-                    spec.measure_input,
-                    spec.seed,
-                    spec.measure_budget(),
-                );
-                match grouped.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(i),
-                    None => grouped.push((key, vec![i])),
+            if verbose {
+                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                match &report {
+                    Ok(r) => eprintln!("  [{finished:>3}/{total}] {r}  ({elapsed:.1?})"),
+                    Err(e) => eprintln!("  [{finished:>3}/{total}] cell {i} failed: {e}"),
                 }
             }
-            grouped.into_iter().map(|(_, members)| members).collect()
-        } else {
-            work.iter().map(|&i| vec![i]).collect()
+            (report, elapsed)
         };
 
-        let total = specs.len();
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let lab = Lab::with_cache(Arc::clone(&cache)).with_fusion(fuse);
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(slot) else {
-                            break;
-                        };
-                        let group_started = Instant::now();
-                        // Rejected members report without running; the rest
-                        // share one traversal (a singleton group degenerates
-                        // to the classic one-cell-one-traversal run).
-                        let mut outcomes: Vec<Option<Result<Report, ExperimentError>>> =
-                            vec![None; group.len()];
-                        let mut member_pos: Vec<usize> = Vec::new();
-                        let mut member_specs: Vec<&ExperimentSpec> = Vec::new();
-                        for (pos, &i) in group.iter().enumerate() {
-                            match &rejections[i] {
-                                Some(rejection) => outcomes[pos] = Some(Err(rejection.clone())),
-                                None => {
-                                    member_pos.push(pos);
-                                    member_specs.push(&specs[i]);
-                                }
-                            }
-                        }
-                        if member_specs.len() == 1 {
-                            outcomes[member_pos[0]] = Some(lab.run(member_specs[0]));
-                        } else if !member_specs.is_empty() {
-                            for (pos, outcome) in
-                                member_pos.iter().zip(lab.run_lockstep(&member_specs))
-                            {
-                                outcomes[*pos] = Some(outcome);
-                            }
-                        }
-                        // The traversal is shared, so wall time is attributed
-                        // evenly across the group's cells.
-                        let elapsed = group_started.elapsed() / group.len().max(1) as u32;
-                        for (&i, outcome) in group.iter().zip(outcomes) {
-                            let mut report = outcome.expect("every group member settled");
-                            if let Some(rs) = &run_store {
-                                let entry = entry_for(i, &specs[i], &report, elapsed);
-                                if let Err(e) = rs.append(&entry) {
-                                    report = Err(e);
-                                }
-                            }
-                            if verbose {
-                                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                                match &report {
-                                    Ok(r) => {
-                                        eprintln!("  [{finished:>3}/{total}] {r}  ({elapsed:.1?})")
-                                    }
-                                    Err(e) => {
-                                        eprintln!("  [{finished:>3}/{total}] cell {i} failed: {e}")
-                                    }
-                                }
-                            }
-                            *slots[i].lock().expect("sweep slot lock") = Some((report, elapsed));
-                        }
-                    }
-                });
-            }
+        // Computing every profile up front leaves the groups nothing to
+        // race on: racing bundles would each traverse the stream.
+        pool(threads, &plan.profile_runs, |(run, predictors)| {
+            let (benchmark, input, seed, budget) = *run;
+            cache.profile_bundle(benchmark, input, seed, budget, predictors);
         });
+        let lab = Lab::with_cache(Arc::clone(&cache));
+        let measured = pool(threads, &plan.groups, |members| {
+            let group_started = Instant::now();
+            let member_specs: Vec<&ExperimentSpec> = members.iter().map(|&i| &specs[i]).collect();
+            let reports = lab.run_lockstep(&member_specs);
+            // The traversal is shared, so wall time is attributed evenly
+            // across the group's members.
+            let elapsed = group_started.elapsed() / members.len() as u32;
+            members
+                .iter()
+                .zip(reports)
+                .map(|(&i, report)| settle(i, &specs[i], report, elapsed))
+                .collect::<Vec<_>>()
+        });
+        let mut ran: HashMap<usize, CellOutcome> = plan
+            .groups
+            .iter()
+            .flatten()
+            .copied()
+            .zip(measured.into_iter().flatten())
+            .collect();
 
         let mut resumed = 0usize;
         let mut skipped = 0usize;
         let cells = specs
             .into_iter()
-            .zip(slots)
-            .zip(dispositions)
+            .zip(plan.cells)
             .enumerate()
-            .map(|(index, ((spec, slot), disposition))| {
+            .map(|(index, (spec, disposition))| {
                 let (report, elapsed) = match disposition {
-                    Disposition::Run => slot
-                        .into_inner()
-                        .expect("sweep slot lock")
-                        .expect("every runnable cell was executed"),
+                    Disposition::Run => ran
+                        .remove(&index)
+                        .expect("every runnable cell was measured"),
+                    Disposition::Rejected(rejection) => {
+                        settle(index, &spec, Err(rejection), Duration::ZERO)
+                    }
                     Disposition::Replay(outcome) => {
                         resumed += 1;
                         (outcome, Duration::ZERO)
@@ -498,6 +401,72 @@ impl Sweep {
     }
 }
 
+/// What a sweep does with one cell, decided before anything runs.
+enum Disposition {
+    /// Measured with its stream group.
+    Run,
+    /// Failed pre-flight: reports the rejection without running.
+    Rejected(ExperimentError),
+    /// Completed by an earlier run: replays the manifest's outcome.
+    Replay(Result<Report, ExperimentError>),
+    /// Past the cell cap: reports [`ExperimentError::Skipped`].
+    Skip,
+}
+
+/// A sweep's execution plan (see [`Sweep::plan`]).
+struct Plan {
+    /// One disposition per cell, in spec order.
+    cells: Vec<Disposition>,
+    /// Each profiling run the runnable cells read, with the predictors
+    /// whose accuracy profiles on it they read; its bias profile is always
+    /// read.
+    profile_runs: Vec<(ArtifactKey, Vec<PredictorConfig>)>,
+    /// The runnable cells grouped by measurement stream.
+    groups: Vec<Vec<usize>>,
+}
+
+/// Groups `items` by key; keys and each key's values keep their
+/// first-appearance order.
+fn group_by<K: Copy + Eq + Hash, V>(items: impl IntoIterator<Item = (K, V)>) -> Vec<(K, Vec<V>)> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
+    for (key, value) in items {
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(value);
+    }
+    groups
+}
+
+/// Runs `work` on every item across up to `threads` scoped workers that
+/// pull items from a shared counter, and returns the results in item order.
+fn pool<T: Sync, R: Send>(threads: usize, items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(items.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let result = work(item);
+                *slots[i].lock().expect("pool slot lock") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("pool slot lock")
+                .expect("every item was worked")
+        })
+        .collect()
+}
+
 impl std::fmt::Debug for Sweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
@@ -516,7 +485,9 @@ pub struct SweepCell {
     pub spec: ExperimentSpec,
     /// The outcome (a [`Report`], or the selection error that stopped it).
     pub report: Result<Report, ExperimentError>,
-    /// Wall-clock time this cell took on its worker.
+    /// Wall-clock time attributed to this cell: its stream group's
+    /// traversal time split evenly across the group's members. Zero for a
+    /// cell that did not run (rejected, replayed or skipped).
     pub elapsed: Duration,
 }
 
@@ -758,9 +729,10 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ProfileSource;
     use sdbp_predictors::{PredictorConfig, PredictorKind};
     use sdbp_profiles::SelectionScheme;
-    use sdbp_workloads::Benchmark;
+    use sdbp_workloads::{Benchmark, InputSet};
 
     fn grid() -> Vec<ExperimentSpec> {
         let mut specs = Vec::new();
@@ -800,72 +772,94 @@ mod tests {
         let specs = grid();
         let lab = Lab::new();
         let serial: Vec<_> = specs.iter().map(|s| lab.run(s).unwrap()).collect();
-        let parallel = Sweep::new(specs)
-            .with_threads(4)
-            .run()
-            .into_reports()
-            .unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fusion_off_matches_fused_results_bit_for_bit() {
-        let fused = Sweep::new(grid()).with_threads(2).run();
-        let unfused = Sweep::new(grid()).with_threads(2).with_fusion(false).run();
+        let result = Sweep::new(specs).with_threads(4).run();
         // grid(): per benchmark, one profiling run feeds a bias profile and
         // two accuracy profiles (512 B and 1 KB gshare) — fusing the three
-        // saves two traversals, times two benchmarks.
-        assert_eq!(
-            fused.cache_stats.fused_traversals_saved, 4,
-            "{}",
-            fused.cache_stats
-        );
-        assert_eq!(unfused.cache_stats.fused_traversals_saved, 0);
-        assert_eq!(
-            fused.into_reports().unwrap(),
-            unfused.into_reports().unwrap(),
-            "fusion must not change a single bit of the results"
-        );
+        // saves two traversals — and one measurement stream carries four
+        // cells — lockstep saves three.
+        let stats = result.cache_stats;
+        assert_eq!(stats.fused_traversals_saved, 4, "{stats}");
+        assert_eq!(stats.lockstep_traversals_saved, 6, "{stats}");
+        assert_eq!(serial, result.into_reports().unwrap());
     }
 
     #[test]
-    fn lockstep_off_matches_lockstep_results_bit_for_bit() {
-        let locked = Sweep::new(grid()).with_threads(2).run();
-        let sequential = Sweep::new(grid())
-            .with_threads(2)
-            .with_lockstep(false)
-            .run();
-        // grid(): two measurement streams (one per benchmark), four cells
-        // each — lockstep saves three traversals per stream.
+    fn plan_pools_profile_reads_and_groups_streams() {
+        let gshare = |size| PredictorConfig::new(PredictorKind::Gshare, size).unwrap();
+        let run = |benchmark, input| (benchmark, input, 2000, 120_000);
+        let plan = Sweep::new(grid()).plan(None);
         assert_eq!(
-            locked.cache_stats.lockstep_traversals_saved, 6,
-            "{}",
-            locked.cache_stats
+            plan.profile_runs,
+            vec![
+                (
+                    run(Benchmark::Compress, InputSet::Ref),
+                    vec![gshare(512), gshare(1024)]
+                ),
+                (
+                    run(Benchmark::Go, InputSet::Ref),
+                    vec![gshare(512), gshare(1024)]
+                ),
+            ]
         );
-        assert_eq!(sequential.cache_stats.lockstep_traversals_saved, 0);
+        assert_eq!(plan.groups, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
+
+        // Merged cross-training reads the `Ref` run's bias as well.
+        let merged = grid()[1]
+            .clone()
+            .with_profile(ProfileSource::MergedCrossTrained {
+                max_bias_change: 0.05,
+            });
+        let plan = Sweep::new([merged]).plan(None);
         assert_eq!(
-            locked.into_reports().unwrap(),
-            sequential.into_reports().unwrap(),
-            "lockstep must not change a single bit of the results"
+            plan.profile_runs,
+            vec![
+                (run(Benchmark::Compress, InputSet::Train), vec![gshare(512)]),
+                (run(Benchmark::Compress, InputSet::Ref), vec![]),
+            ]
         );
     }
 
     #[test]
     fn lockstep_groups_survive_rejected_members() {
         let mut specs = grid();
-        specs[0].measure_instructions = Some(0); // strict-mode rejection
-        let result = Sweep::new(specs.clone()).with_threads(2).run();
+        // A warm-up swallowing the whole budget fails validation but keeps
+        // the cell on compress's measurement stream.
+        specs[0].warmup_instructions = 120_000;
+        let result = Sweep::new(specs).with_threads(2).run();
+        let rejected = &result.cells[0];
         assert!(matches!(
-            result.cells[0].report,
+            rejected.report,
             Err(ExperimentError::Rejected { .. })
         ));
-        let baseline = Sweep::new(specs).with_threads(2).with_lockstep(false).run();
-        for (locked, sequential) in result.cells.iter().zip(&baseline.cells).skip(1) {
-            assert_eq!(
-                locked.report.as_ref().unwrap(),
-                sequential.report.as_ref().unwrap()
-            );
+        assert_eq!(
+            rejected.elapsed,
+            Duration::ZERO,
+            "a rejected cell never ran"
+        );
+        // Compress's three remaining cells still share one traversal.
+        let stats = result.cache_stats;
+        assert_eq!(stats.lockstep_traversals_saved, 2 + 3, "{stats}");
+        let lab = Lab::new();
+        for cell in &result.cells[1..] {
+            assert_eq!(cell.report.as_ref().unwrap(), &lab.run(&cell.spec).unwrap());
         }
+
+        // The lone member that runs is charged the whole traversal, not a
+        // share split with the rejected members of its stream.
+        let mut group = vec![grid()[0].clone().with_instructions(1_000_000); 4];
+        for spec in &mut group[1..] {
+            spec.warmup_instructions = 1_000_000;
+        }
+        let result = Sweep::new(group).with_threads(1).run();
+        let ran = &result.cells[0];
+        assert!(ran.report.is_ok(), "{:?}", ran.report);
+        assert_eq!(result.total_cell_time(), ran.elapsed);
+        assert!(
+            ran.elapsed * 2 >= result.wall_time,
+            "{:?} of {:?}",
+            ran.elapsed,
+            result.wall_time
+        );
     }
 
     #[test]
@@ -949,15 +943,16 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_can_be_disabled() {
-        let mut specs = grid()[..2].to_vec();
-        specs[0].warmup_instructions = u64::MAX;
-        let lax = Sweep::new(specs).with_strict(false).with_threads(1).run();
-        assert!(
-            lax.cells[0].report.is_ok(),
-            "lax mode runs the degenerate cell: {:?}",
-            lax.cells[0].report
-        );
+    fn rejected_cells_count_toward_the_cell_cap() {
+        let mut specs = grid();
+        specs[0].measure_instructions = Some(0);
+        let result = Sweep::new(specs).with_threads(2).with_max_cells(3).run();
+        assert!(matches!(
+            result.cells[0].report,
+            Err(ExperimentError::Rejected { .. })
+        ));
+        assert!(result.cells[1..3].iter().all(|c| c.report.is_ok()));
+        assert_eq!(result.skipped, grid().len() - 3);
     }
 
     #[test]
@@ -1127,6 +1122,7 @@ mod tests {
         assert!(summary.contains("cache"), "{summary}");
         assert!(summary.contains("Mbr/s"), "{summary}");
         assert!(summary.contains("cell Mbr/s min/med/max"), "{summary}");
+        assert!(summary.contains("traversals saved by fusion"), "{summary}");
         assert!(
             summary.contains("traversals saved by lockstep"),
             "{summary}"

@@ -278,90 +278,6 @@ impl PassRunner {
     }
 }
 
-/// What one lockstep traversal covered: the underlying traversal plus the
-/// traversals the fused execution avoided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockstepOutcome {
-    /// The single traversal's coverage, as reported by [`PassRunner::run`].
-    pub stats: TraversalStats,
-    /// Traversals avoided against member-at-a-time execution: one full
-    /// decode + history walk per member beyond the first.
-    pub traversals_saved: u64,
-}
-
-/// Drives N independently configured consumers — typically one measurement
-/// pass per predictor configuration — over **one** decoded chunk stream.
-///
-/// [`PassRunner`] fuses heterogeneous *consumers* of one experiment;
-/// `LockstepRunner` is the same mechanism aimed at *predictor configs*: a
-/// grid's cells that share a measurement stream (same benchmark, input, seed
-/// and budget) differ only in the predictor under test, so each member rides
-/// the same traversal instead of re-decoding the trace per cell. By the
-/// chunk-invariance contract every member observes exactly the event
-/// sequence a dedicated traversal would have fed it, so lockstep execution
-/// is bit-identical to sequential member-at-a-time runs — the equivalence
-/// the `sdbp grid --no-lockstep` escape hatch and the lockstep property
-/// tests pin.
-///
-/// # Examples
-///
-/// ```
-/// use sdbp_passes::{FnPass, LockstepRunner};
-/// use sdbp_trace::{BranchAddr, BranchEvent, SliceSource};
-///
-/// let events = [BranchEvent::new(BranchAddr(0x10), true, 3)];
-/// let (mut a, mut b) = (0u64, 0u64);
-/// let mut first = FnPass::new("a", |c: &[BranchEvent]| a += c.len() as u64);
-/// let mut second = FnPass::new("b", |c: &[BranchEvent]| b += c.len() as u64);
-/// let outcome = LockstepRunner::new().run(
-///     SliceSource::new(&events),
-///     &mut [&mut first, &mut second],
-/// );
-/// assert_eq!(outcome.traversals_saved, 1);
-/// drop((first, second));
-/// assert_eq!((a, b), (1, 1));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LockstepRunner {
-    runner: PassRunner,
-}
-
-impl LockstepRunner {
-    /// A lockstep runner with the default chunk size ([`DEFAULT_CHUNK`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the chunk size (clamped to at least 1); results are
-    /// unaffected by chunk-invariance.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.runner = self.runner.with_chunk(chunk);
-        self
-    }
-
-    /// The configured chunk size.
-    pub fn chunk(&self) -> usize {
-        self.runner.chunk()
-    }
-
-    /// Runs `source` to exhaustion through every member in lockstep,
-    /// returning the shared traversal's coverage and the number of
-    /// traversals saved against member-at-a-time execution
-    /// (`members.len() - 1`; zero for a single member or an empty set).
-    pub fn run<S: BranchSource>(
-        &self,
-        source: S,
-        members: &mut [&mut dyn Pass],
-    ) -> LockstepOutcome {
-        let saved = (members.len() as u64).saturating_sub(1);
-        let stats = self.runner.run(source, members);
-        LockstepOutcome {
-            stats,
-            traversals_saved: saved,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,12 +422,11 @@ mod tests {
         let mut m1 = Recorder::default();
         let mut m2 = Recorder::default();
         let mut m3 = Recorder::default();
-        let outcome = LockstepRunner::new()
+        let shared = PassRunner::new()
             .with_chunk(13)
             .run(SliceSource::new(&events), &mut [&mut m1, &mut m2, &mut m3]);
-        assert_eq!(outcome.traversals_saved, 2);
-        assert_eq!(outcome.stats.passes, 3);
-        assert_eq!(outcome.stats.events, 500);
+        assert_eq!(shared.passes, 3);
+        assert_eq!(shared.events, 500);
         // Sequential: each member gets a dedicated traversal.
         for member in [&m1, &m2, &m3] {
             let mut solo = Recorder::default();
@@ -521,30 +436,9 @@ mod tests {
             assert_eq!(member.events, solo.events, "event sequence diverged");
             assert_eq!(member.chunk_lens, solo.chunk_lens, "chunking diverged");
             assert_eq!((member.began, member.finished), (1, 1));
-            assert_eq!(stats.events, outcome.stats.events);
-            assert_eq!(stats.chunks, outcome.stats.chunks);
-            assert_eq!(stats.instructions, outcome.stats.instructions);
+            assert_eq!(stats.events, shared.events);
+            assert_eq!(stats.chunks, shared.chunks);
+            assert_eq!(stats.instructions, shared.instructions);
         }
-    }
-
-    #[test]
-    fn lockstep_savings_accounting() {
-        let events = sample(10);
-        // A single member saves nothing; no members saves nothing.
-        let mut only = Recorder::default();
-        let one = LockstepRunner::new().run(SliceSource::new(&events), &mut [&mut only]);
-        assert_eq!(one.traversals_saved, 0);
-        assert_eq!(only.events, events);
-        let none = LockstepRunner::new().run(SliceSource::new(&events), &mut []);
-        assert_eq!(none.traversals_saved, 0);
-        assert_eq!(none.stats.passes, 0);
-        assert_eq!(none.stats.events, 10, "traversal still consumed the source");
-    }
-
-    #[test]
-    fn lockstep_chunk_configuration_forwards_to_the_runner() {
-        assert_eq!(LockstepRunner::new().chunk(), DEFAULT_CHUNK);
-        assert_eq!(LockstepRunner::new().with_chunk(0).chunk(), 1);
-        assert_eq!(LockstepRunner::new().with_chunk(9).chunk(), 9);
     }
 }
