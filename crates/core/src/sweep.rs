@@ -772,15 +772,72 @@ mod tests {
         let specs = grid();
         let lab = Lab::new();
         let serial: Vec<_> = specs.iter().map(|s| lab.run(s).unwrap()).collect();
-        let result = Sweep::new(specs).with_threads(4).run();
+        let parallel = Sweep::new(specs)
+            .with_threads(4)
+            .run()
+            .into_reports()
+            .unwrap();
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn fusion_off_matches_fused_results_bit_for_bit() {
+        let fused = Sweep::new(grid()).with_threads(2).run();
+        // The unfused baseline computes every profile on a traversal of its
+        // own before the sweep starts, so the sweep only ever hits.
+        let cache = Arc::new(ArtifactCache::new());
+        for reads in grid().iter().filter_map(ExperimentSpec::profile_reads) {
+            let (benchmark, input, seed, budget) = reads.run;
+            cache.profile_bundle(benchmark, input, seed, budget, &[]);
+            cache.profile_bundle(benchmark, input, seed, budget, reads.accuracy.as_slice());
+        }
+        let unfused = Sweep::new(grid())
+            .with_cache(Arc::clone(&cache))
+            .with_threads(2)
+            .run();
         // grid(): per benchmark, one profiling run feeds a bias profile and
         // two accuracy profiles (512 B and 1 KB gshare) — fusing the three
-        // saves two traversals — and one measurement stream carries four
-        // cells — lockstep saves three.
-        let stats = result.cache_stats;
-        assert_eq!(stats.fused_traversals_saved, 4, "{stats}");
-        assert_eq!(stats.lockstep_traversals_saved, 6, "{stats}");
-        assert_eq!(serial, result.into_reports().unwrap());
+        // saves two traversals, times two benchmarks.
+        assert_eq!(
+            fused.cache_stats.fused_traversals_saved, 4,
+            "{}",
+            fused.cache_stats
+        );
+        assert_eq!(cache.stats().fused_traversals_saved, 0, "{}", cache.stats());
+        assert_eq!(
+            unfused.cache_stats.bias_misses + unfused.cache_stats.accuracy_misses,
+            0,
+            "{}",
+            unfused.cache_stats
+        );
+        assert_eq!(
+            fused.into_reports().unwrap(),
+            unfused.into_reports().unwrap(),
+            "fusion must not change a single bit of the results"
+        );
+    }
+
+    #[test]
+    fn lockstep_off_matches_lockstep_results_bit_for_bit() {
+        let locked = Sweep::new(grid()).with_threads(2).run();
+        // The sequential baseline measures every cell on a traversal of its
+        // own: a lockstep group of one.
+        let lab = Lab::new();
+        let sequential: Vec<_> = grid().iter().map(|s| lab.run(s).unwrap()).collect();
+        // grid(): two measurement streams (one per benchmark), four cells
+        // each — lockstep saves three traversals per stream.
+        assert_eq!(
+            locked.cache_stats.lockstep_traversals_saved, 6,
+            "{}",
+            locked.cache_stats
+        );
+        let stats = lab.cache().stats();
+        assert_eq!(stats.lockstep_traversals_saved, 0, "{stats}");
+        assert_eq!(
+            locked.into_reports().unwrap(),
+            sequential,
+            "lockstep must not change a single bit of the results"
+        );
     }
 
     #[test]
