@@ -1,10 +1,11 @@
 //! A minimal JSON value, renderer and parser.
 //!
-//! Run manifests (`manifest.jsonl`) are JSON so they stay greppable and
-//! tool-friendly; this module is the dependency-free subset the manifest
-//! needs: objects preserve insertion order (renders are deterministic),
-//! integers are `i64`, floats render via Rust's shortest round-trip
-//! formatting, and strings escape per RFC 8259.
+//! Run manifests (`manifest.jsonl`), the `BENCH_*.json` records and the
+//! diagnostics report are JSON so they stay greppable and tool-friendly;
+//! this module is the dependency-free subset they need: objects preserve
+//! insertion order (renders are deterministic), integers are `i64`, floats
+//! render via Rust's shortest round-trip formatting, and strings escape per
+//! RFC 8259.
 //!
 //! # Examples
 //!
@@ -115,6 +116,52 @@ impl Json {
         let mut out = String::new();
         self.render_into(&mut out);
         out
+    }
+
+    /// Renders a record file: each top-level member, and each element of a
+    /// top-level member's array or object, on a line of its own. Anything
+    /// deeper renders compactly, as [`Json::render`] does, so a file diffs
+    /// one row at a time.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out
+    }
+
+    /// Lays out the containers at `depth` 0 and 1 one element per line.
+    fn pretty_into(&self, out: &mut String, depth: usize) {
+        let indent = "  ".repeat(depth + 1);
+        let line = |out: &mut String, i: usize| {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&indent);
+        };
+        match self {
+            Json::Arr(items) if depth < 2 && !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    line(out, i);
+                    item.pretty_into(out, depth + 1);
+                }
+            }
+            Json::Obj(members) if depth < 2 && !members.is_empty() => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    line(out, i);
+                    escape_into(key, out);
+                    out.push_str(": ");
+                    value.pretty_into(out, depth + 1);
+                }
+            }
+            _ => return self.render_into(out),
+        }
+        let close = if matches!(self, Json::Arr(_)) {
+            ']'
+        } else {
+            '}'
+        };
+        out.push('\n');
+        out.push_str(&indent[2..]);
+        out.push(close);
     }
 
     fn render_into(&self, out: &mut String) {
@@ -412,6 +459,29 @@ mod tests {
         ]);
         assert_eq!(v.render(), r#"{"b":-2,"a":[null,true],"s":"hi"}"#);
         assert_eq!(v.to_string(), v.render());
+    }
+
+    #[test]
+    fn pretty_rendering_breaks_two_levels_and_parses_back() {
+        let v = Json::obj([
+            ("schema", Json::str("x/v1")),
+            ("grid", Json::obj([("cells", Json::Int(2))])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj([("a", Json::Arr(vec![Json::Int(1), Json::Null]))]),
+                    Json::Float(0.5),
+                ]),
+            ),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        let expected = "{\n  \"schema\": \"x/v1\",\n  \"grid\": {\n    \"cells\": 2\n  },\n  \
+                        \"rows\": [\n    {\"a\":[1,null]},\n    0.5\n  ],\n  \"empty\": []\n}";
+        assert_eq!(v.render_pretty(), expected);
+        assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
+        // Scalars and empty containers have no lines to break.
+        assert_eq!(Json::Int(7).render_pretty(), "7");
+        assert_eq!(Json::obj::<&str>([]).render_pretty(), "{}");
     }
 
     #[test]

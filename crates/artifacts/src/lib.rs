@@ -20,9 +20,10 @@
 //!   (`objects/<aa>/<rest>`), with atomic temp-file-then-rename writes and
 //!   corruption detection on read.
 //! * [`Json`] — a minimal JSON value with renderer and parser, used for the
-//!   append-only `manifest.jsonl` run manifests (one JSON object per line).
+//!   append-only `manifest.jsonl` run manifests (one JSON object per line),
+//!   the `BENCH_*.json` records and `sdbp check --format json`.
 //!
-//! Like the workspace's offline `proptest`/`criterion` shims, everything
+//! Like the workspace's offline `proptest` shim, everything
 //! here is dependency-free by design: the build environment has no registry
 //! access, so `serde` is not an option. The codecs are small, explicit, and
 //! schema-versioned so stored artifacts survive code evolution.

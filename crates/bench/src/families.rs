@@ -15,14 +15,15 @@
 //! cell's statistics and report line must be bit-identical to the
 //! generator-backed cell — the file round-trip must be invisible.
 //!
-//! Consumed by the `sdbp bench-families` subcommand, which writes the
-//! machine-readable `BENCH_families.json` used by CI and the docs.
+//! Run by `sdbp bench families`, which writes the machine-readable
+//! `BENCH_families.json` record used by CI and the docs.
 
 use sdbp_core::{ArtifactCache, ExperimentSpec, Report, Sweep};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
 use sdbp_trace::{write_binary, BranchSource};
 use sdbp_workloads::{open_source, Benchmark, InputSet, WorkloadFamily};
+use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -90,6 +91,20 @@ pub struct FamilyOutcome {
     pub schemes: Vec<SchemeOutcome>,
 }
 
+/// The row's summary header: family, size and branches.
+impl fmt::Display for FamilyOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "  {:<7} ({} benchmarks, {} cells, {} branches/scheme)",
+            self.family.name(),
+            self.benchmarks,
+            self.cells,
+            self.branches
+        )
+    }
+}
+
 /// The imported-trace identity check's outcome.
 #[derive(Debug, Clone)]
 pub struct IdentityCheck {
@@ -121,7 +136,7 @@ impl IdentityCheck {
     }
 }
 
-/// Everything one `bench-families` run produced.
+/// Everything one `sdbp bench families` run produced.
 #[derive(Debug)]
 pub struct FamiliesReport {
     /// Whether this was a `--quick` (CI smoke) run.
@@ -137,70 +152,6 @@ pub struct FamiliesReport {
 }
 
 impl FamiliesReport {
-    /// Renders the report as the `BENCH_families.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sdbp-bench-families/v1\",\n");
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        let predictors: Vec<String> = FAMILY_PREDICTORS
-            .iter()
-            .map(|k| format!("\"{}\"", k.name()))
-            .collect();
-        let scheme_names: Vec<String> = schemes()
-            .iter()
-            .map(|(label, _)| format!("\"{label}\""))
-            .collect();
-        out.push_str(&format!(
-            "  \"grid\": {{\"cells\": {}, \"size_bytes\": {}, \"predictors\": [{}], \"schemes\": [{}], \"seed\": {}, \"instructions\": {}}},\n",
-            self.cells,
-            FAMILY_SIZE,
-            predictors.join(", "),
-            scheme_names.join(", "),
-            crate::SEED,
-            self.instructions,
-        ));
-        out.push_str("  \"families\": [\n");
-        for (i, f) in self.families.iter().enumerate() {
-            let schemes: Vec<String> = f
-                .schemes
-                .iter()
-                .map(|s| {
-                    let delta = match s.delta_vs_none_pct {
-                        Some(d) => format!("{d:.2}"),
-                        None => "null".to_string(),
-                    };
-                    format!(
-                        "{{\"scheme\": \"{}\", \"mispredictions\": {}, \"misp_per_ki\": {:.4}, \"delta_vs_none_pct\": {}}}",
-                        s.scheme, s.mispredictions, s.misp_per_ki, delta
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "    {{\"family\": \"{}\", \"benchmarks\": {}, \"cells\": {}, \"branches\": {}, \"schemes\": [{}]}}{}\n",
-                f.family,
-                f.benchmarks,
-                f.cells,
-                f.branches,
-                schemes.join(", "),
-                if i + 1 < self.families.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        let error = match &self.identity.error {
-            Some(e) => format!("\"{}\"", e.replace('\\', "\\\\").replace('"', "\\\"")),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "  \"imported_identity\": {{\"benchmark\": \"{}\", \"stats_identical\": {}, \"summary_identical\": {}, \"error\": {}}}\n",
-            self.identity.benchmark,
-            self.identity.stats_identical,
-            self.identity.summary_identical,
-            error,
-        ));
-        out.push_str("}\n");
-        out
-    }
-
     /// A terse human-readable table for the CLI.
     pub fn summary(&self) -> String {
         let mut out = format!(
@@ -211,13 +162,7 @@ impl FamiliesReport {
             self.instructions
         );
         for f in &self.families {
-            out.push_str(&format!(
-                "  {:<7} ({} benchmarks, {} cells, {} branches/scheme)\n",
-                f.family.name(),
-                f.benchmarks,
-                f.cells,
-                f.branches
-            ));
+            out.push_str(&format!("{f}\n"));
             for s in &f.schemes {
                 let delta = match s.delta_vs_none_pct {
                     Some(d) => format!("  {d:+.1}% vs none"),
@@ -487,50 +432,5 @@ mod tests {
             check.summary_identical,
             check.error
         );
-    }
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = FamiliesReport {
-            quick: true,
-            instructions: 1000,
-            cells: 27,
-            families: vec![FamilyOutcome {
-                family: WorkloadFamily::Server,
-                benchmarks: 1,
-                cells: 9,
-                branches: 5000,
-                schemes: vec![
-                    SchemeOutcome {
-                        scheme: "none".into(),
-                        mispredictions: 400,
-                        misp_per_ki: 13.1,
-                        delta_vs_none_pct: None,
-                    },
-                    SchemeOutcome {
-                        scheme: "static_95".into(),
-                        mispredictions: 380,
-                        misp_per_ki: 12.4,
-                        delta_vs_none_pct: Some(5.0),
-                    },
-                ],
-            }],
-            identity: IdentityCheck {
-                benchmark: "gcc".into(),
-                stats_identical: true,
-                summary_identical: true,
-                error: None,
-            },
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"sdbp-bench-families/v1\""));
-        assert!(json.contains("\"family\": \"server\""));
-        assert!(json.contains("\"delta_vs_none_pct\": 5.00"));
-        assert!(json.contains("\"delta_vs_none_pct\": null"));
-        assert!(json.contains("\"imported_identity\""));
-        assert!(json.contains("\"stats_identical\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(report.summary().contains("imported identity (gcc)"));
-        assert!(report.summary().contains("static_95"));
     }
 }

@@ -9,11 +9,10 @@
 //! the ratio isolates the kernel changes (bit-packed counters, enum
 //! dispatch, chunked event pulls) from everything else.
 //!
-//! Consumed by the `simkernel` criterion bench (`cargo bench -p sdbp-bench
-//! --bench simkernel`) and the `sdbp bench-kernel` subcommand, which writes
-//! the machine-readable `BENCH_simkernel.json` used by CI and the
-//! performance docs.
+//! Run by `sdbp bench kernel`, which writes the machine-readable
+//! `BENCH_kernel.json` record used by CI and the performance docs.
 
+use crate::{timed, Timing};
 use sdbp_core::{
     ArtifactCache, BranchResolution, CombinedPredictor, ShiftPolicy, SimStats, Simulator,
 };
@@ -22,10 +21,10 @@ use sdbp_predictors::{
 };
 use sdbp_profiles::HintDatabase;
 use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, SliceSource};
-use sdbp_workloads::{Benchmark, InputSet, Workload};
+use sdbp_workloads::{Benchmark, InputSet};
+use std::fmt;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-benchmark instruction budget of the full workload suite.
 pub const FULL_INSTRUCTIONS: u64 = 4_000_000;
@@ -51,37 +50,41 @@ pub struct KernelMeasurement {
     pub size_bytes: usize,
     /// Branches resolved in one suite pass.
     pub branches: u64,
-    /// Best-of-reps wall-clock seconds for one suite pass.
-    pub seconds: f64,
+    /// Wall clock of one suite pass over the repetitions.
+    pub timing: Timing,
     /// Table collisions accumulated over the pass (a cheap cross-check that
     /// both kernels simulated the same thing).
     pub collisions: u64,
 }
 
 impl KernelMeasurement {
-    /// Kernel throughput in resolved branches per second.
+    /// Kernel throughput in resolved branches per second, over the fastest
+    /// repetition.
     pub fn branches_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.branches as f64 / self.seconds
+        if self.timing.min_s > 0.0 {
+            self.branches as f64 / self.timing.min_s
         } else {
             0.0
         }
     }
+}
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"predictor\": \"{}\", \"size_bytes\": {}, \"branches\": {}, \"seconds\": {:.6}, \"branches_per_sec\": {:.0}, \"collisions\": {}}}",
-            self.label, self.size_bytes, self.branches, self.seconds,
-            self.branches_per_sec(), self.collisions,
-        )
+/// One summary row: label, size and throughput.
+impl fmt::Display for KernelMeasurement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mbr_per_s = self.branches_per_sec() / 1e6;
+        let (label, size) = (&self.label, self.size_bytes);
+        write!(f, "  {label:<20} {size:>7}B  {mbr_per_s:>12.2} Mbranches/s")
     }
 }
 
-/// Everything one `bench-kernel` run produced.
+/// Everything one `sdbp bench kernel` run produced.
 #[derive(Debug)]
 pub struct KernelReport {
     /// Whether this was a `--quick` (CI smoke) run.
     pub quick: bool,
+    /// Timed repetitions per row.
+    pub reps: u32,
     /// Per-benchmark instruction budget used.
     pub instructions_per_benchmark: u64,
     /// Total branch events across the suite (one pass).
@@ -97,13 +100,28 @@ pub struct KernelReport {
 }
 
 impl KernelReport {
+    /// The current kernel's gshare row at [`BASELINE_SIZE`], the row the
+    /// reference kernel is compared with.
+    fn current_gshare(&self) -> Option<&KernelMeasurement> {
+        self.kernels
+            .iter()
+            .find(|m| m.label == "gshare" && m.size_bytes == BASELINE_SIZE)
+    }
+
+    /// Whether the reference kernel and the current gshare at
+    /// [`BASELINE_SIZE`] simulated the same thing: equal branches and
+    /// equal collisions. A disagreement means one of the kernels is wrong.
+    pub fn kernels_agree(&self) -> bool {
+        self.current_gshare().is_some_and(|m| {
+            m.branches == self.baseline.branches && m.collisions == self.baseline.collisions
+        })
+    }
+
     /// Current-kernel gshare throughput at [`BASELINE_SIZE`] over the
     /// reference kernel — the headline speedup.
     pub fn gshare_speedup(&self) -> f64 {
         let current = self
-            .kernels
-            .iter()
-            .find(|m| m.label == "gshare" && m.size_bytes == BASELINE_SIZE)
+            .current_gshare()
             .map(KernelMeasurement::branches_per_sec)
             .unwrap_or(0.0);
         let base = self.baseline.branches_per_sec();
@@ -114,36 +132,6 @@ impl KernelReport {
         }
     }
 
-    /// Renders the report as the `BENCH_simkernel.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sdbp-bench-kernel/v2\",\n");
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!(
-            "  \"workload\": {{\"benchmarks\": {}, \"input\": \"ref\", \"seed\": {}, \"instructions_per_benchmark\": {}, \"events\": {}}},\n",
-            Benchmark::ALL.len(),
-            crate::SEED,
-            self.instructions_per_benchmark,
-            self.events,
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"trace_hits\": {}, \"trace_misses\": {}}},\n",
-            self.cache_hits, self.cache_misses,
-        ));
-        out.push_str(&format!("  \"baseline\": {},\n", self.baseline.json()));
-        out.push_str(&format!(
-            "  \"gshare_speedup_over_baseline\": {:.2},\n",
-            self.gshare_speedup()
-        ));
-        out.push_str("  \"kernels\": [\n");
-        for (i, m) in self.kernels.iter().enumerate() {
-            let comma = if i + 1 < self.kernels.len() { "," } else { "" };
-            out.push_str(&format!("    {}{}\n", m.json(), comma));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// A terse human-readable table for the CLI.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -151,22 +139,17 @@ impl KernelReport {
             "simulation kernel throughput ({} events/pass, best of reps)\n",
             self.events
         ));
-        let row = |m: &KernelMeasurement| {
-            format!(
-                "  {:<20} {:>7}B  {:>12.2} Mbranches/s\n",
-                m.label,
-                m.size_bytes,
-                m.branches_per_sec() / 1e6
-            )
-        };
-        out.push_str(&row(&self.baseline));
-        for m in &self.kernels {
-            out.push_str(&row(m));
+        for m in std::iter::once(&self.baseline).chain(&self.kernels) {
+            out.push_str(&format!("{m}\n"));
         }
         out.push_str(&format!(
             "  gshare {}B speedup over reference kernel: {:.2}x\n",
             BASELINE_SIZE,
             self.gshare_speedup()
+        ));
+        out.push_str(&format!(
+            "cache: {} trace hits / {} misses\n",
+            self.cache_hits, self.cache_misses
         ));
         out
     }
@@ -252,21 +235,6 @@ pub fn workload_suite(cache: &ArtifactCache, instructions: u64) -> Vec<Arc<Vec<B
     Benchmark::ALL
         .iter()
         .map(|&b| cache.events(b, InputSet::Ref, crate::SEED, instructions))
-        .collect()
-}
-
-/// A standalone suite for the criterion bench (no cache observability).
-pub fn standalone_suite(instructions: u64) -> Vec<Vec<BranchEvent>> {
-    Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            Workload::spec95(b)
-                .generator(InputSet::Ref, crate::SEED)
-                .take_instructions(instructions)
-                .collect_trace()
-                .into_iter()
-                .collect()
-        })
         .collect()
 }
 
@@ -367,49 +335,19 @@ pub fn baseline_kernel_pass(size_bytes: usize, suite: &[Arc<Vec<BranchEvent>>]) 
     (branches, collisions)
 }
 
-fn timed<F: FnMut() -> (u64, u64)>(reps: u32, mut pass: F) -> (u64, f64, u64) {
-    let mut best = f64::INFINITY;
-    let (mut branches, mut collisions) = (0u64, 0u64);
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let (b, c) = black_box(pass());
-        best = best.min(started.elapsed().as_secs_f64());
-        branches = b;
-        collisions = c;
-    }
-    (branches, best, collisions)
-}
-
-/// Times the current kernel for one predictor configuration.
-pub fn measure_current(
-    kind: PredictorKind,
+/// Times `pass`, one suite pass through some kernel, as the row `label`.
+fn measure(
+    label: String,
     size_bytes: usize,
-    suite: &[Arc<Vec<BranchEvent>>],
     reps: u32,
+    pass: impl FnMut() -> (u64, u64),
 ) -> KernelMeasurement {
-    let config = PredictorConfig::new(kind, size_bytes).expect("bench sizes are powers of two");
-    let (branches, seconds, collisions) = timed(reps, || current_kernel_pass(&config, suite));
+    let (timing, (branches, collisions)) = timed(reps, pass);
     KernelMeasurement {
-        label: kind.to_string(),
+        label,
         size_bytes,
         branches,
-        seconds,
-        collisions,
-    }
-}
-
-/// Times the reference kernel at `size_bytes`.
-pub fn measure_baseline(
-    size_bytes: usize,
-    suite: &[Arc<Vec<BranchEvent>>],
-    reps: u32,
-) -> KernelMeasurement {
-    let (branches, seconds, collisions) = timed(reps, || baseline_kernel_pass(size_bytes, suite));
-    KernelMeasurement {
-        label: "gshare-reference".to_string(),
-        size_bytes,
-        branches,
-        seconds,
+        timing,
         collisions,
     }
 }
@@ -430,16 +368,11 @@ pub fn run(quick: bool, mut progress: impl FnMut(&KernelMeasurement)) -> KernelR
     let suite = workload_suite(&cache, instructions);
     let events: u64 = suite.iter().map(|e| e.len() as u64).sum();
 
-    let baseline = measure_baseline(BASELINE_SIZE, &suite, reps);
+    let baseline = measure("gshare-reference".into(), BASELINE_SIZE, reps, || {
+        baseline_kernel_pass(BASELINE_SIZE, &suite)
+    });
     progress(&baseline);
 
-    let mut kernels = Vec::new();
-    for size in GSHARE_SIZES {
-        let suite = workload_suite(&cache, instructions);
-        let m = measure_current(PredictorKind::Gshare, size, &suite, reps);
-        progress(&m);
-        kernels.push(m);
-    }
     let comparison_kinds = if quick {
         // The cheap bimodal floor, the dearest SWAR-batched skewed
         // predictor, and both frontier designs, so CI smoke exercises
@@ -457,9 +390,17 @@ pub fn run(quick: bool, mut progress: impl FnMut(&KernelMeasurement)) -> KernelR
             .filter(|&k| k != PredictorKind::Gshare)
             .collect()
     };
-    for kind in comparison_kinds {
+    let rows = GSHARE_SIZES
+        .map(|size| (PredictorKind::Gshare, size))
+        .into_iter()
+        .chain(comparison_kinds.into_iter().map(|k| (k, BASELINE_SIZE)));
+    let mut kernels = Vec::new();
+    for (kind, size) in rows {
         let suite = workload_suite(&cache, instructions);
-        let m = measure_current(kind, BASELINE_SIZE, &suite, reps);
+        let config = PredictorConfig::new(kind, size).expect("bench sizes are powers of two");
+        let m = measure(kind.to_string(), size, reps, || {
+            current_kernel_pass(&config, &suite)
+        });
         progress(&m);
         kernels.push(m);
     }
@@ -467,6 +408,7 @@ pub fn run(quick: bool, mut progress: impl FnMut(&KernelMeasurement)) -> KernelR
     let stats = cache.stats();
     KernelReport {
         quick,
+        reps,
         instructions_per_benchmark: instructions,
         events,
         baseline,
@@ -511,24 +453,5 @@ mod tests {
         let current = current_kernel_pass(&config, &suite);
         let baseline = baseline_kernel_pass(BASELINE_SIZE, &suite);
         assert_eq!(current, baseline, "(branches, collisions) must agree");
-    }
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = run(true, |_| {});
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"sdbp-bench-kernel/v2\""));
-        assert!(json.contains("\"baseline\""));
-        // The quick comparison set covers the frontier designs too.
-        assert!(json.contains("\"predictor\": \"perceptron\""));
-        assert!(json.contains("\"predictor\": \"tage-lite\""));
-        assert!(json.contains("\"gshare_speedup_over_baseline\""));
-        assert!(json.contains("\"trace_hits\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(report.gshare_speedup() > 0.0);
-        assert!(report.events > 0);
-        // One trace per benchmark generated, reused by every measurement.
-        assert_eq!(report.cache_misses, Benchmark::ALL.len() as u64);
-        assert!(report.cache_hits > 0);
     }
 }

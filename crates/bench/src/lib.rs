@@ -1,4 +1,5 @@
-//! Shared plumbing for the experiment harness binaries.
+//! Shared plumbing for the experiment harness binaries and the `sdbp bench`
+//! suites.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of Patil &
 //! Emer (HPCA 2000); this library holds the conventions they share — the
@@ -14,6 +15,10 @@
 //! or everything at once with `--bin all_experiments`. Budgets scale with
 //! the `SDBP_SCALE` environment variable (default 1.0; e.g. `SDBP_SCALE=0.1`
 //! for a quick smoke pass).
+//!
+//! The [`kernel`], [`passes`], [`frontier`] and [`families`] modules are the
+//! suites behind `sdbp bench <suite>`, which writes their reports as the
+//! `BENCH_<suite>.json` records. Timed suites repeat through [`timed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +27,8 @@ use sdbp_core::{ExperimentSpec, Lab, Report, Sweep};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
 use sdbp_workloads::Benchmark;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// The fixed seed every harness binary uses, so results are directly
 /// comparable across tables and reruns.
@@ -127,6 +134,36 @@ pub fn run_grid(lab: &Lab, specs: Vec<ExperimentSpec>) -> Vec<Report> {
         .expect("harness specs are well-formed")
 }
 
+/// Wall-clock seconds of a repeated measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// The fastest repetition: other load only ever slows a run down, so
+    /// this is the least disturbed one.
+    pub min_s: f64,
+    /// The median repetition (the upper of the middle two for an even
+    /// count).
+    pub median_s: f64,
+}
+
+/// Runs `pass` `reps` times (at least once), timing each repetition, and
+/// returns the min and median wall clock with the last repetition's
+/// outcome.
+pub fn timed<T>(reps: u32, mut pass: impl FnMut() -> T) -> (Timing, T) {
+    let mut seconds = Vec::new();
+    let mut outcome = None;
+    for _ in 0..reps.max(1) {
+        let started = Instant::now();
+        outcome = Some(black_box(pass()));
+        seconds.push(started.elapsed().as_secs_f64());
+    }
+    seconds.sort_by(f64::total_cmp);
+    let timing = Timing {
+        min_s: seconds[0],
+        median_s: seconds[seconds.len() / 2],
+    };
+    (timing, outcome.expect("at least one repetition ran"))
+}
+
 /// Formats a signed percentage improvement Table 3/4-style.
 pub fn improvement_pct(report: &Report, baseline: &Report) -> String {
     format!("{:+.1}%", report.improvement_over(baseline) * 100.0)
@@ -154,6 +191,20 @@ mod tests {
         if std::env::var("SDBP_SCALE").is_err() {
             assert_eq!(scale(), 1.0);
             assert_eq!(measure_budget(), MEASURE_INSTRUCTIONS);
+        }
+    }
+
+    #[test]
+    fn bench_loop_measures_and_reports() {
+        for (reps, runs) in [(0, 1), (1, 1), (3, 3), (4, 4)] {
+            let mut calls = 0u32;
+            let (timing, last) = timed(reps, || {
+                calls += 1;
+                calls
+            });
+            assert_eq!(calls, runs);
+            assert_eq!(last, runs, "the last repetition's outcome comes back");
+            assert!(timing.min_s <= timing.median_s);
         }
     }
 

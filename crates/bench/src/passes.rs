@@ -14,17 +14,17 @@
 //!   sharing a branch stream ride one measurement traversal
 //!   ([`Lab::run_lockstep`]).
 //!
-//! Consumed by the `sdbp bench-passes` subcommand, which writes the
-//! machine-readable `BENCH_passes.json` used by CI and the performance
-//! docs.
+//! Run by `sdbp bench passes`, which writes the machine-readable
+//! `BENCH_passes.json` record used by CI and the performance docs.
 
+use crate::{timed, Timing};
 use sdbp_core::{ArtifactCache, ExperimentSpec, Lab, Report, Sweep};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
 use sdbp_workloads::Benchmark;
+use std::fmt;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-phase instruction budget of the full grid (profile == measure).
 pub const FULL_INSTRUCTIONS: u64 = 2_000_000;
@@ -68,27 +68,31 @@ impl GridOutcome {
 pub struct PassesMeasurement {
     /// `"per_cell"` or `"sweep"`.
     pub label: &'static str,
-    /// Best-of-reps wall-clock seconds for one grid pass.
-    pub seconds: f64,
+    /// Wall clock of one grid pass over the repetitions.
+    pub timing: Timing,
     /// What the pass observed.
     pub outcome: GridOutcome,
 }
 
-impl PassesMeasurement {
-    fn json(&self) -> String {
+/// One summary row: the mode's fastest wall clock and its traversals.
+impl fmt::Display for PassesMeasurement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let o = &self.outcome;
-        format!(
-            "{{\"mode\": \"{}\", \"seconds\": {:.6}, \"traversals\": {}, \"fused_saved\": {}, \"lockstep_saved\": {}, \"mispredictions\": {}}}",
-            self.label, self.seconds, o.traversals, o.fused_saved, o.lockstep_saved, o.mispredictions,
+        write!(
+            f,
+            "  {:<8} {:>8.3} s  {:>3} generator traversals ({} saved by fusion, {} by lockstep)",
+            self.label, self.timing.min_s, o.traversals, o.fused_saved, o.lockstep_saved
         )
     }
 }
 
-/// Everything one `bench-passes` run produced.
+/// Everything one `sdbp bench passes` run produced.
 #[derive(Debug)]
 pub struct PassesReport {
     /// Whether this was a `--quick` (CI smoke) run.
     pub quick: bool,
+    /// Timed repetitions per mode.
+    pub reps: u32,
     /// Profile/measure instruction budget per cell.
     pub instructions: u64,
     /// Benchmarks in the grid.
@@ -102,40 +106,19 @@ pub struct PassesReport {
 }
 
 impl PassesReport {
-    /// Per-cell over sweep wall-clock.
+    /// Per-cell over sweep wall clock, fastest repetition of each.
     pub fn speedup(&self) -> f64 {
-        if self.sweep.seconds > 0.0 {
-            self.per_cell.seconds / self.sweep.seconds
+        if self.sweep.timing.min_s > 0.0 {
+            self.per_cell.timing.min_s / self.sweep.timing.min_s
         } else {
             0.0
         }
     }
 
-    fn results_identical(&self) -> bool {
+    /// Whether both modes mispredicted exactly as often: the sweep must
+    /// not change results.
+    pub fn results_identical(&self) -> bool {
         self.per_cell.outcome.mispredictions == self.sweep.outcome.mispredictions
-    }
-
-    /// Renders the report as the `BENCH_passes.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sdbp-bench-passes/v3\",\n");
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!(
-            "  \"grid\": {{\"benchmarks\": {}, \"cells\": {}, \"scheme\": \"static_acc\", \"seed\": {}, \"instructions\": {}, \"trace_cache\": \"disabled\"}},\n",
-            self.benchmarks,
-            self.cells,
-            crate::SEED,
-            self.instructions,
-        ));
-        out.push_str(&format!("  \"per_cell\": {},\n", self.per_cell.json()));
-        out.push_str(&format!("  \"sweep\": {},\n", self.sweep.json()));
-        out.push_str(&format!(
-            "  \"results_identical\": {},\n",
-            self.results_identical()
-        ));
-        out.push_str(&format!("  \"speedup\": {:.2}\n", self.speedup()));
-        out.push_str("}\n");
-        out
     }
 
     /// A terse human-readable table for the CLI.
@@ -145,11 +128,7 @@ impl PassesReport {
             self.cells
         );
         for m in [&self.per_cell, &self.sweep] {
-            let o = &m.outcome;
-            out.push_str(&format!(
-                "  {:<8} {:>8.3} s  {:>3} generator traversals ({} saved by fusion, {} by lockstep)\n",
-                m.label, m.seconds, o.traversals, o.fused_saved, o.lockstep_saved
-            ));
+            out.push_str(&format!("{m}\n"));
         }
         out.push_str(&format!(
             "  sweep speedup: {:.2}x (results identical: {})\n",
@@ -206,27 +185,6 @@ pub fn sweep_pass(specs: &[ExperimentSpec]) -> GridOutcome {
     GridOutcome::new(reports, &cache)
 }
 
-fn timed(
-    label: &'static str,
-    reps: u32,
-    pass: impl Fn(&[ExperimentSpec]) -> GridOutcome,
-    specs: &[ExperimentSpec],
-) -> PassesMeasurement {
-    let mut best = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let o = black_box(pass(black_box(specs)));
-        best = best.min(started.elapsed().as_secs_f64());
-        outcome = Some(o);
-    }
-    PassesMeasurement {
-        label,
-        seconds: best,
-        outcome: outcome.expect("reps >= 1"),
-    }
-}
-
 /// Runs the full traversal-economy benchmark: the grid cell by cell, then
 /// through the planned sweep, with `progress` invoked as each mode
 /// finishes.
@@ -243,14 +201,22 @@ pub fn run(quick: bool, mut progress: impl FnMut(&PassesMeasurement)) -> PassesR
         &Benchmark::ALL
     };
     let specs = grid_specs(benchmarks, instructions);
-
-    let per_cell = timed("per_cell", reps, per_cell_pass, &specs);
-    progress(&per_cell);
-    let sweep = timed("sweep", reps, sweep_pass, &specs);
-    progress(&sweep);
+    let mut measure = |label, pass: fn(&[ExperimentSpec]) -> GridOutcome| {
+        let (timing, outcome) = timed(reps, || pass(black_box(&specs)));
+        let m = PassesMeasurement {
+            label,
+            timing,
+            outcome,
+        };
+        progress(&m);
+        m
+    };
+    let per_cell = measure("per_cell", per_cell_pass);
+    let sweep = measure("sweep", sweep_pass);
 
     PassesReport {
         quick,
+        reps,
         instructions,
         benchmarks: benchmarks.len(),
         cells: specs.len(),
@@ -286,22 +252,5 @@ mod tests {
             assert_eq!(counts(per_cell), per_cell_counts);
             assert_eq!(counts(sweep), sweep_counts);
         }
-    }
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = run(true, |_| {});
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"sdbp-bench-passes/v3\""));
-        assert!(json.contains("\"per_cell\": {\"mode\": \"per_cell\""));
-        assert!(json.contains("\"sweep\": {\"mode\": \"sweep\""));
-        assert!(json.contains("\"fused_saved\""));
-        assert!(json.contains("\"lockstep_saved\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"results_identical\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(report.sweep.outcome.traversals < report.per_cell.outcome.traversals);
-        assert!(report.sweep.outcome.lockstep_saved > 0);
-        assert!(report.speedup() > 0.0);
     }
 }

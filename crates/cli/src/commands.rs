@@ -395,7 +395,7 @@ pub fn grid(args: &Args) -> CmdResult {
     }
     // Cells whose scheme needs the interference ranking on a predictor that
     // is opaque to it would fail at selection time; skip them up front and
-    // render n/a — the same policy as `bench-frontier` and SDBP042.
+    // render n/a — the same policy as `sdbp bench frontier` and SDBP042.
     let mut specs = Vec::new();
     let mut layout: Vec<Vec<Vec<Option<usize>>>> = Vec::new();
     for &benchmark in &benchmarks {
@@ -730,115 +730,6 @@ pub fn check(args: &Args) -> CmdResult {
     }
 }
 
-/// `sdbp list` — enumerate benchmarks and predictors.
-pub fn bench_kernel(args: &Args) -> CmdResult {
-    let quick = args.has_flag("quick");
-    let out = args.get_or("out", "BENCH_simkernel.json");
-    eprintln!(
-        "benchmarking simulation kernel ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    let report = sdbp_bench::kernel::run(quick, |m| {
-        eprintln!(
-            "  {:<20} {:>7}B  {:>9.2} Mbranches/s",
-            m.label,
-            m.size_bytes,
-            m.branches_per_sec() / 1e6
-        );
-    });
-    print!("{}", report.summary());
-    println!(
-        "cache: {} trace hits / {} misses",
-        report.cache_hits, report.cache_misses
-    );
-    fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `sdbp bench-passes` — time a profile-heavy grid cell by cell and through
-/// the planned sweep, and write the machine-readable `BENCH_passes.json`
-/// report.
-pub fn bench_passes(args: &Args) -> CmdResult {
-    let quick = args.has_flag("quick");
-    let out = args.get_or("out", "BENCH_passes.json");
-    eprintln!(
-        "benchmarking traversal sharing ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    let report = sdbp_bench::passes::run(quick, |m| {
-        eprintln!(
-            "  {:<8} {:>8.3} s  {:>3} traversals",
-            m.label, m.seconds, m.outcome.traversals
-        );
-    });
-    print!("{}", report.summary());
-    fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `sdbp bench-frontier` — run the predictor-frontier ablation (tabular
-/// vs. perceptron/TAGE-lite predictors under every selection scheme,
-/// `Static_Collide` included) and write the machine-readable
-/// `BENCH_frontier.json` report.
-pub fn bench_frontier(args: &Args) -> CmdResult {
-    let quick = args.has_flag("quick");
-    let out = args.get_or("out", "BENCH_frontier.json");
-    eprintln!(
-        "benchmarking the predictor frontier ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    let report = sdbp_bench::frontier::run(quick, |cell| {
-        eprintln!(
-            "  {:<9} {:<10} {:<15} {:>8.3} MISPs/KI  {:>6} hints",
-            cell.benchmark.name(),
-            cell.predictor.name(),
-            cell.scheme,
-            cell.misp_per_ki,
-            cell.hints
-        );
-    });
-    print!("{}", report.summary());
-    fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `sdbp bench-families` — run the per-family grid (every family's
-/// benchmarks × {gshare, agree, tage-lite} × {dynamic, static_95,
-/// static_acc}), verify imported-trace identity, and write the
-/// machine-readable `BENCH_families.json` report.
-pub fn bench_families(args: &Args) -> CmdResult {
-    let quick = args.has_flag("quick");
-    let out = args.get_or("out", "BENCH_families.json");
-    eprintln!(
-        "benchmarking workload families ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    let report = sdbp_bench::families::run(quick, |f| {
-        eprintln!(
-            "  {:<7} {} benchmarks, {} cells, {} branches/scheme",
-            f.family.name(),
-            f.benchmarks,
-            f.cells,
-            grouped(f.branches)
-        );
-    });
-    print!("{}", report.summary());
-    fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    if report.identity.passed() {
-        Ok(())
-    } else {
-        Err(CliError::Failure(
-            "imported-trace identity check failed: replayed cells must be \
-             bit-identical to generator-backed cells"
-                .into(),
-        ))
-    }
-}
-
 /// Opens the `--store` directory an `artifact` action operates on.
 fn store_of(args: &Args) -> Result<Store, CliError> {
     let dir = args
@@ -927,6 +818,7 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
     }
 }
 
+/// `sdbp list` — enumerate benchmarks, predictors and schemes.
 pub fn list() -> CmdResult {
     println!("benchmarks:");
     for b in Benchmark::SYNTHETIC {

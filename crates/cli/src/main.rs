@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 
 mod args;
+mod bench;
 mod commands;
 mod error;
 
@@ -21,13 +22,14 @@ use error::CliError;
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // `sdbp artifact <action>` carries a bare action word the option parser
-    // would reject as a stray positional; peel it off before parsing.
-    let mut artifact_action = String::new();
-    if argv.first().map(String::as_str) == Some("artifact")
+    // `sdbp artifact <action>` and `sdbp bench <suite>` carry a bare word
+    // the option parser would reject as a stray positional; peel it off
+    // before parsing.
+    let mut word = String::new();
+    if matches!(argv.first().map(String::as_str), Some("artifact" | "bench"))
         && argv.get(1).is_some_and(|t| !t.starts_with('-'))
     {
-        artifact_action = argv.remove(1);
+        word = argv.remove(1);
     }
     let args = match Args::parse(argv) {
         Ok(a) => a,
@@ -48,11 +50,8 @@ fn main() {
         "grid" => commands::grid(&args),
         "hotspots" => commands::hotspots(&args),
         "check" => commands::check(&args),
-        "artifact" => commands::artifact(&artifact_action, &args),
-        "bench-kernel" => commands::bench_kernel(&args),
-        "bench-passes" => commands::bench_passes(&args),
-        "bench-frontier" => commands::bench_frontier(&args),
-        "bench-families" => commands::bench_families(&args),
+        "artifact" => commands::artifact(&word, &args),
+        "bench" => bench::run(&word, &args),
         "" | "help" | "-h" | "--help" => {
             print!("{USAGE}");
             Ok(())
@@ -105,31 +104,16 @@ commands:
                                (inspect --digest HEX), or prune corrupt
                                objects, dangling links, and stale temp
                                files (gc); all take --store DIR
-  bench-kernel                 time the simulation kernel (branches/sec per
-                               predictor and size, vs the pre-optimization
-                               reference kernel) and write a machine-readable
-                               report (--out BENCH_simkernel.json, --quick
-                               for the CI smoke budget)
-  bench-passes                 time a profile-heavy grid cell by cell and
-                               through the sweep's shared traversals and
-                               write a machine-readable report
-                               (--out BENCH_passes.json, --quick for the CI
-                               smoke budget)
-  bench-frontier               run the predictor-frontier ablation — gshare,
-                               bi-mode, 2bcgskew vs perceptron and tage-lite
-                               under every selection scheme including
-                               static_collide — and write a machine-readable
-                               report (--out BENCH_frontier.json, --quick
-                               for the CI smoke budget)
-  bench-families               run the per-family grid — every family's
-                               benchmarks x {gshare, agree, tage-lite} x
-                               {none, static_95, static_acc} — report
-                               MISPs/KI deltas per family, verify that
-                               imported-trace cells replay bit-identically
-                               to generator-backed ones, and write a
-                               machine-readable report
-                               (--out BENCH_families.json, --quick for the
-                               CI smoke budget)
+  bench kernel|passes|frontier|families
+                               run one harness suite and write its record
+                               (--out, default BENCH_<suite>.json; --quick
+                               for the CI smoke budget): kernel throughput
+                               vs the reference kernel, per-cell vs sweep
+                               traversals, static hints on the frontier
+                               predictors, or the per-family grid with its
+                               imported-trace identity check; exits
+                               non-zero, after writing, when the suite's
+                               own cross-check fails
 
 common options:
   --benchmark go|gcc|perl|m88ksim|compress|ijpeg   (default gcc); also
@@ -223,4 +207,6 @@ examples:
   sdbp grid --benchmark gcc --store runs/gcc
   sdbp grid --benchmark gcc --store runs/gcc --resume
   sdbp artifact ls --store runs/gcc
+  # regenerate a checked-in record (BENCH_passes.json):
+  sdbp bench passes
 ";

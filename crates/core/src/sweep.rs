@@ -589,7 +589,7 @@ impl SweepResult {
     /// Aggregate simulation throughput: total branches of the successful
     /// cells divided by the sweep's wall-clock time. This is the engine's
     /// delivered rate (it credits both parallelism and cache reuse), not a
-    /// per-kernel figure — see `sdbp bench-kernel` for those.
+    /// per-kernel figure — see `sdbp bench kernel` for those.
     pub fn branches_per_sec(&self) -> f64 {
         let wall = self.wall_time.as_secs_f64();
         // A zero or non-finite wall clock (empty sweep, fully replayed

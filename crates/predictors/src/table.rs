@@ -330,7 +330,7 @@ impl PredictionTable {
 /// `size_bytes` accounting) but with over three times the cache footprint
 /// (18 bytes per entry against 5). Retained as
 /// the oracle for the packed-vs-reference lockstep property tests and as the
-/// baseline kernel the `bench-kernel` harness measures speedups against. Not
+/// baseline kernel `sdbp bench kernel` measures speedups against. Not
 /// used by any predictor.
 #[derive(Debug, Clone)]
 pub struct ReferenceTable {

@@ -80,7 +80,7 @@ struct TageCtx {
 /// Partial tags give TAGE its edge over the paper-era schemes: an aliasing
 /// branch usually *misses* the tag and falls through to a shorter history
 /// instead of destructively flipping a shared counter. The frontier grid
-/// (`sdbp bench-frontier`) measures how much of the static-hint benefit
+/// (`sdbp bench frontier`) measures how much of the static-hint benefit
 /// survives that.
 ///
 /// Collision instrumentation counts provider probes only: a base-table

@@ -18,14 +18,13 @@
 //! signed; packing `taken` into the gap word saves one byte per event.
 //!
 //! The decode path is split into [`read_header`] and [`EventDecoder`] so the
-//! streaming importer in [`crate::import`] can drive the same decoder in
-//! bounded memory, a buffered chunk or one event at a time; [`read_binary`]
-//! is the materializing wrapper.
+//! streaming importer in [`crate::import`] can drive the decoder in bounded
+//! memory, a buffered chunk or one event at a time.
 
 use super::varint;
 use crate::error::TraceError;
 use crate::event::{BranchAddr, BranchEvent};
-use crate::trace::{Trace, TraceMeta};
+use crate::trace::Trace;
 use std::io::{Read, Write};
 
 /// The 4-byte magic prefix of the binary format, shared with format
@@ -174,16 +173,17 @@ impl EventDecoder {
 /// # Examples
 ///
 /// ```
-/// use sdbp_trace::{read_binary, write_binary, BranchAddr, BranchEvent, TraceBuilder};
+/// use sdbp_trace::{import_trace, write_binary, BranchAddr, BranchEvent, TraceBuilder};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = TraceBuilder::named("tiny");
 /// b.push(BranchEvent::new(BranchAddr(0x1000), true, 5));
 /// let trace = b.finish();
 ///
-/// let mut buf = Vec::new();
-/// write_binary(&mut buf, &trace)?;
-/// let back = read_binary(&mut &buf[..])?;
+/// let path = std::env::temp_dir().join(format!("tiny-{}.sdbt", std::process::id()));
+/// write_binary(&mut std::fs::File::create(&path)?, &trace)?;
+/// let back = import_trace(&path)?;
+/// std::fs::remove_file(&path)?;
 /// assert_eq!(back, trace);
 /// # Ok(())
 /// # }
@@ -206,36 +206,16 @@ pub fn write_binary<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError
     Ok(())
 }
 
-/// Reads a trace written by [`write_binary`].
-///
-/// # Errors
-///
-/// * [`TraceError::BadMagic`] / [`TraceError::UnsupportedVersion`] for
-///   foreign input,
-/// * [`TraceError::TruncatedVarint`] / [`TraceError::TruncatedEvents`] for
-///   cut-off payloads,
-/// * [`TraceError::GapOverflow`] for a record whose gap exceeds `u32`,
-/// * [`TraceError::Io`] for underlying reader failures.
-pub fn read_binary<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
-    let header = read_header(r)?;
-    let mut events = Vec::with_capacity(header.events.min(1 << 24) as usize);
-    let mut decoder = EventDecoder::default();
-    for _ in 0..header.events {
-        events.push(decoder.next(r, header.events)?);
-    }
-    Ok(Trace::from_parts(
-        TraceMeta {
-            total_instructions: header.total_instructions,
-            name: header.name,
-        },
-        events,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode;
     use crate::trace::TraceBuilder;
+    use crate::TraceFormat;
+
+    fn decode_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
+        decode(TraceFormat::SdbtBinary, bytes)
+    }
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::named("sample");
@@ -250,7 +230,7 @@ mod tests {
         let trace = sample_trace();
         let mut buf = Vec::new();
         write_binary(&mut buf, &trace).unwrap();
-        let back = read_binary(&mut &buf[..]).unwrap();
+        let back = decode_binary(&buf).unwrap();
         assert_eq!(back, trace);
     }
 
@@ -259,7 +239,7 @@ mod tests {
         let trace = Trace::default();
         let mut buf = Vec::new();
         write_binary(&mut buf, &trace).unwrap();
-        let back = read_binary(&mut &buf[..]).unwrap();
+        let back = decode_binary(&buf).unwrap();
         assert_eq!(back, trace);
     }
 
@@ -274,7 +254,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let buf = b"NOPE\x01\x00".to_vec();
         assert!(matches!(
-            read_binary(&mut &buf[..]),
+            decode_binary(&buf),
             Err(TraceError::BadMagic { .. })
         ));
     }
@@ -285,7 +265,7 @@ mod tests {
         write_binary(&mut buf, &sample_trace()).unwrap();
         buf[4] = 99; // corrupt the version field
         assert!(matches!(
-            read_binary(&mut &buf[..]),
+            decode_binary(&buf),
             Err(TraceError::UnsupportedVersion { found: 99 })
         ));
     }
@@ -299,7 +279,7 @@ mod tests {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         varint::write_u64(&mut buf, u64::from(u32::MAX)).unwrap();
         assert!(matches!(
-            read_binary(&mut &buf[..]),
+            decode_binary(&buf),
             Err(TraceError::NameTooLong {
                 declared,
                 limit: MAX_NAME_LEN,
@@ -312,7 +292,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &sample_trace()).unwrap();
         buf.truncate(buf.len() - 3);
-        let err = read_binary(&mut &buf[..]).unwrap_err();
+        let err = decode_binary(&buf).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -2,19 +2,35 @@
 //!
 //! Two interchange formats:
 //!
-//! * **binary** ([`write_binary`] / [`read_binary`]) — compact
-//!   varint-delta encoding, the native on-disk format,
-//! * **text** ([`write_text`] / [`read_text`]) — one branch per line
+//! * **binary** ([`write_binary`]) — compact varint-delta encoding, the
+//!   native on-disk format,
+//! * **text** ([`write_text`]) — one branch per line
 //!   (`<hex pc> T|N <gap>`), easy to produce from external tracers such as
 //!   Pin/DynamoRIO scripts or `perf` post-processing.
 //!
 //! Both formats round-trip a [`crate::Trace`] exactly, including metadata.
+//! They are read back through the streaming importer in [`crate::import`]
+//! ([`crate::import_trace`] for a whole file).
 
 pub(crate) mod binary;
 pub(crate) mod text;
 
-pub use binary::{read_binary, write_binary};
-pub use text::{read_text, write_text};
+pub use binary::write_binary;
+pub use text::write_text;
+
+/// Decodes a whole in-memory trace of `format` through the streaming
+/// importer, failing with the decode error that ended the stream, if any.
+#[cfg(test)]
+pub(crate) fn decode(
+    format: crate::TraceFormat,
+    bytes: &[u8],
+) -> Result<crate::Trace, crate::TraceError> {
+    use crate::BranchSource;
+    let reader = Box::new(std::io::Cursor::new(bytes.to_vec()));
+    let mut stream = crate::ImportStream::open(format, reader, String::new())?;
+    let trace = (&mut stream).collect_trace();
+    stream.take_error().map_or(Ok(trace), Err)
+}
 
 pub(crate) mod varint {
     //! LEB128-style unsigned varint primitives shared by the binary codec.
@@ -152,8 +168,10 @@ pub(crate) mod varint {
 
 #[cfg(test)]
 mod proptests {
+    use super::decode;
     use crate::event::{BranchAddr, BranchEvent};
     use crate::trace::{Trace, TraceBuilder};
+    use crate::TraceFormat;
     use proptest::prelude::*;
 
     fn arb_event() -> impl Strategy<Value = BranchEvent> {
@@ -178,7 +196,7 @@ mod proptests {
         fn binary_roundtrip(trace in arb_trace()) {
             let mut buf = Vec::new();
             super::write_binary(&mut buf, &trace).unwrap();
-            let back = super::read_binary(&mut &buf[..]).unwrap();
+            let back = decode(TraceFormat::SdbtBinary, &buf).unwrap();
             prop_assert_eq!(back, trace);
         }
 
@@ -186,7 +204,7 @@ mod proptests {
         fn text_roundtrip(trace in arb_trace()) {
             let mut buf = Vec::new();
             super::write_text(&mut buf, &trace).unwrap();
-            let back = super::read_text(&mut &buf[..]).unwrap();
+            let back = decode(TraceFormat::SdbpText, &buf).unwrap();
             prop_assert_eq!(back.events(), trace.events());
             prop_assert_eq!(
                 back.meta().total_instructions,

@@ -13,8 +13,8 @@
 
 use crate::error::{RecordError, TraceError};
 use crate::event::{BranchAddr, BranchEvent};
-use crate::trace::{Trace, TraceBuilder};
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::trace::Trace;
+use std::io::Write;
 
 /// One meaningful line of a text-format trace.
 pub(crate) enum ParsedLine {
@@ -160,6 +160,22 @@ pub(crate) fn parse_text_line(line: &str, lineno: usize) -> Result<ParsedLine, T
 /// # Errors
 ///
 /// Propagates I/O failures from `w`.
+///
+/// # Examples
+///
+/// ```
+/// use sdbp_trace::{write_text, BranchAddr, BranchEvent, TraceBuilder};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = TraceBuilder::named("demo");
+/// b.push(BranchEvent::new(BranchAddr(0x1000), true, 4));
+/// b.push(BranchEvent::new(BranchAddr(0x1008), false, 0));
+/// let mut out = Vec::new();
+/// write_text(&mut out, &b.finish())?;
+/// assert_eq!(String::from_utf8(out)?, "!name demo\n1000 T 4\n1008 N 0\n");
+/// # Ok(())
+/// # }
+/// ```
 pub fn write_text<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError> {
     if !trace.meta().name.is_empty() {
         writeln!(w, "!name {}", trace.meta().name)?;
@@ -176,60 +192,16 @@ pub fn write_text<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError> 
     Ok(())
 }
 
-/// Reads a trace in the text format.
-///
-/// Unknown `!` directives are ignored so the format can grow. The trace's
-/// `total_instructions` is recomputed from the events.
-///
-/// # Errors
-///
-/// [`TraceError::BadRecord`] (with a line number and a typed
-/// [`RecordError`]) for malformed lines and [`TraceError::Io`] for reader
-/// failures.
-///
-/// # Examples
-///
-/// ```
-/// use sdbp_trace::read_text;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let text = "!name demo\n1000 T 4\n1008 N\n";
-/// let trace = read_text(&mut text.as_bytes())?;
-/// assert_eq!(trace.meta().name, "demo");
-/// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace.meta().total_instructions, 6, "gaps 4 and 0, plus two branches");
-/// # Ok(())
-/// # }
-/// ```
-pub fn read_text<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
-    let reader = BufReader::new(r);
-    let mut builder = TraceBuilder::new();
-    let mut name = String::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        match parse_text_line(&line, idx + 1)? {
-            ParsedLine::Event(e) => {
-                builder.push(e);
-            }
-            ParsedLine::Name(n) => name = n,
-            ParsedLine::Nothing => {}
-        }
-    }
-    let mut trace = builder.finish();
-    if !name.is_empty() {
-        let meta = crate::trace::TraceMeta {
-            total_instructions: trace.meta().total_instructions,
-            name,
-        };
-        trace = Trace::from_parts(meta, trace.into_iter().collect());
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode;
     use crate::trace::TraceBuilder;
+    use crate::TraceFormat;
+
+    fn decode_text(text: &[u8]) -> Result<Trace, TraceError> {
+        decode(TraceFormat::SdbpText, text)
+    }
 
     #[test]
     fn roundtrip_with_name() {
@@ -239,14 +211,14 @@ mod tests {
         let trace = b.finish();
         let mut buf = Vec::new();
         write_text(&mut buf, &trace).unwrap();
-        let back = read_text(&mut &buf[..]).unwrap();
+        let back = decode_text(&buf).unwrap();
         assert_eq!(back, trace);
     }
 
     #[test]
     fn comments_blanks_and_unknown_directives_are_ignored() {
         let text = "# header\n\n!future stuff\n10 T 1\n";
-        let trace = read_text(&mut text.as_bytes()).unwrap();
+        let trace = decode_text(text.as_bytes()).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.events()[0].pc, BranchAddr(0x10));
     }
@@ -254,7 +226,7 @@ mod tests {
     #[test]
     fn gap_defaults_to_zero_and_accepts_aliases() {
         let text = "10 t\n14 1 5\n18 0\n";
-        let trace = read_text(&mut text.as_bytes()).unwrap();
+        let trace = decode_text(text.as_bytes()).unwrap();
         assert_eq!(trace.events()[0].gap, 0);
         assert!(trace.events()[0].taken);
         assert!(trace.events()[1].taken);
@@ -264,14 +236,14 @@ mod tests {
 
     #[test]
     fn accepts_0x_prefixed_pcs() {
-        let trace = read_text(&mut "0x1000 T 2\n".as_bytes()).unwrap();
+        let trace = decode_text("0x1000 T 2\n".as_bytes()).unwrap();
         assert_eq!(trace.events()[0].pc, BranchAddr(0x1000));
     }
 
     #[test]
     fn reports_line_numbers_on_errors() {
         let text = "10 T 1\nZZZ T 1\n";
-        match read_text(&mut text.as_bytes()) {
+        match decode_text(text.as_bytes()) {
             Err(TraceError::BadRecord {
                 line: 2,
                 kind: RecordError::BadPc { .. },
@@ -283,28 +255,28 @@ mod tests {
     #[test]
     fn rejects_bad_outcome_and_trailing_fields() {
         assert!(matches!(
-            read_text(&mut "10 X 1\n".as_bytes()),
+            decode_text("10 X 1\n".as_bytes()),
             Err(TraceError::BadRecord {
                 line: 1,
                 kind: RecordError::BadOutcome { .. },
             })
         ));
         assert!(matches!(
-            read_text(&mut "10 T 1 junk\n".as_bytes()),
+            decode_text("10 T 1 junk\n".as_bytes()),
             Err(TraceError::BadRecord {
                 kind: RecordError::TrailingField { .. },
                 ..
             })
         ));
         assert!(matches!(
-            read_text(&mut "10\n".as_bytes()),
+            decode_text("10\n".as_bytes()),
             Err(TraceError::BadRecord {
                 kind: RecordError::MissingOutcome,
                 ..
             })
         ));
         assert!(matches!(
-            read_text(&mut "10 T 4294967296\n".as_bytes()),
+            decode_text("10 T 4294967296\n".as_bytes()),
             Err(TraceError::BadRecord {
                 kind: RecordError::BadGap { .. },
                 ..
@@ -314,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_an_empty_trace() {
-        let trace = read_text(&mut "".as_bytes()).unwrap();
+        let trace = decode_text("".as_bytes()).unwrap();
         assert!(trace.is_empty());
         assert_eq!(trace.meta().total_instructions, 0);
     }

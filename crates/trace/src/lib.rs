@@ -45,7 +45,7 @@ pub mod trace;
 
 mod error;
 
-pub use codec::{read_binary, read_text, write_binary, write_text};
+pub use codec::{write_binary, write_text};
 pub use error::{RecordError, TraceError};
 pub use event::{BranchAddr, BranchEvent, Outcome, PcHasher, PcMap, PcSet};
 pub use import::{

@@ -1,5 +1,5 @@
 //! Build your own workload: a custom `WorkloadSpec` pushed through the
-//! pipeline, plus a hand-written trace parsed from text.
+//! pipeline, plus a hand-written trace imported from a text file.
 //!
 //! Shows the two ways to feed the simulator something that is not one of
 //! the six calibrated SPECINT95 models: (1) a parameterized synthetic
@@ -89,9 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "1000 N 3\n"
         });
     }
-    let trace = sdbp::trace::read_text(&mut text.as_bytes())?;
+    let path = std::env::temp_dir().join(format!("handwritten-{}.txt", std::process::id()));
+    std::fs::write(&path, text)?;
+    let trace = sdbp::trace::import_trace(&path)?;
+    std::fs::remove_file(&path)?;
     println!(
-        "\nparsed external trace '{}': {} branches",
+        "\nimported external trace '{}': {} branches",
         trace.meta().name,
         trace.len()
     );

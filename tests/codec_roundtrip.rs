@@ -1,9 +1,19 @@
-//! Cross-crate codec tests: real workload traces through both codecs,
-//! including on-disk files.
+//! Cross-crate codec tests: real workload traces through both codecs and
+//! back through the streaming importer, including on-disk files.
 
 use sdbp::prelude::*;
-use sdbp::trace::{read_binary, read_text, write_binary, write_text};
+use sdbp::trace::{import_trace, write_binary, write_text, ImportStream, TraceError, TraceFormat};
 use std::fs;
+use std::io::Cursor;
+
+/// Decodes an in-memory trace through the streaming importer, failing with
+/// the decode error that ended the stream, if any.
+fn decode(format: TraceFormat, bytes: &[u8]) -> Result<Trace, TraceError> {
+    let reader = Box::new(Cursor::new(bytes.to_vec()));
+    let mut stream = ImportStream::open(format, reader, String::new())?;
+    let trace = (&mut stream).collect_trace();
+    stream.take_error().map_or(Ok(trace), Err)
+}
 
 fn workload_trace(instructions: u64) -> Trace {
     Workload::spec95(Benchmark::Perl)
@@ -17,7 +27,7 @@ fn binary_roundtrips_a_real_workload_trace() {
     let trace = workload_trace(200_000);
     let mut buf = Vec::new();
     write_binary(&mut buf, &trace).expect("in-memory write");
-    let back = read_binary(&mut &buf[..]).expect("own output parses");
+    let back = decode(TraceFormat::SdbtBinary, &buf).expect("own output parses");
     assert_eq!(back, trace);
     // Delta+varint coding should be compact on real streams.
     assert!(
@@ -33,7 +43,7 @@ fn text_roundtrips_a_real_workload_trace() {
     let trace = workload_trace(100_000);
     let mut buf = Vec::new();
     write_text(&mut buf, &trace).expect("in-memory write");
-    let back = read_text(&mut &buf[..]).expect("own output parses");
+    let back = decode(TraceFormat::SdbpText, &buf).expect("own output parses");
     assert_eq!(back.events(), trace.events());
     assert_eq!(back.meta().name, trace.meta().name);
 }
@@ -45,8 +55,8 @@ fn formats_agree_with_each_other() {
     write_binary(&mut bin, &trace).expect("write");
     let mut text = Vec::new();
     write_text(&mut text, &trace).expect("write");
-    let from_bin = read_binary(&mut &bin[..]).expect("read");
-    let from_text = read_text(&mut &text[..]).expect("read");
+    let from_bin = decode(TraceFormat::SdbtBinary, &bin).expect("read");
+    let from_text = decode(TraceFormat::SdbpText, &text).expect("read");
     assert_eq!(from_bin.events(), from_text.events());
 }
 
@@ -63,7 +73,7 @@ fn file_roundtrip_and_simulation_equivalence() {
     write_binary(&mut buf, &trace).expect("write");
     fs::write(&path, &buf).expect("write file");
 
-    let loaded = read_binary(&mut fs::File::open(&path).expect("open")).expect("read file");
+    let loaded = import_trace(&path).expect("read file");
     let mut live = CombinedPredictor::pure_dynamic(
         PredictorConfig::new(PredictorKind::Gshare, 2048)
             .expect("valid")
