@@ -818,7 +818,10 @@ pub const SUITE: [fn(&Lab) -> String; 13] = [
     ablate_mcfarling,
 ];
 
-/// Every spec the full experiment suite runs, in execution order.
+/// Every spec the full experiment suite runs, grouped by grid. The grids
+/// through Figure 13 come in [`SUITE`] order; the five ablation grids do
+/// not (McFarling and doubling come first here, last in `SUITE`). The order
+/// is kept because `sdbp check --suite` reports in it.
 ///
 /// This is the harness's own pre-flight surface: `sdbp check --suite` and
 /// the suite-hygiene test below lint every one of these through

@@ -4,10 +4,11 @@
 //! [`CombinedPredictor`] + [`Simulator`] — for every built-in predictor and
 //! a gshare size sweep, against a faithful replica of the pre-optimization
 //! kernel: a gshare built on the naive [`ReferenceTable`], virtually
-//! dispatched through `Box<dyn DynamicPredictor>`, driven one event at a
-//! time through `next_event`. The same workload streams feed both sides, so
-//! the ratio isolates the kernel changes (bit-packed counters, enum
-//! dispatch, chunked event pulls) from everything else.
+//! dispatched through a boxed trait object with separate `predict` and
+//! `update` calls, driven one event at a time through `next_event`. The
+//! same workload streams feed both sides, so the ratio isolates the kernel
+//! changes (bit-packed counters, enum dispatch, chunked event pulls) from
+//! everything else.
 //!
 //! Run by `sdbp bench kernel`, which writes the machine-readable
 //! `BENCH_kernel.json` record used by CI and the performance docs.
@@ -17,7 +18,7 @@ use sdbp_core::{
     ArtifactCache, BranchResolution, CombinedPredictor, ShiftPolicy, SimStats, Simulator,
 };
 use sdbp_predictors::{
-    DynamicPredictor, HistoryRegister, Prediction, PredictorConfig, PredictorKind, ReferenceTable,
+    HistoryRegister, Prediction, PredictorConfig, PredictorKind, ReferenceTable,
 };
 use sdbp_profiles::HintDatabase;
 use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, SliceSource};
@@ -191,17 +192,24 @@ impl ReferenceGshare {
         (pc.word_index() ^ (self.history.bits(self.history_len) & hist_mask))
             & self.table.index_mask()
     }
-}
 
-impl DynamicPredictor for ReferenceGshare {
-    fn name(&self) -> &'static str {
-        "gshare-reference"
-    }
-
-    fn size_bytes(&self) -> usize {
+    /// The storage budget in bytes.
+    pub fn size_bytes(&self) -> usize {
         self.table.size_bytes()
     }
+}
 
+/// The pre-optimization per-branch interface: a lookup that latches its
+/// context, then a separate training call that checks and consumes it — two
+/// virtual calls per dynamic branch through `BaselineCombined`.
+trait ReferencePredictor {
+    fn predict(&mut self, pc: BranchAddr) -> Prediction;
+    fn update(&mut self, pc: BranchAddr, taken: bool);
+    fn shift_history(&mut self, taken: bool);
+    fn total_collisions(&self) -> u64;
+}
+
+impl ReferencePredictor for ReferenceGshare {
     fn predict(&mut self, pc: BranchAddr) -> Prediction {
         let index = self.index(pc);
         let (taken, collision) = self.table.lookup(index, pc);
@@ -222,10 +230,6 @@ impl DynamicPredictor for ReferenceGshare {
 
     fn total_collisions(&self) -> u64 {
         self.table.collisions()
-    }
-
-    fn history_bits(&self) -> u32 {
-        self.history_len
     }
 }
 
@@ -256,12 +260,12 @@ pub fn current_kernel_pass(
 }
 
 /// A line-for-line replica of the pre-optimization combined predictor: the
-/// dynamic component behind a `Box<dyn DynamicPredictor>` **field** (so
+/// dynamic component behind a `Box<dyn ReferencePredictor>` **field** (so
 /// every `predict`/`update` is a virtual call, as it was when the concrete
 /// type was erased at a crate boundary) and an unconditional per-branch
 /// hint-database probe.
 struct BaselineCombined {
-    dynamic: Box<dyn DynamicPredictor>,
+    dynamic: Box<dyn ReferencePredictor>,
     hints: HintDatabase,
     shift_policy: ShiftPolicy,
 }
@@ -305,7 +309,7 @@ pub fn baseline_kernel_pass(size_bytes: usize, suite: &[Arc<Vec<BranchEvent>>]) 
         // into this loop — an optimization the pre-PR build never got,
         // because the box was constructed in a different crate than the
         // simulator loop that called through it.
-        let boxed: Box<dyn DynamicPredictor> = Box::new(ReferenceGshare::new(size_bytes));
+        let boxed: Box<dyn ReferencePredictor> = Box::new(ReferenceGshare::new(size_bytes));
         let mut predictor = BaselineCombined {
             dynamic: black_box(boxed),
             hints: HintDatabase::new(),
@@ -421,6 +425,7 @@ pub fn run(quick: bool, mut progress: impl FnMut(&KernelMeasurement)) -> KernelR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdbp_predictors::DynamicPredictor;
 
     fn tiny_suite() -> Vec<Arc<Vec<BranchEvent>>> {
         workload_suite(&ArtifactCache::new(), 60_000)
@@ -436,10 +441,8 @@ mod tests {
         assert_eq!(packed.size_bytes(), reference.size_bytes());
         for events in &suite {
             for e in events.iter() {
-                let a = packed.predict(e.pc);
                 let b = reference.predict(e.pc);
-                assert_eq!(a, b);
-                packed.update(e.pc, e.taken);
+                assert_eq!(packed.predict_update(e.pc, e.taken), b);
                 reference.update(e.pc, e.taken);
             }
         }

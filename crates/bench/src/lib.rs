@@ -88,13 +88,6 @@ pub fn spec(
     s
 }
 
-/// Runs a spec in a lab and prints its one-line summary as progress.
-pub fn run_verbose(lab: &Lab, s: &ExperimentSpec) -> Report {
-    let report = lab.run(s).expect("harness specs are well-formed");
-    eprintln!("  {report}");
-    report
-}
-
 /// Runs a grid of specs through the parallel [`Sweep`] engine, sharing the
 /// lab's artifact cache so profiles and traces computed by earlier grids are
 /// reused. Prints one progress line per cell and a summary line — worker

@@ -82,22 +82,6 @@ fn suggest(diag: Diagnostic, input: &str, candidates: &[&str]) -> Diagnostic {
     }
 }
 
-const BENCHMARK_NAMES: &[&str] = &["go", "gcc", "perl", "m88ksim", "compress", "ijpeg"];
-const PREDICTOR_NAMES: &[&str] = &[
-    "bimodal",
-    "ghist",
-    "gshare",
-    "bi-mode",
-    "2bcgskew",
-    "agree",
-    "yags",
-    "e-gskew",
-    "tournament",
-    "local",
-    "gselect",
-    "perceptron",
-    "tage-lite",
-];
 const SCHEME_NAMES: &[&str] = &[
     "none",
     "static_95",
@@ -106,7 +90,7 @@ const SCHEME_NAMES: &[&str] = &[
     "static_collide",
 ];
 const SHIFT_NAMES: &[&str] = &["no-shift", "shift"];
-const TRAINING_NAMES: &[&str] = &["self", "cross", "cross-merged"];
+const TRAINING_NAMES: &[&str] = &["self", "cross", "merged", "cross-merged"];
 const INPUT_NAMES: &[&str] = &["train", "ref"];
 
 /// Parses the `key value` spec-file format.
@@ -157,16 +141,19 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
         match key {
             "benchmark" => match value.parse::<Benchmark>() {
                 Ok(b) => benchmark = b,
-                Err(_) => diags.push(suggest(
-                    Diagnostic::error(
-                        codes::UNKNOWN_BENCHMARK,
-                        format!("unknown benchmark '{value}'"),
-                    )
-                    .with_span(Span::line(origin, "benchmark", line_no))
-                    .with_note(format!("known benchmarks: {}", BENCHMARK_NAMES.join(", "))),
-                    value,
-                    BENCHMARK_NAMES,
-                )),
+                Err(_) => {
+                    let names = Benchmark::SYNTHETIC.map(Benchmark::name);
+                    diags.push(suggest(
+                        Diagnostic::error(
+                            codes::UNKNOWN_BENCHMARK,
+                            format!("unknown benchmark '{value}'"),
+                        )
+                        .with_span(Span::line(origin, "benchmark", line_no))
+                        .with_note(format!("known benchmarks: {}", names.join(", "))),
+                        value,
+                        &names,
+                    ))
+                }
             },
             "predictor" => match value.parse::<PredictorKind>() {
                 Ok(k) => {
@@ -175,15 +162,16 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                 }
                 Err(_) => {
                     config_unusable = true;
+                    let names = PredictorKind::ALL.map(PredictorKind::name);
                     diags.push(suggest(
                         Diagnostic::error(
                             codes::UNKNOWN_PREDICTOR,
                             format!("unknown predictor '{value}'"),
                         )
                         .with_span(Span::line(origin, "predictor", line_no))
-                        .with_note(format!("known predictors: {}", PREDICTOR_NAMES.join(", "))),
+                        .with_note(format!("known predictors: {}", names.join(", "))),
                         value,
-                        PREDICTOR_NAMES,
+                        &names,
                     ));
                 }
             },
@@ -222,24 +210,17 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                     SHIFT_NAMES,
                 )),
             },
-            "training" => match value {
-                "self" => training = ProfileSource::SelfTrained,
-                "cross" => training = ProfileSource::CrossTrained,
-                "cross-merged" => {
-                    training = ProfileSource::MergedCrossTrained {
-                        max_bias_change: 0.05,
-                    }
-                }
-                _ => diags.push(suggest(
-                    malformed("training", "self, cross, or cross-merged"),
+            "training" => match value.parse::<ProfileSource>() {
+                Ok(t) => training = t,
+                Err(_) => diags.push(suggest(
+                    malformed("training", "self, cross, merged, or cross-merged"),
                     value,
                     TRAINING_NAMES,
                 )),
             },
-            "input" => match value {
-                "train" => input = InputSet::Train,
-                "ref" => input = InputSet::Ref,
-                _ => diags.push(suggest(
+            "input" => match value.parse::<InputSet>() {
+                Ok(i) => input = i,
+                Err(_) => diags.push(suggest(
                     malformed("input", "train or ref"),
                     value,
                     INPUT_NAMES,
@@ -696,6 +677,34 @@ warmup 1000
     }
 
     #[test]
+    fn both_spellings_of_merged_training_parse_cleanly() {
+        for spelling in ["merged", "cross-merged"] {
+            let (parsed, diags) = parse_spec_text(&format!("training {spelling}\n"), "<test>");
+            assert!(diags.is_empty(), "{spelling}: {}", diags.render_text());
+            assert_eq!(
+                parsed.spec.unwrap().profile,
+                ProfileSource::MergedCrossTrained {
+                    max_bias_change: 0.05
+                },
+                "{spelling}"
+            );
+        }
+    }
+
+    #[test]
+    fn benchmark_suggestions_cover_every_synthetic_benchmark() {
+        // `server_wev` is 1 edit from server_web and 3 from server_db, so
+        // the suggestion does not depend on list order.
+        let (_, diags) = parse_spec_text("benchmark server_wev\n", "<test>");
+        assert_eq!(codes_of(&diags), [13]);
+        let d = diags.iter().next().unwrap();
+        assert_eq!(d.suggestion.as_deref(), Some("did you mean 'server_web'?"));
+        for b in Benchmark::SYNTHETIC {
+            assert!(d.notes[0].contains(b.name()), "{b} missing: {}", d.notes[0]);
+        }
+    }
+
+    #[test]
     fn unknown_names_get_suggestions() {
         let (_, diags) = parse_spec_text(
             "benchmark compres\npredictor gshar\nscheme statik_95\n",
@@ -934,7 +943,8 @@ warmup 1000
         assert_eq!(edit_distance("gshare", "gshare"), 0);
         assert_eq!(edit_distance("gshar", "gshare"), 1);
         assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(closest("gsahre", PREDICTOR_NAMES), Some("gshare"));
-        assert_eq!(closest("zzzzzz", PREDICTOR_NAMES), None);
+        let names = PredictorKind::ALL.map(PredictorKind::name);
+        assert_eq!(closest("gsahre", &names), Some("gshare"));
+        assert_eq!(closest("zzzzzz", &names), None);
     }
 }

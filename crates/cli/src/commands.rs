@@ -30,15 +30,7 @@ fn run_options(args: &Args) -> Result<RunOptions, CliError> {
         .get_or("benchmark", "gcc")
         .parse()
         .map_err(CliError::usage)?;
-    let input = match args.get_or("input", "ref") {
-        "train" => InputSet::Train,
-        "ref" => InputSet::Ref,
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --input '{other}' (train|ref)"
-            )))
-        }
-    };
+    let input = input_of(args)?;
     let seed = args
         .get_parsed_or("seed", 2000u64)
         .map_err(CliError::Usage)?;
@@ -52,6 +44,14 @@ fn run_options(args: &Args) -> Result<RunOptions, CliError> {
         seed,
         instructions,
     })
+}
+
+/// Parses `--input` through [`InputSet`]'s own parser, which `sdbp check`
+/// also uses.
+fn input_of(args: &Args) -> Result<InputSet, CliError> {
+    args.get_or("input", "ref")
+        .parse()
+        .map_err(|e| CliError::Usage(format!("invalid --input: {e}")))
 }
 
 /// Parses `--scheme` through [`SelectionScheme`]'s own parser — the same
@@ -249,26 +249,17 @@ pub fn sim(args: &Args) -> CmdResult {
     // Workload mode: the full two-phase experiment.
     let opts = run_options(args)?;
     let scheme = scheme_of(args)?;
+    let training: ProfileSource = args
+        .get_or("training", "self")
+        .parse()
+        .map_err(|e| CliError::Usage(format!("invalid --training: {e}")))?;
     let mut spec = ExperimentSpec::self_trained(opts.benchmark, config, scheme)
         .with_shift(shift)
         .with_seed(opts.seed)
-        .with_measure_input(opts.input);
+        .with_measure_input(opts.input)
+        .with_profile(training);
     spec.measure_instructions = Some(opts.instructions);
     spec.profile_instructions = Some(opts.instructions);
-    match args.get_or("training", "self") {
-        "self" => {}
-        "cross" => spec = spec.with_profile(ProfileSource::CrossTrained),
-        "merged" => {
-            spec = spec.with_profile(ProfileSource::MergedCrossTrained {
-                max_bias_change: 0.05,
-            })
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --training '{other}' (self|cross|merged)"
-            )))
-        }
-    }
     let report = Lab::new().run(&spec)?;
     println!("{report}");
     Ok(())
@@ -356,15 +347,7 @@ fn grid_benchmarks(args: &Args) -> Result<Vec<Benchmark>, CliError> {
 /// external trace file and grids over it.
 pub fn grid(args: &Args) -> CmdResult {
     let benchmarks = grid_benchmarks(args)?;
-    let input = match args.get_or("input", "ref") {
-        "train" => InputSet::Train,
-        "ref" => InputSet::Ref,
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --input '{other}' (train|ref)"
-            )))
-        }
-    };
+    let input = input_of(args)?;
     let seed = args
         .get_parsed_or("seed", 2000u64)
         .map_err(CliError::Usage)?;

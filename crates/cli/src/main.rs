@@ -134,7 +134,7 @@ common options:
                                                    static_collide cells on
                                                    analysis-opaque
                                                    predictors render n/a)
-  --training self|cross|merged                     (default self)
+  --training self|cross|merged|cross-merged        (default self)
   --shift                                          shift static outcomes into ghist
   --hints h.hints                                  hint database (trace mode)
   --threads N                                      sweep/grid worker threads

@@ -251,11 +251,6 @@ impl ArtifactCache {
         let _ = self.disk.set(store);
     }
 
-    /// The attached disk tier, if any.
-    pub fn disk_store(&self) -> Option<Arc<Store>> {
-        self.disk.get().cloned()
-    }
-
     /// A snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

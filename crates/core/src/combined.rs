@@ -55,8 +55,8 @@ pub struct BranchResolution {
 /// Per branch: if the hint database holds an entry for the PC, the hint bit
 /// is the prediction and the dynamic predictor is **neither probed nor
 /// trained** — that is how static prediction relieves aliasing pressure.
-/// Otherwise the branch flows through the dynamic predictor's normal
-/// predict/update protocol.
+/// Otherwise the dynamic predictor predicts and trains on the branch through
+/// its `predict_update`.
 ///
 /// # Examples
 ///
@@ -140,7 +140,7 @@ impl CombinedPredictor {
     /// Predicts and trains for one resolved branch, returning how it was
     /// handled. This is the per-branch hot path of the whole system: the
     /// dynamic component is enum-dispatched, so for the built-in predictors
-    /// `predict`/`update` resolve statically instead of through a vtable.
+    /// `predict_update` resolves statically instead of through a vtable.
     #[inline]
     pub fn resolve(&mut self, event: &sdbp_trace::BranchEvent) -> BranchResolution {
         // Pure-dynamic configurations (empty hint database) are the common

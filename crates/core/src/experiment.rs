@@ -19,6 +19,7 @@ use sdbp_profiles::{
 };
 use sdbp_workloads::{Benchmark, InputSet};
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Where the profile that drives hint selection comes from.
@@ -55,6 +56,29 @@ impl ProfileSource {
             ProfileSource::SelfTrained => "self",
             ProfileSource::CrossTrained => "cross",
             ProfileSource::MergedCrossTrained { .. } => "cross-merged",
+        }
+    }
+}
+
+/// Parses a training regime: `self`, `cross`, or merged cross-training as
+/// `merged` or its [`label`](ProfileSource::label) `cross-merged`, with the
+/// paper's 5% bias-change threshold.
+///
+/// This is the single source of truth for training names — `sdbp sim
+/// --training` and `sdbp check`'s spec parser both call it.
+impl FromStr for ProfileSource {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "self" => Ok(ProfileSource::SelfTrained),
+            "cross" => Ok(ProfileSource::CrossTrained),
+            "merged" | "cross-merged" => Ok(ProfileSource::MergedCrossTrained {
+                max_bias_change: 0.05,
+            }),
+            other => Err(format!(
+                "unknown training '{other}' (expected self, cross, merged, or cross-merged)"
+            )),
         }
     }
 }
@@ -779,6 +803,30 @@ mod tests {
             scheme,
         )
         .with_instructions(300_000)
+    }
+
+    #[test]
+    fn profile_source_parses_every_training_name() {
+        let merged = ProfileSource::MergedCrossTrained {
+            max_bias_change: 0.05,
+        };
+        for (name, want) in [
+            ("self", ProfileSource::SelfTrained),
+            ("cross", ProfileSource::CrossTrained),
+            ("merged", merged),
+            ("cross-merged", merged),
+        ] {
+            assert_eq!(name.parse::<ProfileSource>(), Ok(want), "{name}");
+        }
+        for source in [
+            ProfileSource::SelfTrained,
+            ProfileSource::CrossTrained,
+            merged,
+        ] {
+            assert_eq!(source.label().parse::<ProfileSource>(), Ok(source));
+        }
+        let err = "Self".parse::<ProfileSource>().unwrap_err();
+        assert!(err.contains("'Self'"), "{err}");
     }
 
     #[test]

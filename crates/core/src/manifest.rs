@@ -23,7 +23,6 @@ use sdbp_artifacts::{Digest, Json, Store};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectError;
 use sdbp_workloads::{Benchmark, InputSet};
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -276,15 +275,6 @@ impl RunManifest {
             }
         }
         Ok(RunManifest { entries, torn })
-    }
-
-    /// The latest record per spec digest, for resume decisions.
-    pub fn latest_by_digest(&self) -> HashMap<Digest, &ManifestEntry> {
-        let mut map = HashMap::new();
-        for entry in &self.entries {
-            map.insert(entry.spec_digest, entry);
-        }
-        map
     }
 
     /// The canonical form used for byte-identity comparisons between runs:

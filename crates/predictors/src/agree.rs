@@ -2,7 +2,7 @@
 
 use crate::history::HistoryRegister;
 use crate::table::{fold_tag, pack_entry, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// Sprangle et al.'s *agree mechanism*, cited by the paper as an alternative
@@ -27,23 +27,13 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Agree::new(1024);
-/// let _ = p.predict(BranchAddr(0x10));
-/// p.update(BranchAddr(0x10), true);
+/// p.predict_update(BranchAddr(0x10), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Agree {
     counters: PredictionTable,
     bias: Vec<Option<bool>>,
     history: HistoryRegister,
-    latched: Option<Latched<Ctx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    counter_index: u64,
-    bias_index: usize,
-    bias_bit: bool,
-    agree_pred: bool,
 }
 
 impl Agree {
@@ -67,7 +57,6 @@ impl Agree {
             counters,
             bias: vec![None; entries],
             history,
-            latched: None,
         }
     }
 
@@ -90,41 +79,22 @@ impl DynamicPredictor for Agree {
         self.counters.size_bytes() + self.bias.len() / 8
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let counter_index = self.counter_index(pc);
         let bias_index = self.bias_index(pc);
         let (agree_pred, collision) = self.counters.lookup(counter_index, pc);
         // An unset bias defaults to taken (backward-taken heuristics would
-        // slot in here); it is fixed at the branch's first update.
-        let bias_bit = self.bias[bias_index].unwrap_or(true);
-        let taken = if agree_pred { bias_bit } else { !bias_bit };
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                counter_index,
-                bias_index,
-                bias_bit,
-                agree_pred,
-            },
-        });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "agree");
-        // First-execution bias capture.
-        let bias_bit = match self.bias[ctx.bias_index] {
-            Some(b) => b,
-            None => {
-                self.bias[ctx.bias_index] = Some(taken);
-                taken
-            }
-        };
+        // slot in here); the branch's first outcome then fixes it.
+        let predicted = agree_pred == self.bias[bias_index].unwrap_or(true);
+        let bias_bit = *self.bias[bias_index].get_or_insert(taken);
         // The counter learns agreement with the (possibly just-set) bias.
-        self.counters.train(ctx.counter_index, taken == bias_bit);
-        let _ = ctx.bias_bit;
-        let _ = ctx.agree_pred;
+        self.counters.train(counter_index, taken == bias_bit);
         self.history.push(taken);
+        Prediction {
+            taken: predicted,
+            collision,
+        }
     }
 
     /// The batched hot path: one fused read-modify-write of the counter
@@ -208,11 +178,9 @@ mod tests {
         let mut p = Agree::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..20 {
-            let _ = p.predict(pc);
-            p.update(pc, false);
+            p.predict_update(pc, false);
         }
-        assert!(!p.predict(pc).taken);
-        p.update(pc, false);
+        assert!(!p.predict_update(pc, false).taken);
     }
 
     #[test]
@@ -227,22 +195,20 @@ mod tests {
         let mut correct = 0;
         let mut total = 0;
         for i in 0..3000 {
-            let pa = p.predict(a);
+            let pa = p.predict_update(a, true);
             if i >= 1000 {
                 total += 1;
                 if pa.taken {
                     correct += 1;
                 }
             }
-            p.update(a, true);
-            let pb = p.predict(b);
+            let pb = p.predict_update(b, false);
             if i >= 1000 {
                 total += 1;
                 if !pb.taken {
                     correct += 1;
                 }
             }
-            p.update(b, false);
         }
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.97, "agree accuracy with heavy sharing: {acc}");
@@ -252,17 +218,17 @@ mod tests {
     fn bias_is_fixed_at_first_outcome() {
         let mut p = Agree::new(64);
         let pc = BranchAddr(0x10);
-        let _ = p.predict(pc);
-        p.update(pc, false); // bias latches not-taken
+        p.predict_update(pc, false); // the first outcome fixes the bias
         assert_eq!(p.bias[p.bias_index(pc)], Some(false));
         for _ in 0..10 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
         // Bias bit itself never changes; the counters learned to DISagree.
         assert_eq!(p.bias[p.bias_index(pc)], Some(false));
-        assert!(p.predict(pc).taken, "disagree-with-bias yields taken");
-        p.update(pc, true);
+        assert!(
+            p.predict_update(pc, true).taken,
+            "disagree-with-bias yields taken"
+        );
     }
 
     #[test]
@@ -294,8 +260,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());

@@ -2,7 +2,7 @@
 
 use crate::index_spec::IndexSpec;
 use crate::table::PredictionTable;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::BranchAddr;
 
 /// The classic per-address 2-bit-counter predictor.
@@ -21,13 +21,11 @@ use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Bimodal::new(2048); // 2 KB => 8K counters
 /// assert_eq!(p.size_bytes(), 2048);
-/// let _ = p.predict(BranchAddr(0x10));
-/// p.update(BranchAddr(0x10), false);
+/// p.predict_update(BranchAddr(0x10), false);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bimodal {
     table: PredictionTable,
-    latched: Option<Latched<u64>>,
 }
 
 impl Bimodal {
@@ -39,7 +37,6 @@ impl Bimodal {
     pub fn new(size_bytes: usize) -> Self {
         Self {
             table: PredictionTable::two_bit(size_bytes * 4),
-            latched: None,
         }
     }
 
@@ -55,18 +52,6 @@ impl DynamicPredictor for Bimodal {
 
     fn size_bytes(&self) -> usize {
         self.table.size_bytes()
-    }
-
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let index = self.index(pc);
-        let (taken, collision) = self.table.lookup(index, pc);
-        self.latched = Some(Latched { pc, ctx: index });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let index = Latched::take_for(&mut self.latched, pc, "bimodal");
-        self.table.train(index, taken);
     }
 
     #[inline]
@@ -109,11 +94,9 @@ mod tests {
         let mut p = Bimodal::new(1024);
         let pc = BranchAddr(0x1234 & !3);
         for _ in 0..4 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -121,18 +104,15 @@ mod tests {
         let mut p = Bimodal::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..10 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
         for _ in 0..3 {
-            let _ = p.predict(pc);
-            p.update(pc, false);
+            p.predict_update(pc, false);
         }
         assert!(
-            !p.predict(pc).taken,
+            !p.predict_update(pc, false).taken,
             "three not-takens flip a saturated counter"
         );
-        p.update(pc, false);
     }
 
     #[test]
@@ -141,12 +121,9 @@ mod tests {
         let a = BranchAddr(0x0);
         let b = BranchAddr(0x400); // 0x400>>2 = 0x100 = 256 ≡ 0 (mod 256): aliases a
         let c = BranchAddr(0x4); // index 1: no alias
-        let _ = p.predict(a);
-        p.update(a, true);
-        assert!(p.predict(b).collision, "b aliases a's counter");
-        p.update(b, true);
-        assert!(!p.predict(c).collision);
-        p.update(c, true);
+        p.predict_update(a, true);
+        assert!(p.predict_update(b, true).collision, "b aliases a's counter");
+        assert!(!p.predict_update(c, true).collision);
         assert_eq!(p.total_collisions(), 1);
     }
 
@@ -163,13 +140,11 @@ mod tests {
     fn shift_history_is_a_noop() {
         let mut p = Bimodal::new(64);
         let pc = BranchAddr(0x8);
-        let before = p.predict(pc);
-        p.update(pc, before.taken);
+        p.predict_update(pc, false);
         p.shift_history(true);
         p.shift_history(false);
         // Nothing observable changes; just must not panic.
-        let _ = p.predict(pc);
-        p.update(pc, true);
+        p.predict_update(pc, true);
     }
 
     #[test]
@@ -183,12 +158,5 @@ mod tests {
         assert!(p.probe_indices(pc, 0xffff, &mut with_history));
         assert_eq!(probes, with_history, "history must not affect the index");
         assert_eq!(p.history_bits(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a preceding predict")]
-    fn update_requires_predict() {
-        let mut p = Bimodal::new(64);
-        p.update(BranchAddr(0x8), true);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::history::HistoryRegister;
 use crate::table::{fold_tag, pack_entry, swar, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// The bi-mode predictor (Lee, Chen & Mudge).
@@ -31,8 +31,7 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 ///
 /// let mut p = BiMode::new(4096);
 /// assert_eq!(p.size_bytes(), 4096);
-/// let _ = p.predict(BranchAddr(0x44));
-/// p.update(BranchAddr(0x44), true);
+/// p.predict_update(BranchAddr(0x44), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BiMode {
@@ -40,15 +39,6 @@ pub struct BiMode {
     taken_bank: PredictionTable,
     not_taken_bank: PredictionTable,
     history: HistoryRegister,
-    latched: Option<Latched<BiModeCtx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BiModeCtx {
-    choice_index: u64,
-    choice_taken: bool,
-    dir_index: u64,
-    dir_taken: bool,
 }
 
 impl BiMode {
@@ -73,7 +63,6 @@ impl BiMode {
             taken_bank,
             not_taken_bank,
             history,
-            latched: None,
         }
     }
 
@@ -96,48 +85,28 @@ impl DynamicPredictor for BiMode {
         self.choice.size_bytes() + self.taken_bank.size_bytes() + self.not_taken_bank.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let choice_index = self.choice_index(pc);
         let (choice_taken, choice_collision) = self.choice.lookup(choice_index, pc);
         let dir_index = self.direction_index(pc);
+        // Partial update: only the selected direction bank trains.
         let bank = if choice_taken {
             &mut self.taken_bank
         } else {
             &mut self.not_taken_bank
         };
-        let (dir_taken, dir_collision) = bank.lookup(dir_index, pc);
-        self.latched = Some(Latched {
-            pc,
-            ctx: BiModeCtx {
-                choice_index,
-                choice_taken,
-                dir_index,
-                dir_taken,
-            },
-        });
+        let (dir_taken, dir_collision) = bank.lookup_train(dir_index, pc, taken);
+        // Choice trains except when it opposed the outcome but the selected
+        // bank still got it right.
+        if !(choice_taken != taken && dir_taken == taken) {
+            self.choice.train(choice_index, taken);
+        }
+        self.history.push(taken);
         Prediction {
             taken: dir_taken,
             collision: choice_collision || dir_collision,
         }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "bi-mode");
-        // Partial update: only the selected direction bank trains.
-        let bank = if ctx.choice_taken {
-            &mut self.taken_bank
-        } else {
-            &mut self.not_taken_bank
-        };
-        bank.train(ctx.dir_index, taken);
-        // Choice trains except when it opposed the outcome but the selected
-        // bank still got it right.
-        let final_correct = ctx.dir_taken == taken;
-        let choice_opposed = ctx.choice_taken != taken;
-        if !(choice_opposed && final_correct) {
-            self.choice.train(ctx.choice_index, taken);
-        }
-        self.history.push(taken);
     }
 
     /// The batched hot path: per event, the choice byte and the *selected*
@@ -250,11 +219,9 @@ mod tests {
         let mut p = BiMode::new(1024);
         let pc = BranchAddr(0x80);
         for _ in 0..20 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -265,11 +232,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..4000 {
             let outcome = pattern[i % pattern.len()];
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 3000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(
             correct as f64 / 1000.0 > 0.95,
@@ -289,22 +255,20 @@ mod tests {
         let mut correct = 0;
         let mut total = 0;
         for i in 0..2000 {
-            let pa = p.predict(a);
+            let pa = p.predict_update(a, true);
             if i >= 500 {
                 total += 1;
                 if pa.taken {
                     correct += 1;
                 }
             }
-            p.update(a, true);
-            let pb = p.predict(b);
+            let pb = p.predict_update(b, false);
             if i >= 500 {
                 total += 1;
                 if !pb.taken {
                     correct += 1;
                 }
             }
-            p.update(b, false);
         }
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.97, "bi-mode channeling accuracy {acc}");
@@ -316,16 +280,14 @@ mod tests {
         let pc = BranchAddr(0x40);
         // Train the choice strongly toward taken.
         for _ in 0..8 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
         let choice_idx = p.choice_index(pc);
         let strong = p.choice.counter(choice_idx).value();
         // Now feed not-taken outcomes that the taken-bank learns to predict
         // correctly; once it does, the choice must stop being degraded.
         for _ in 0..20 {
-            let _ = p.predict(pc);
-            p.update(pc, false);
+            p.predict_update(pc, false);
         }
         let after = p.choice.counter(choice_idx).value();
         // The choice was pushed down at most a couple of steps while the
@@ -335,7 +297,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_protocol() {
-        // The SWAR batch loop against the predict/update protocol, event for
+        // The SWAR batch loop against the scalar `predict_update`, event for
         // event, across batch sizes covering empty, single-event and
         // multi-event calls.
         let mut state = 0xfeed_face_cafe_beefu64;
@@ -365,8 +327,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());
@@ -387,8 +348,7 @@ mod tests {
         let mut p = BiMode::new(64);
         for i in 0..200u64 {
             let pc = BranchAddr(i * 64);
-            let _ = p.predict(pc);
-            p.update(pc, i % 2 == 0);
+            p.predict_update(pc, i % 2 == 0);
         }
         assert!(p.total_collisions() > 0);
     }

@@ -320,8 +320,8 @@ impl PredictorConfig {
 
     /// Instantiates the predictor behind the enum-dispatched
     /// [`AnyPredictor`], the form the simulation hot path wants: the inner
-    /// loop then resolves `predict`/`update` by discriminant match instead
-    /// of virtual calls. Sizing rules are identical to
+    /// loop then resolves `predict_update` by discriminant match instead
+    /// of a virtual call. Sizing rules are identical to
     /// [`PredictorConfig::build`].
     pub fn build_any(&self) -> AnyPredictor {
         match self.kind {
@@ -406,11 +406,10 @@ mod tests {
                 "{kind}: {} bytes",
                 p.size_bytes()
             );
-            // Every predictor must run the basic protocol.
+            // Every predictor must resolve branches and shift history.
             for i in 0..100u64 {
                 let pc = BranchAddr(0x1000 + 4 * (i % 10));
-                let _ = p.predict(pc);
-                p.update(pc, i % 2 == 0);
+                p.predict_update(pc, i % 2 == 0);
                 p.shift_history(i % 3 == 0);
             }
         }

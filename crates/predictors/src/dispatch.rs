@@ -3,8 +3,8 @@
 //! [`AnyPredictor`] is a closed enum covering the paper's five predictors
 //! and the ablation set. The simulator's per-branch inner loop dispatches on
 //! the enum discriminant — a predictable branch that monomorphizes into the
-//! concrete `predict`/`update` bodies — instead of paying two virtual calls
-//! per event through `Box<dyn DynamicPredictor>`. User-defined predictors
+//! concrete `predict_update` bodies — instead of paying a virtual call per
+//! event through `Box<dyn DynamicPredictor>`. User-defined predictors
 //! keep working through the [`AnyPredictor::Custom`] escape hatch, which
 //! preserves the boxed-trait path for exactly that variant.
 
@@ -32,8 +32,7 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = AnyPredictor::from(Gshare::new(4096));
-/// let _ = p.predict(BranchAddr(0x40));
-/// p.update(BranchAddr(0x40), true);
+/// p.predict_update(BranchAddr(0x40), true);
 /// assert_eq!(p.name(), "gshare");
 /// ```
 pub enum AnyPredictor {
@@ -109,20 +108,9 @@ impl DynamicPredictor for AnyPredictor {
         dispatch!(self, p => p.size_bytes())
     }
 
-    #[inline]
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        dispatch!(self, p => p.predict(pc))
-    }
-
-    #[inline]
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        dispatch!(self, p => p.update(pc, taken))
-    }
-
     /// The simulator's per-event hot path: a *single* dispatch straight into
-    /// the concrete fused [`DynamicPredictor::predict_update`], so
-    /// single-table schemes keep their one-read-modify-write entry access
-    /// and no latched lookup context leaves registers.
+    /// the concrete [`DynamicPredictor::predict_update`], whose lookup
+    /// context stays in registers.
     #[inline]
     fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         dispatch!(self, p => p.predict_update(pc, taken))
@@ -228,36 +216,17 @@ mod tests {
             for i in 0..2000u64 {
                 let pc = BranchAddr((i % 37) * 4);
                 let taken = (i * 7 + i / 5) % 3 != 0;
-                assert_eq!(via_enum.predict(pc), direct.predict(pc), "{kind:?} @{i}");
-                via_enum.update(pc, taken);
-                direct.update(pc, taken);
+                assert_eq!(
+                    via_enum.predict_update(pc, taken),
+                    direct.predict_update(pc, taken),
+                    "{kind:?} @{i}"
+                );
             }
             assert_eq!(via_enum.total_collisions(), direct.total_collisions());
         }
     }
 
-    /// The fused hot path must be observably identical to the split
-    /// predict/update protocol for every kind — including the ones with a
-    /// fused single-RMW override.
-    #[test]
-    fn fused_predict_update_matches_split_protocol() {
-        for kind in PredictorKind::ALL {
-            let config = PredictorConfig::new(kind, 2048).unwrap();
-            let mut split = config.build_any();
-            let mut fused = config.build_any();
-            for i in 0..3000u64 {
-                let pc = BranchAddr((i % 41) * 4);
-                let taken = (i * 11 + i / 7) % 3 != 0;
-                let a = split.predict(pc);
-                split.update(pc, taken);
-                let b = fused.predict_update(pc, taken);
-                assert_eq!(a, b, "{kind:?} @{i}");
-            }
-            assert_eq!(split.total_collisions(), fused.total_collisions());
-        }
-    }
-
-    /// The batched path must equal the per-event fused path for every kind —
+    /// The batched path must equal the per-event path for every kind —
     /// exercising both the hand-hoisted overrides and the default loop.
     #[test]
     fn batched_predict_update_matches_per_event() {

@@ -3,7 +3,7 @@
 use crate::history::HistoryRegister;
 use crate::index_spec::IndexSpec;
 use crate::table::PredictionTable;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::BranchAddr;
 
 /// The pure global-history predictor (GAg in Yeh & Patt's taxonomy).
@@ -25,14 +25,12 @@ use sdbp_trace::BranchAddr;
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Ghist::new(1024); // 4K counters => 12 bits of history
-/// let _ = p.predict(BranchAddr(0x77c));
-/// p.update(BranchAddr(0x77c), true);
+/// p.predict_update(BranchAddr(0x77c), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ghist {
     table: PredictionTable,
     history: HistoryRegister,
-    latched: Option<Latched<u64>>,
 }
 
 impl Ghist {
@@ -44,11 +42,7 @@ impl Ghist {
     pub fn new(size_bytes: usize) -> Self {
         let table = PredictionTable::two_bit(size_bytes * 4);
         let history = HistoryRegister::new(table.index_bits());
-        Self {
-            table,
-            history,
-            latched: None,
-        }
+        Self { table, history }
     }
 
     /// The history length in bits (equals the index width).
@@ -64,20 +58,6 @@ impl DynamicPredictor for Ghist {
 
     fn size_bytes(&self) -> usize {
         self.table.size_bytes()
-    }
-
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let index = self.history.bits(self.table.index_bits());
-        let (taken, collision) = self.table.lookup(index, pc);
-        self.latched = Some(Latched { pc, ctx: index });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let index = Latched::take_for(&mut self.latched, pc, "ghist");
-        self.table.train(index, taken);
-        self.history.push(taken);
-        debug_assert_eq!(self.history.len(), self.table.index_bits());
     }
 
     #[inline]
@@ -127,11 +107,10 @@ mod tests {
         let mut correct = 0usize;
         for i in 0..total {
             let outcome = pattern[i % pattern.len()];
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= total - measure && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         correct as f64 / measure as f64
     }
@@ -164,16 +143,14 @@ mod tests {
         let mut a_outcome;
         for i in 0..4000u64 {
             a_outcome = (i * 2654435761) % 3 == 0; // pseudo-random-ish
-            let _ = p.predict(a);
-            p.update(a, a_outcome);
-            let pred = p.predict(b);
+            p.predict_update(a, a_outcome);
+            let pred = p.predict_update(b, a_outcome);
             if i >= 3000 {
                 measured += 1;
                 if pred.taken == a_outcome {
                     correct += 1;
                 }
             }
-            p.update(b, a_outcome);
         }
         let acc = correct as f64 / measured as f64;
         assert!(acc > 0.95, "correlation accuracy: {acc}");
@@ -192,10 +169,8 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let _ = p.predict(a);
-            p.update(a, state & (1 << 40) != 0);
-            let _ = p.predict(b);
-            p.update(b, state & (1 << 41) != 0);
+            p.predict_update(a, state & (1 << 40) != 0);
+            p.predict_update(b, state & (1 << 41) != 0);
         }
         assert!(
             p.total_collisions() > 500,
@@ -208,8 +183,7 @@ mod tests {
     fn shift_history_changes_future_indices() {
         let mut p = Ghist::new(256);
         let pc = BranchAddr(0x40);
-        let _ = p.predict(pc);
-        p.update(pc, true);
+        p.predict_update(pc, true);
         let before = p.history.value();
         p.shift_history(false);
         assert_ne!(p.history.value(), before);

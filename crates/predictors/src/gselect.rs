@@ -3,7 +3,7 @@
 use crate::history::HistoryRegister;
 use crate::index_spec::IndexSpec;
 use crate::table::PredictionTable;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::BranchAddr;
 
 /// McFarling's gselect: index = branch address bits **concatenated** with
@@ -25,15 +25,13 @@ use sdbp_trace::BranchAddr;
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Gselect::new(4096);
-/// let _ = p.predict(BranchAddr(0x60));
-/// p.update(BranchAddr(0x60), true);
+/// p.predict_update(BranchAddr(0x60), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gselect {
     table: PredictionTable,
     history: HistoryRegister,
     history_bits: u32,
-    latched: Option<Latched<u64>>,
 }
 
 impl Gselect {
@@ -51,7 +49,6 @@ impl Gselect {
             history: HistoryRegister::new(history_bits.max(1)),
             table,
             history_bits,
-            latched: None,
         }
     }
 
@@ -65,7 +62,7 @@ impl Gselect {
     }
 
     /// The table index for `pc` under a given raw history value — the pure
-    /// form of the index function, shared by [`DynamicPredictor::predict`]
+    /// form of the index function, shared by [`DynamicPredictor::predict_update`]
     /// and [`DynamicPredictor::probe_indices`].
     fn index_for(&self, pc: BranchAddr, history: u64) -> u64 {
         let address_bits = self.table.index_bits() - self.history_bits;
@@ -82,19 +79,6 @@ impl DynamicPredictor for Gselect {
 
     fn size_bytes(&self) -> usize {
         self.table.size_bytes()
-    }
-
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let index = self.index(pc);
-        let (taken, collision) = self.table.lookup(index, pc);
-        self.latched = Some(Latched { pc, ctx: index });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let index = Latched::take_for(&mut self.latched, pc, "gselect");
-        self.table.train(index, taken);
-        self.history.push(taken);
     }
 
     #[inline]
@@ -153,11 +137,9 @@ mod tests {
         let mut p = Gselect::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..30 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -167,11 +149,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..3000 {
             let outcome = i % 2 == 0;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 2000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct > 980, "alternation accuracy {correct}/1000");
     }
@@ -181,11 +162,9 @@ mod tests {
         let mut p = Gselect::new(64);
         let a = BranchAddr(0x4);
         let b = BranchAddr(0x8);
-        let _ = p.predict(a);
-        p.update(a, true);
-        let pred = p.predict(b);
+        p.predict_update(a, true);
+        let pred = p.predict_update(b, false);
         assert!(!pred.collision, "different address partitions");
-        p.update(b, false);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::history::HistoryRegister;
 use crate::index_spec::IndexSpec;
 use crate::table::{fold_tag, pack_entry, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// McFarling's gshare: index = branch address ⊕ global history.
@@ -25,15 +25,13 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Gshare::with_history_len(16 * 1024, 12); // 16 KB, 12-bit history
-/// let _ = p.predict(BranchAddr(0xbeef0));
-/// p.update(BranchAddr(0xbeef0), false);
+/// p.predict_update(BranchAddr(0xbeef0), false);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gshare {
     table: PredictionTable,
     history: HistoryRegister,
     history_len: u32,
-    latched: Option<Latched<u64>>,
 }
 
 impl Gshare {
@@ -78,7 +76,6 @@ impl Gshare {
             history: HistoryRegister::new(history_len),
             history_len,
             table,
-            latched: None,
         }
     }
 
@@ -92,7 +89,7 @@ impl Gshare {
     }
 
     /// The table index for `pc` under a given raw history value — the pure
-    /// form of the index function, shared by [`DynamicPredictor::predict`]
+    /// form of the index function, shared by [`DynamicPredictor::predict_update`]
     /// and [`DynamicPredictor::probe_indices`].
     fn index_for(&self, pc: BranchAddr, history: u64) -> u64 {
         let hist_mask = if self.history_len >= 64 {
@@ -111,20 +108,6 @@ impl DynamicPredictor for Gshare {
 
     fn size_bytes(&self) -> usize {
         self.table.size_bytes()
-    }
-
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let index = self.index(pc);
-        let (taken, collision) = self.table.lookup(index, pc);
-        self.latched = Some(Latched { pc, ctx: index });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let index = Latched::take_for(&mut self.latched, pc, "gshare");
-        self.table.train(index, taken);
-        self.history.push(taken);
-        debug_assert_eq!(self.history.len(), self.history_len);
     }
 
     #[inline]
@@ -216,11 +199,9 @@ mod tests {
         let mut p = Gshare::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..50 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -231,11 +212,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..3000 {
             let outcome = pattern[i % 3];
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 2000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct as f64 / 1000.0 > 0.99);
     }
@@ -251,16 +231,14 @@ mod tests {
         let mut a_correct = 0;
         let mut b_correct = 0;
         for i in 0..500 {
-            let pa = p.predict(a);
+            let pa = p.predict_update(a, true);
             if i >= 100 && pa.taken {
                 a_correct += 1;
             }
-            p.update(a, true);
-            let pb = p.predict(b);
+            let pb = p.predict_update(b, false);
             if i >= 100 && !pb.taken {
                 b_correct += 1;
             }
-            p.update(b, false);
         }
         assert!(
             a_correct > 390 && b_correct > 390,
@@ -296,7 +274,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_protocol() {
-        // The hand-hoisted batch loop against the predict/update protocol,
+        // The hand-hoisted batch loop against the scalar `predict_update`,
         // event for event, across batch sizes that cover empty, single-event
         // and multi-event calls.
         let mut state = 0xfeed_face_cafe_beefu64;
@@ -326,8 +304,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());

@@ -5,7 +5,7 @@ use crate::index_lut::PackedIndexLut;
 use crate::index_spec::IndexSpec;
 use crate::skew::skew;
 use crate::table::{fold_tag, pack_entry, swar, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// The enhanced skewed predictor (Michaud, Seznec & Uhlig).
@@ -28,8 +28,7 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = EGskew::new(3 * 1024); // three 1 KB banks
-/// let _ = p.predict(BranchAddr(0x20));
-/// p.update(BranchAddr(0x20), true);
+/// p.predict_update(BranchAddr(0x20), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EGskew {
@@ -42,16 +41,6 @@ pub struct EGskew {
     /// Byte-sliced GF(2) factorization of the three bank indices, packed
     /// 16 bits per bank; `None` only when a bank outgrows the 16-bit lanes.
     lut: Option<PackedIndexLut>,
-    latched: Option<Latched<Ctx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    bim_index: u64,
-    g0_index: u64,
-    g1_index: u64,
-    votes: [bool; 3],
-    taken: bool,
 }
 
 impl EGskew {
@@ -81,7 +70,6 @@ impl EGskew {
             h0_len,
             h1_len,
             lut: None,
-            latched: None,
         };
         // The packed LUT gives each bank a 16-bit lane; every realistic
         // configuration fits (16 index bits = 256 Ki-counter banks).
@@ -129,36 +117,18 @@ impl DynamicPredictor for EGskew {
         self.bim.size_bytes() + self.g0.size_bytes() + self.g1.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let (bim_index, g0_index, g1_index) = self.indices(pc);
         let (v0, c0) = self.bim.lookup(bim_index, pc);
         let (v1, c1) = self.g0.lookup(g0_index, pc);
         let (v2, c2) = self.g1.lookup(g1_index, pc);
-        let votes = [v0, v1, v2];
-        let taken = (u8::from(v0) + u8::from(v1) + u8::from(v2)) >= 2;
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                bim_index,
-                g0_index,
-                g1_index,
-                votes,
-                taken,
-            },
-        });
-        Prediction {
-            taken,
-            collision: c0 || c1 || c2,
-        }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "e-gskew");
-        let mispredicted = ctx.taken != taken;
+        let predicted = (u8::from(v0) + u8::from(v1) + u8::from(v2)) >= 2;
+        let mispredicted = predicted != taken;
         let banks: [(&mut PredictionTable, u64, bool); 3] = [
-            (&mut self.bim, ctx.bim_index, ctx.votes[0]),
-            (&mut self.g0, ctx.g0_index, ctx.votes[1]),
-            (&mut self.g1, ctx.g1_index, ctx.votes[2]),
+            (&mut self.bim, bim_index, v0),
+            (&mut self.g0, g0_index, v1),
+            (&mut self.g1, g1_index, v2),
         ];
         for (table, index, vote) in banks {
             if mispredicted || vote == taken {
@@ -166,6 +136,10 @@ impl DynamicPredictor for EGskew {
             }
         }
         self.history.push(taken);
+        Prediction {
+            taken: predicted,
+            collision: c0 || c1 || c2,
+        }
     }
 
     /// The batched hot path: the three bank bytes are gathered into SWAR
@@ -314,21 +288,18 @@ mod tests {
         let mut p = EGskew::new(3 * 256);
         let pc = BranchAddr(0x40);
         for _ in 0..30 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
 
         let pattern = [true, false];
         let mut correct = 0;
         for i in 0..2000 {
             let outcome = pattern[i % 2];
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 1500 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct > 480, "pattern accuracy {correct}/500");
     }
@@ -351,9 +322,8 @@ mod tests {
         let mut p = EGskew::new(3 * 64);
         let victim = BranchAddr(0x100);
         force_votes(&mut p, victim, [true, false, true]);
-        let pred = p.predict(victim);
+        let pred = p.predict_update(victim, true);
         assert!(pred.taken, "two healthy banks outvote the corrupted one");
-        p.update(victim, true);
     }
 
     #[test]
@@ -363,9 +333,9 @@ mod tests {
         force_votes(&mut p, pc, [true, false, true]);
         let (_, g0i, _) = p.indices(pc);
         let before = p.g0.counter(g0i).value();
-        let pred = p.predict(pc);
+        // A correct final prediction, with g0 voting not-taken.
+        let pred = p.predict_update(pc, true);
         assert!(pred.taken);
-        p.update(pc, true); // correct final prediction, g0 voted not-taken
         let after = p.g0.counter(g0i).value();
         assert_eq!(
             after, before,
@@ -379,9 +349,8 @@ mod tests {
         let pc = BranchAddr(0x200);
         force_votes(&mut p, pc, [false, false, false]);
         let (bi, g0i, g1i) = p.indices(pc);
-        let pred = p.predict(pc);
-        assert!(!pred.taken);
-        p.update(pc, true); // mispredicted
+        let pred = p.predict_update(pc, true);
+        assert!(!pred.taken, "mispredicted");
         assert!(p.bim.counter(bi).value() > 0);
         assert!(p.g0.counter(g0i).value() > 0);
         assert!(p.g1.counter(g1i).value() > 0);
@@ -430,8 +399,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());
@@ -452,8 +420,7 @@ mod tests {
         let mut p = EGskew::new(3 * 16);
         for i in 0..500u64 {
             let pc = BranchAddr(i * 4 % 0x4000);
-            let _ = p.predict(pc);
-            p.update(pc, i % 3 == 0);
+            p.predict_update(pc, i % 3 == 0);
         }
         assert!(p.total_collisions() > 0);
     }

@@ -15,10 +15,10 @@
 //! * are parameterized by their **hardware budget in bytes** exactly like the
 //!   paper (2-bit saturating counters, so a 4 KB predictor holds 16K
 //!   counters),
-//! * share the [`DynamicPredictor`] trait — `predict` then `update`, plus
-//!   `shift_history` so a combined static/dynamic scheme can decide whether
-//!   statically predicted branches enter the global history (§4 of the
-//!   paper),
+//! * share the [`DynamicPredictor`] trait — one `predict_update` per
+//!   branch, plus `shift_history` so a combined static/dynamic scheme can
+//!   decide whether statically predicted branches enter the global history
+//!   (§4 of the paper),
 //! * carry **collision instrumentation**: every counter has a tag recording
 //!   the last branch that used it, and each lookup reports whether it aliased
 //!   (the paper's simplified Young-et-al. collision definition).
@@ -31,8 +31,7 @@
 //!
 //! let mut p = Gshare::new(4096); // a 4 KB gshare
 //! let pc = BranchAddr(0x1200);
-//! let pred = p.predict(pc);
-//! p.update(pc, true);
+//! let pred = p.predict_update(pc, true);
 //! assert!(pred.taken || !pred.taken); // some prediction was produced
 //! assert_eq!(p.size_bytes(), 4096);
 //! ```

@@ -1,7 +1,7 @@
 //! The two-level local-history (PAg) predictor.
 
 use crate::table::PredictionTable;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::BranchAddr;
 
 /// Yeh & Patt's PAg: per-address history registers indexing a shared
@@ -25,21 +25,13 @@ use sdbp_trace::BranchAddr;
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Local::new(4096);
-/// let _ = p.predict(BranchAddr(0x24));
-/// p.update(BranchAddr(0x24), false);
+/// p.predict_update(BranchAddr(0x24), false);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Local {
     histories: Vec<u16>,
     history_bits: u32,
     pattern: PredictionTable,
-    latched: Option<Latched<Ctx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    history_index: usize,
-    pattern_index: u64,
 }
 
 impl Local {
@@ -68,7 +60,6 @@ impl Local {
             histories: vec![0; history_entries],
             history_bits,
             pattern,
-            latched: None,
         }
     }
 
@@ -86,28 +77,19 @@ impl DynamicPredictor for Local {
         (self.histories.len() * self.history_bits as usize).div_ceil(8) + self.pattern.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let history_index = self.history_index(pc);
+        let local = self.histories[history_index];
         // The pattern table masks internally; the raw local history is a
         // valid index as-is.
-        let pattern_index = self.histories[history_index] as u64;
-        let (taken, collision) = self.pattern.lookup(pattern_index, pc);
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                history_index,
-                pattern_index,
-            },
-        });
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "local");
-        self.pattern.train(ctx.pattern_index, taken);
+        let (predicted, collision) = self.pattern.lookup_train(u64::from(local), pc, taken);
         let mask = (1u16 << self.history_bits) - 1;
-        self.histories[ctx.history_index] =
-            ((self.histories[ctx.history_index] << 1) | u16::from(taken)) & mask;
+        self.histories[history_index] = ((local << 1) | u16::from(taken)) & mask;
+        Prediction {
+            taken: predicted,
+            collision,
+        }
     }
 
     fn shift_history(&mut self, _taken: bool) {
@@ -137,16 +119,14 @@ mod tests {
         let mut measured = 0;
         for i in 0..8000 {
             let outcome_a = i % 4 != 3;
-            let pred = p.predict(a);
+            let pred = p.predict_update(a, outcome_a);
             if i >= 6000 {
                 measured += 1;
                 correct += u64::from(pred.taken == outcome_a);
             }
-            p.update(a, outcome_a);
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let outcome_b = state & (1 << 40) != 0;
-            let _ = p.predict(b);
-            p.update(b, outcome_b);
+            p.predict_update(b, outcome_b);
         }
         let acc = correct as f64 / measured as f64;
         assert!(acc > 0.95, "local accuracy on the cycle: {acc}");
@@ -157,11 +137,9 @@ mod tests {
         let mut p = Local::new(512);
         let pc = BranchAddr(0x10);
         for _ in 0..30 {
-            let _ = p.predict(pc);
-            p.update(pc, false);
+            p.predict_update(pc, false);
         }
-        assert!(!p.predict(pc).taken);
-        p.update(pc, false);
+        assert!(!p.predict_update(pc, false).taken);
     }
 
     #[test]
@@ -174,10 +152,8 @@ mod tests {
         for _ in 0..1000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let o = state & (1 << 35) != 0;
-            let _ = p.predict(a);
-            p.update(a, o);
-            let _ = p.predict(b);
-            p.update(b, !o);
+            p.predict_update(a, o);
+            p.predict_update(b, !o);
         }
         assert!(
             p.total_collisions() > 100,

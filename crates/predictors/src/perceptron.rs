@@ -2,18 +2,8 @@
 
 use crate::history::HistoryRegister;
 use crate::table::fold_tag;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
-
-/// Context latched between `predict` and `update`: the weight row, the
-/// computed dot product, and the history snapshot the product was formed
-/// under (training must sign each weight by the *lookup-time* history).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PerceptronCtx {
-    row: u32,
-    sum: i32,
-    history: u64,
-}
 
 /// A hashed perceptron predictor (Jiménez & Lin style).
 ///
@@ -40,8 +30,7 @@ struct PerceptronCtx {
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Perceptron::new(4096);
-/// let _ = p.predict(BranchAddr(0x40));
-/// p.update(BranchAddr(0x40), true);
+/// p.predict_update(BranchAddr(0x40), true);
 /// assert_eq!(p.name(), "perceptron");
 /// ```
 #[derive(Debug, Clone)]
@@ -54,7 +43,6 @@ pub struct Perceptron {
     valid: Vec<bool>,
     history: HistoryRegister,
     rows: usize,
-    latched: Option<Latched<PerceptronCtx>>,
     lookups: u64,
     collisions: u64,
 }
@@ -95,7 +83,6 @@ impl Perceptron {
             valid: vec![false; rows],
             history: HistoryRegister::new(Self::HISTORY_LEN),
             rows,
-            latched: None,
             lookups: 0,
             collisions: 0,
         }
@@ -154,41 +141,26 @@ impl DynamicPredictor for Perceptron {
         self.rows * Self::ROW_WEIGHTS
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let row = self.row_for(pc);
+        let base = row * Self::ROW_WEIGHTS;
         let history = self.history.value();
-        let sum = Self::sum_row(&self.weights, row * Self::ROW_WEIGHTS, history);
+        let sum = Self::sum_row(&self.weights, base, history);
         let tag = fold_tag(pc);
         self.lookups += 1;
         let collided = self.valid[row] && self.tags[row] != tag;
         self.collisions += u64::from(collided);
         self.valid[row] = true;
         self.tags[row] = tag;
-        self.latched = Some(Latched {
-            pc,
-            ctx: PerceptronCtx {
-                row: row as u32,
-                sum,
-                history,
-            },
-        });
+        if Self::must_train(sum, taken) {
+            Self::train_row(&mut self.weights, base, history, taken);
+        }
+        self.history.push(taken);
         Prediction {
             taken: sum >= 0,
             collision: collided,
         }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "perceptron");
-        if Self::must_train(ctx.sum, taken) {
-            Self::train_row(
-                &mut self.weights,
-                ctx.row as usize * Self::ROW_WEIGHTS,
-                ctx.history,
-                taken,
-            );
-        }
-        self.history.push(taken);
     }
 
     /// The batched hot path: the history register and the statistics
@@ -275,11 +247,9 @@ mod tests {
         let mut p = Perceptron::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..60 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -291,11 +261,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..2000 {
             let outcome = i % 2 == 0;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 1000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct > 990, "{correct}");
     }
@@ -308,11 +277,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..6000 {
             let outcome = pattern[i % pattern.len()];
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 3000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct as f64 / 3000.0 > 0.95, "{correct}");
     }
@@ -323,14 +291,11 @@ mod tests {
         assert_eq!(p.rows(), 1);
         let a = BranchAddr(0x100);
         let b = BranchAddr(0x200);
-        let _ = p.predict(a);
-        p.update(a, true);
+        p.predict_update(a, true);
         assert_eq!(p.total_collisions(), 0, "first touch is free");
-        let _ = p.predict(b);
-        p.update(b, false);
+        p.predict_update(b, false);
         assert_eq!(p.total_collisions(), 1);
-        let _ = p.predict(b);
-        p.update(b, false);
+        p.predict_update(b, false);
         assert_eq!(p.total_collisions(), 1, "b owns the row now");
     }
 
@@ -364,7 +329,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_protocol() {
-        // The hoisted batch loop against the predict/update protocol, event
+        // The hoisted batch loop against the scalar `predict_update`, event
         // for event, across batch sizes covering empty, single-event and
         // multi-event calls.
         let mut state = 0xfeed_face_cafe_beefu64;
@@ -394,8 +359,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());

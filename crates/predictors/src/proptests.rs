@@ -1,8 +1,8 @@
 //! Property-based tests over the predictor substrate.
 //!
 //! These verify structural invariants that hold for *every* scheme on
-//! arbitrary branch streams: protocol safety (no panics, deterministic
-//! replay), counter/history bounds, hash bijectivity, and collision
+//! arbitrary branch streams: safety (no panics, deterministic replay),
+//! counter/history bounds, hash bijectivity, and collision
 //! accounting.
 
 #![cfg(test)]
@@ -35,9 +35,8 @@ proptest! {
             let mut p = PredictorConfig::new(kind, size).expect("valid").build();
             let mut outcomes = Vec::new();
             for &(pc, taken) in &stream {
-                let pred = p.predict(BranchAddr(pc));
+                let pred = p.predict_update(BranchAddr(pc), taken);
                 outcomes.push((pred.taken, pred.collision));
-                p.update(BranchAddr(pc), taken);
             }
             (outcomes, p.total_collisions())
         };
@@ -55,8 +54,7 @@ proptest! {
             .build();
         let mut last = 0;
         for (i, &(pc, taken)) in stream.iter().enumerate() {
-            let _ = p.predict(BranchAddr(pc));
-            p.update(BranchAddr(pc), taken);
+            p.predict_update(BranchAddr(pc), taken);
             let now = p.total_collisions();
             prop_assert!(now >= last, "collision counter went backwards");
             prop_assert!(now <= (i as u64 + 1), "more collisions than lookups");
@@ -247,7 +245,7 @@ proptest! {
     }
 
     /// The batched `predict_update_batch` path — including every SWAR
-    /// bank-parallel override — matches the scalar predict/update protocol
+    /// bank-parallel override — matches the scalar `predict_update` path
     /// event for event on arbitrary streams, arbitrary chunk partitions and
     /// arbitrary sizes, with identical collision totals afterwards. This is
     /// the equivalence oracle the scalar path is retained for.
@@ -273,8 +271,7 @@ proptest! {
             batched.predict_update_batch(slice, &mut out);
             prop_assert_eq!(out.len(), slice.len());
             for (e, got) in slice.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 prop_assert_eq!(*got, want, "{} @{}", kind, e);
             }
         }
@@ -282,7 +279,7 @@ proptest! {
     }
 
     /// `shift_history` between predictions must never corrupt the
-    /// predict/update protocol (e.g. static branches interleaved anywhere).
+    /// per-branch path (e.g. static branches interleaved anywhere).
     #[test]
     fn interleaved_history_shifts_are_safe(
         stream in arb_stream(),
@@ -295,8 +292,7 @@ proptest! {
                 // A "statically predicted" branch: history only.
                 p.shift_history(taken);
             } else {
-                let _ = p.predict(BranchAddr(pc));
-                p.update(BranchAddr(pc), taken);
+                p.predict_update(BranchAddr(pc), taken);
             }
         }
     }

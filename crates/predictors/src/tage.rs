@@ -2,7 +2,7 @@
 
 use crate::history::HistoryRegister;
 use crate::table::{fold_tag, PredictionTable};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// Number of tagged banks.
@@ -52,9 +52,9 @@ impl TaggedBank {
     }
 }
 
-/// Everything `predict` resolved that `update` needs: per-bank indices and
-/// tags (recomputing them after the history shifted would probe the wrong
-/// entries), the provider, and both predictions for the useful-bit rule.
+/// Everything the lookup resolves that training needs: per-bank indices and
+/// tags under the lookup-time history, the provider, and both predictions
+/// for the useful-bit rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TageCtx {
     base_index: u64,
@@ -95,8 +95,7 @@ struct TageCtx {
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut t = TageLite::new(4096);
-/// let _ = t.predict(BranchAddr(0x40));
-/// t.update(BranchAddr(0x40), true);
+/// t.predict_update(BranchAddr(0x40), true);
 /// assert_eq!(t.name(), "tage-lite");
 /// ```
 #[derive(Debug, Clone)]
@@ -104,7 +103,6 @@ pub struct TageLite {
     base: PredictionTable,
     banks: [TaggedBank; BANKS],
     history: HistoryRegister,
-    latched: Option<Latched<TageCtx>>,
     /// Provider probes against tagged banks (base probes are counted by
     /// the base table itself).
     tagged_lookups: u64,
@@ -138,7 +136,6 @@ impl TageLite {
             base,
             banks: HIST_LENS.map(|len| TaggedBank::new(entries, len)),
             history: HistoryRegister::new(*HIST_LENS.last().expect("non-empty")),
-            latched: None,
             tagged_lookups: 0,
             tagged_collisions: 0,
         }
@@ -191,7 +188,7 @@ impl TageLite {
 
     /// Resolves indices, tags, the provider and both predictions for one
     /// branch under `history`. Pure reads — shared verbatim by the scalar
-    /// and batched paths, which is what makes them protocol-equivalent.
+    /// and batched paths, which is what makes them equivalent.
     fn compute_ctx(&self, pc: BranchAddr, history: u64) -> TageCtx {
         let base_index = pc.word_index() & self.base.index_mask();
         let mut indices = [0u32; BANKS];
@@ -313,17 +310,13 @@ impl DynamicPredictor for TageLite {
         self.base.size_bytes() + tagged
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let ctx = self.compute_ctx(pc, self.history.value());
         let pred = self.note_provider(&ctx, pc);
-        self.latched = Some(Latched { pc, ctx });
-        pred
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "tage-lite");
         self.train_tables(&ctx, pc, taken);
         self.history.push(taken);
+        pred
     }
 
     /// The batched path hoists the history register into a local and runs
@@ -407,11 +400,9 @@ mod tests {
         let mut t = TageLite::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..50 {
-            let _ = t.predict(pc);
-            t.update(pc, true);
+            t.predict_update(pc, true);
         }
-        assert!(t.predict(pc).taken);
-        t.update(pc, true);
+        assert!(t.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -424,11 +415,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..6000 {
             let outcome = pattern[i % pattern.len()];
-            let pred = t.predict(pc);
+            let pred = t.predict_update(pc, outcome);
             if i >= 3000 && pred.taken == outcome {
                 correct += 1;
             }
-            t.update(pc, outcome);
         }
         assert!(correct as f64 / 3000.0 > 0.95, "{correct}");
     }
@@ -439,9 +429,8 @@ mod tests {
         let pc = BranchAddr(0x40);
         // First prediction comes from the (weakly not-taken) base table and
         // is wrong, so the outcome allocates into bank 0.
-        let p = t.predict(pc);
+        let p = t.predict_update(pc, true);
         assert!(!p.taken);
-        t.update(pc, true);
         let any_alloc = t.banks.iter().any(|b| b.valid.iter().any(|&v| v));
         assert!(any_alloc);
     }
@@ -452,8 +441,7 @@ mod tests {
         let pc = BranchAddr(0x100);
         let pattern = [true, false, false, true, false, true, true, false];
         for i in 0..4000 {
-            let _ = t.predict(pc);
-            t.update(pc, pattern[i % pattern.len()]);
+            t.predict_update(pc, pattern[i % pattern.len()]);
         }
         // After heavy training on a period-8 pattern, some predictions must
         // be provided by a tagged bank (ctx recomputed just to inspect).
@@ -509,8 +497,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());
@@ -536,8 +523,7 @@ mod tests {
                     .wrapping_add(3037000493);
                 let pc = BranchAddr((state >> 9) % 97 * 4);
                 let taken = state & (1 << 33) != 0;
-                let _ = t.predict(pc);
-                t.update(pc, taken);
+                t.predict_update(pc, taken);
             }
             (t.total_collisions(), t.history.value())
         };

@@ -4,7 +4,7 @@ use crate::history::{fold_bits, HistoryRegister};
 use crate::index_lut::PackedIndexLut;
 use crate::skew::skew;
 use crate::table::{fold_tag, pack_entry, swar, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// Seznec & Michaud's 2bcgskew — the strongest dynamic predictor in the
@@ -42,8 +42,7 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 ///
 /// let mut p = TwoBcGskew::new(8 * 1024);
 /// assert_eq!(p.size_bytes(), 8 * 1024);
-/// let _ = p.predict(BranchAddr(0x77c));
-/// p.update(BranchAddr(0x77c), false);
+/// p.predict_update(BranchAddr(0x77c), false);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TwoBcGskew {
@@ -58,21 +57,6 @@ pub struct TwoBcGskew {
     /// Packed GF(2) byte tables collapsing all four bank indices into one
     /// lookup for the batch path; `None` when an index exceeds 16 bits.
     lut: Option<PackedIndexLut>,
-    latched: Option<Latched<Ctx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    bim_index: u64,
-    g0_index: u64,
-    g1_index: u64,
-    meta_index: u64,
-    bim_pred: bool,
-    g0_pred: bool,
-    g1_pred: bool,
-    vote_pred: bool,
-    use_vote: bool,
-    final_pred: bool,
 }
 
 impl TwoBcGskew {
@@ -117,7 +101,6 @@ impl TwoBcGskew {
             h_g1,
             h_meta,
             lut: None,
-            latched: None,
         };
         let n = p.g0.index_bits();
         if n <= 16 && p.bim.index_bits() <= 16 {
@@ -165,7 +148,8 @@ impl DynamicPredictor for TwoBcGskew {
         self.bim.size_bytes() + self.g0.size_bytes() + self.g1.size_bytes() + self.meta.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let (bim_index, g0_index, g1_index, meta_index) = self.indices(pc);
         let (bim_pred, c_bim) = self.bim.lookup(bim_index, pc);
         let (g0_pred, c_g0) = self.g0.lookup(g0_index, pc);
@@ -173,55 +157,35 @@ impl DynamicPredictor for TwoBcGskew {
         let (use_vote, c_meta) = self.meta.lookup(meta_index, pc);
         let vote_pred = (u8::from(bim_pred) + u8::from(g0_pred) + u8::from(g1_pred)) >= 2;
         let final_pred = if use_vote { vote_pred } else { bim_pred };
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                bim_index,
-                g0_index,
-                g1_index,
-                meta_index,
-                bim_pred,
-                g0_pred,
-                g1_pred,
-                vote_pred,
-                use_vote,
-                final_pred,
-            },
-        });
+        if final_pred != taken {
+            // Bad prediction: retrain all three c-gskew banks.
+            self.bim.train(bim_index, taken);
+            self.g0.train(g0_index, taken);
+            self.g1.train(g1_index, taken);
+        } else if use_vote {
+            // Correct via the vote: train only the agreeing voters.
+            if bim_pred == taken {
+                self.bim.train(bim_index, taken);
+            }
+            if g0_pred == taken {
+                self.g0.train(g0_index, taken);
+            }
+            if g1_pred == taken {
+                self.g1.train(g1_index, taken);
+            }
+        } else {
+            // Correct via BIM alone.
+            self.bim.train(bim_index, taken);
+        }
+        // META trains only when the components disagree.
+        if bim_pred != vote_pred {
+            self.meta.train(meta_index, vote_pred == taken);
+        }
+        self.history.push(taken);
         Prediction {
             taken: final_pred,
             collision: c_bim || c_g0 || c_g1 || c_meta,
         }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "2bcgskew");
-        let correct = ctx.final_pred == taken;
-        if !correct {
-            // Bad prediction: retrain all three c-gskew banks.
-            self.bim.train(ctx.bim_index, taken);
-            self.g0.train(ctx.g0_index, taken);
-            self.g1.train(ctx.g1_index, taken);
-        } else if ctx.use_vote {
-            // Correct via the vote: train only the agreeing voters.
-            if ctx.bim_pred == taken {
-                self.bim.train(ctx.bim_index, taken);
-            }
-            if ctx.g0_pred == taken {
-                self.g0.train(ctx.g0_index, taken);
-            }
-            if ctx.g1_pred == taken {
-                self.g1.train(ctx.g1_index, taken);
-            }
-        } else {
-            // Correct via BIM alone.
-            self.bim.train(ctx.bim_index, taken);
-        }
-        // META trains only when the components disagree.
-        if ctx.bim_pred != ctx.vote_pred {
-            self.meta.train(ctx.meta_index, ctx.vote_pred == taken);
-        }
-        self.history.push(taken);
     }
 
     /// The batched hot path: all four bank bytes (BIM, G0, G1, META) are
@@ -386,11 +350,9 @@ mod tests {
         let mut p = TwoBcGskew::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..30 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -400,11 +362,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..4000 {
             let outcome = i % 2 == 0;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 3000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(correct > 980, "alternation accuracy {correct}/1000");
     }
@@ -424,28 +385,16 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let outcome = (state >> 33) % 100 < 85;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 10_000 {
                 measured += 1;
                 if pred.taken == outcome {
                     correct += 1;
                 }
             }
-            p.update(pc, outcome);
         }
         let acc = correct as f64 / measured as f64;
         assert!(acc > 0.80, "noisy-bias accuracy {acc}");
-    }
-
-    #[test]
-    fn update_sequencing_is_enforced() {
-        let mut p = TwoBcGskew::new(256);
-        let _ = p.predict(BranchAddr(0x4));
-        p.update(BranchAddr(0x4), true);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.update(BranchAddr(0x4), true);
-        }));
-        assert!(result.is_err(), "double update must panic");
     }
 
     #[test]
@@ -477,8 +426,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());
@@ -500,8 +448,7 @@ mod tests {
         let mut p = TwoBcGskew::new(64);
         for i in 0..500u64 {
             let pc = BranchAddr((i * 4) % 0x1000);
-            let _ = p.predict(pc);
-            p.update(pc, i % 2 == 0);
+            p.predict_update(pc, i % 2 == 0);
         }
         assert!(p.total_collisions() > 0);
         let before = p.history.value();

@@ -3,7 +3,7 @@
 use crate::bimodal::Bimodal;
 use crate::gshare::Gshare;
 use crate::table::PredictionTable;
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::BranchAddr;
 
 /// McFarling's combining predictor — the scheme the Alpha 21264 shipped a
@@ -25,23 +25,13 @@ use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Tournament::new(4096);
 /// assert_eq!(p.size_bytes(), 4096);
-/// let _ = p.predict(BranchAddr(0x10));
-/// p.update(BranchAddr(0x10), true);
+/// p.predict_update(BranchAddr(0x10), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tournament {
     bimodal: Bimodal,
     gshare: Gshare,
     chooser: PredictionTable,
-    latched: Option<Latched<Ctx>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    chooser_index: u64,
-    bimodal_pred: bool,
-    gshare_pred: bool,
-    final_pred: bool,
 }
 
 impl Tournament {
@@ -59,7 +49,6 @@ impl Tournament {
             bimodal: Bimodal::new(size_bytes / 4),
             gshare: Gshare::new(size_bytes / 2),
             chooser: PredictionTable::two_bit(size_bytes / 4 * 4),
-            latched: None,
         }
     }
 
@@ -77,42 +66,26 @@ impl DynamicPredictor for Tournament {
         self.bimodal.size_bytes() + self.gshare.size_bytes() + self.chooser.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let bimodal = self.bimodal.predict(pc);
-        let gshare = self.gshare.predict(pc);
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
+        // Total update: both components always train (the gshare also
+        // shifts its history).
+        let bimodal = self.bimodal.predict_update(pc, taken);
+        let gshare = self.gshare.predict_update(pc, taken);
         let chooser_index = self.chooser_index(pc);
         // A taken-leaning chooser counter selects the gshare component.
         let (use_gshare, chooser_collision) = self.chooser.lookup(chooser_index, pc);
-        let final_pred = if use_gshare {
-            gshare.taken
-        } else {
-            bimodal.taken
-        };
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                chooser_index,
-                bimodal_pred: bimodal.taken,
-                gshare_pred: gshare.taken,
-                final_pred,
-            },
-        });
-        Prediction {
-            taken: final_pred,
-            collision: bimodal.collision || gshare.collision || chooser_collision,
-        }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "tournament");
-        // Total update: both components always train (the gshare also
-        // shifts its history).
-        self.bimodal.update(pc, taken);
-        self.gshare.update(pc, taken);
         // The chooser trains only on disagreement, toward the winner.
-        if ctx.bimodal_pred != ctx.gshare_pred {
-            self.chooser
-                .train(ctx.chooser_index, ctx.gshare_pred == taken);
+        if bimodal.taken != gshare.taken {
+            self.chooser.train(chooser_index, gshare.taken == taken);
+        }
+        Prediction {
+            taken: if use_gshare {
+                gshare.taken
+            } else {
+                bimodal.taken
+            },
+            collision: bimodal.collision || gshare.collision || chooser_collision,
         }
     }
 
@@ -143,11 +116,9 @@ mod tests {
         let mut p = Tournament::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..20 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -159,11 +130,10 @@ mod tests {
         let mut correct = 0;
         for i in 0..3000 {
             let outcome = i % 2 == 0;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 2000 && pred.taken == outcome {
                 correct += 1;
             }
-            p.update(pc, outcome);
         }
         assert!(
             correct > 950,
@@ -183,12 +153,11 @@ mod tests {
         for i in 0..20_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let outcome = (state >> 33) % 100 < 88;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 10_000 {
                 measured += 1;
                 correct += u64::from(pred.taken == outcome);
             }
-            p.update(pc, outcome);
         }
         let acc = correct as f64 / measured as f64;
         assert!(acc > 0.82, "noisy-bias accuracy {acc}");

@@ -15,16 +15,13 @@ pub struct Prediction {
 
 /// A dynamic branch predictor simulator.
 ///
-/// # Protocol
-///
-/// For every dynamically predicted branch the simulator calls, in order:
-///
-/// 1. [`DynamicPredictor::predict`] with the branch address — the predictor
-///    reads its tables and internally latches the lookup context (indices,
-///    bank predictions),
-/// 2. [`DynamicPredictor::update`] with the resolved outcome — the predictor
-///    trains its tables *using the latched context* and shifts the outcome
-///    into its global history, if it keeps one.
+/// For every dynamically predicted branch the simulator calls
+/// [`DynamicPredictor::predict_update`] once with the branch address and
+/// its resolved outcome: the predictor reads its tables, trains them on the
+/// outcome, shifts the outcome into its global history (if it keeps one)
+/// and returns the prediction it made before training. A trace-driven
+/// simulator knows every outcome up front, so lookup and training are one
+/// step.
 ///
 /// For a **statically predicted** branch the dynamic tables must stay
 /// untouched (that is the aliasing-relief mechanism of the paper); the
@@ -41,10 +38,12 @@ pub struct Prediction {
 /// let mut p = Bimodal::new(1024);
 /// let pc = BranchAddr(0x400);
 /// for _ in 0..3 {
-///     let _ = p.predict(pc);
-///     p.update(pc, true);
+///     p.predict_update(pc, true);
 /// }
-/// assert!(p.predict(pc).taken, "a mostly-taken branch trains the counter up");
+/// assert!(
+///     p.predict_update(pc, true).taken,
+///     "a mostly-taken branch trains the counter up"
+/// );
 /// ```
 pub trait DynamicPredictor {
     /// A short scheme name (`"gshare"`, `"2bcgskew"`, …) used in reports.
@@ -53,44 +52,21 @@ pub trait DynamicPredictor {
     /// The architectural storage budget in bytes (counters only).
     fn size_bytes(&self) -> usize;
 
-    /// Looks up a prediction for the branch at `pc`, latching the lookup
-    /// context for the subsequent [`DynamicPredictor::update`] call.
-    fn predict(&mut self, pc: BranchAddr) -> Prediction;
+    /// Predicts the branch at `pc` from the current state, trains the
+    /// predictor on the resolved outcome `taken`, then shifts the outcome
+    /// into the global history (when the scheme keeps one). Returns the
+    /// prediction made before training.
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction;
 
-    /// Trains the predictor with the resolved outcome of the branch last
-    /// passed to [`DynamicPredictor::predict`], then shifts the outcome into
-    /// the global history (when the scheme keeps one).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if called without a preceding `predict` for the
-    /// same branch — that is a simulator sequencing bug.
-    fn update(&mut self, pc: BranchAddr, taken: bool);
-
-    /// Fused [`predict`](DynamicPredictor::predict) +
-    /// [`update`](DynamicPredictor::update) for one resolved branch — the
-    /// simulator's per-event hot path.
-    ///
-    /// Must be observably equivalent to calling `predict(pc)` then
-    /// `update(pc, taken)`. The default does exactly that; single-table
-    /// schemes override it to collapse the lookup/train pair into one
-    /// read-modify-write of the table entry.
-    #[inline]
-    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
-        let prediction = self.predict(pc);
-        self.update(pc, taken);
-        prediction
-    }
-
-    /// Runs a batch of resolved branches through the fused
-    /// [`predict_update`](DynamicPredictor::predict_update) path, appending
-    /// one [`Prediction`] per event to `out` in order.
+    /// Runs a batch of resolved branches through
+    /// [`predict_update`](DynamicPredictor::predict_update), appending one
+    /// [`Prediction`] per event to `out` in order.
     ///
     /// Must be observably equivalent to calling `predict_update` once per
     /// event — the default does exactly that. Hot schemes override it to
     /// hoist loop-carried state (the history register, statistics counters,
     /// table array pointers) into locals for the whole batch: in the
-    /// per-event protocol every table store can alias the predictor's own
+    /// per-event path every table store can alias the predictor's own
     /// scalar fields, forcing the compiler to reload them each iteration,
     /// and that reload chain — not the table accesses — dominates the
     /// simulation inner loop.
@@ -151,62 +127,5 @@ pub trait DynamicPredictor {
     /// tests enforce that equivalence for all linear schemes.
     fn index_spec(&self) -> Option<IndexSpec> {
         None
-    }
-}
-
-/// Latched per-branch lookup context shared by the predictor
-/// implementations in this crate.
-///
-/// Stored by `predict`, consumed by `update`. Public only for reuse across
-/// the sibling modules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Latched<T> {
-    pub pc: BranchAddr,
-    pub ctx: T,
-}
-
-impl<T> Latched<T> {
-    pub(crate) fn take_for(slot: &mut Option<Self>, pc: BranchAddr, scheme: &str) -> T {
-        match slot.take() {
-            Some(l) if l.pc == pc => l.ctx,
-            Some(l) => panic!(
-                "{scheme}: update({pc}) does not match latched predict({})",
-                l.pc
-            ),
-            None => panic!("{scheme}: update({pc}) without a preceding predict"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn latched_roundtrip() {
-        let mut slot = Some(Latched {
-            pc: BranchAddr(8),
-            ctx: 42u32,
-        });
-        let ctx = Latched::take_for(&mut slot, BranchAddr(8), "test");
-        assert_eq!(ctx, 42);
-        assert!(slot.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "without a preceding predict")]
-    fn update_without_predict_panics() {
-        let mut slot: Option<Latched<()>> = None;
-        Latched::take_for(&mut slot, BranchAddr(8), "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_pc_panics() {
-        let mut slot = Some(Latched {
-            pc: BranchAddr(8),
-            ctx: (),
-        });
-        Latched::take_for(&mut slot, BranchAddr(12), "test");
     }
 }

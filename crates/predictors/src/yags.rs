@@ -3,7 +3,7 @@
 use crate::counter::SaturatingCounter;
 use crate::history::HistoryRegister;
 use crate::table::{fold_tag, pack_entry, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
-use crate::traits::{DynamicPredictor, Latched, Prediction};
+use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
 
 /// Eden & Mudge's *Yet Another Global Scheme* — a tagged refinement of
@@ -28,8 +28,7 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// use sdbp_trace::BranchAddr;
 ///
 /// let mut p = Yags::new(2048);
-/// let _ = p.predict(BranchAddr(0x5c));
-/// p.update(BranchAddr(0x5c), true);
+/// p.predict_update(BranchAddr(0x5c), true);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Yags {
@@ -37,7 +36,6 @@ pub struct Yags {
     taken_cache: ExceptionCache,
     not_taken_cache: ExceptionCache,
     history: HistoryRegister,
-    latched: Option<Latched<Ctx>>,
 }
 
 /// A direct-mapped tagged cache of 2-bit exception counters.
@@ -93,16 +91,6 @@ impl ExceptionCache {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ctx {
-    choice_index: u64,
-    choice_taken: bool,
-    cache_index: u64,
-    tag: u8,
-    cache_hit: Option<bool>,
-    final_pred: bool,
-}
-
 impl Yags {
     /// Creates a YAGS predictor with roughly a `size_bytes` budget (choice
     /// table uses half of it; each exception cache holds
@@ -134,7 +122,6 @@ impl Yags {
             taken_cache,
             not_taken_cache,
             history,
-            latched: None,
         }
     }
 
@@ -156,57 +143,37 @@ impl DynamicPredictor for Yags {
         self.choice.size_bytes() + self.taken_cache.size_bytes() + self.not_taken_cache.size_bytes()
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
+    #[inline]
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
         let choice_index = pc.word_index() & self.choice.index_mask();
         let (choice_taken, choice_collision) = self.choice.lookup(choice_index, pc);
         let cache_index = self.cache_index(pc);
         let tag = Self::tag_of(pc);
         // Probe the cache of exceptions to the chosen direction.
-        let cache_hit = if choice_taken {
-            self.not_taken_cache.probe(cache_index, tag)
-        } else {
-            self.taken_cache.probe(cache_index, tag)
-        };
-        let final_pred = cache_hit.unwrap_or(choice_taken);
-        self.latched = Some(Latched {
-            pc,
-            ctx: Ctx {
-                choice_index,
-                choice_taken,
-                cache_index,
-                tag,
-                cache_hit,
-                final_pred,
-            },
-        });
-        Prediction {
-            taken: final_pred,
-            collision: choice_collision,
-        }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let ctx = Latched::take_for(&mut self.latched, pc, "yags");
-        let cache = if ctx.choice_taken {
+        let cache = if choice_taken {
             &mut self.not_taken_cache
         } else {
             &mut self.taken_cache
         };
-        if ctx.cache_hit.is_some() {
-            cache.train(ctx.cache_index, taken);
-        } else if taken != ctx.choice_taken {
+        let cache_hit = cache.probe(cache_index, tag);
+        let final_pred = cache_hit.unwrap_or(choice_taken);
+        if cache_hit.is_some() {
+            cache.train(cache_index, taken);
+        } else if taken != choice_taken {
             // The branch deviated from its choice direction: record the
             // exception.
-            cache.allocate(ctx.cache_index, ctx.tag, taken);
+            cache.allocate(cache_index, tag, taken);
         }
         // Choice table: bi-mode-style exception — don't punish the choice
         // when it opposed the outcome but the cache fixed it.
-        let final_correct = ctx.final_pred == taken;
-        let choice_opposed = ctx.choice_taken != taken;
-        if !(choice_opposed && final_correct) {
-            self.choice.train(ctx.choice_index, taken);
+        if !(choice_taken != taken && final_pred == taken) {
+            self.choice.train(choice_index, taken);
         }
         self.history.push(taken);
+        Prediction {
+            taken: final_pred,
+            collision: choice_collision,
+        }
     }
 
     /// The batched hot path: the choice table's read-modify-write is fused
@@ -295,11 +262,9 @@ mod tests {
         let mut p = Yags::new(1024);
         let pc = BranchAddr(0x40);
         for _ in 0..20 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
-        assert!(p.predict(pc).taken);
-        p.update(pc, true);
+        assert!(p.predict_update(pc, true).taken);
     }
 
     #[test]
@@ -312,14 +277,13 @@ mod tests {
         let mut measured = 0;
         for i in 0..8000 {
             let outcome = i % 8 != 7;
-            let pred = p.predict(pc);
+            let pred = p.predict_update(pc, outcome);
             if i >= 6000 {
                 measured += 1;
                 if pred.taken == outcome {
                     correct += 1;
                 }
             }
-            p.update(pc, outcome);
         }
         let acc = correct as f64 / measured as f64;
         assert!(acc > 0.95, "loop-exit accuracy {acc}");
@@ -331,8 +295,7 @@ mod tests {
         let pc = BranchAddr(0x40);
         // Perfectly-taken branch: no exceptions should ever be allocated.
         for _ in 0..50 {
-            let _ = p.predict(pc);
-            p.update(pc, true);
+            p.predict_update(pc, true);
         }
         let allocated = p
             .not_taken_cache
@@ -379,8 +342,7 @@ mod tests {
             batched.predict_update_batch(chunk, &mut out);
             assert_eq!(out.len(), chunk.len(), "chunk {k}");
             for (e, got) in chunk.iter().zip(&out) {
-                let want = scalar.predict(e.pc);
-                scalar.update(e.pc, e.taken);
+                let want = scalar.predict_update(e.pc, e.taken);
                 assert_eq!(*got, want);
             }
             assert_eq!(batched.total_collisions(), scalar.total_collisions());

@@ -71,7 +71,7 @@ impl Pass for BiasPass {
 /// every branch is looked up, trained, and shifted into the history —
 /// through the batched
 /// [`predict_update_batch`](DynamicPredictor::predict_update_batch) kernel,
-/// which is pinned bit-identical to the scalar predict/update protocol.
+/// which is pinned bit-identical to the scalar `predict_update`.
 ///
 /// ```
 /// use sdbp_passes::PassRunner;

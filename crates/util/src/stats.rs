@@ -166,11 +166,6 @@ impl Histogram {
         self.bins[i]
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()

@@ -4,6 +4,7 @@ use crate::benchmarks::Benchmark;
 use crate::generator::WorkloadGenerator;
 use crate::program::ProgramModel;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which input set drives a run — the SPEC convention the paper follows.
 ///
@@ -30,6 +31,20 @@ impl InputSet {
 impl fmt::Display for InputSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl FromStr for InputSet {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "train" => Ok(InputSet::Train),
+            "ref" => Ok(InputSet::Ref),
+            other => Err(format!(
+                "unknown input set '{other}' (expected train or ref)"
+            )),
+        }
     }
 }
 
@@ -228,6 +243,15 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn input_set_parses_its_own_names() {
+        for input in [InputSet::Train, InputSet::Ref] {
+            assert_eq!(input.name().parse::<InputSet>(), Ok(input));
+        }
+        let err = "test".parse::<InputSet>().unwrap_err();
+        assert!(err.contains("'test'"), "{err}");
+    }
 
     #[test]
     fn input_names() {

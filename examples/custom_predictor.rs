@@ -17,7 +17,6 @@ use sdbp::prelude::*;
 /// run has reached the learned length (then the loop is about to exit).
 struct LoopPredictor {
     entries: Vec<LoopEntry>,
-    latched: Option<(BranchAddr, u64)>,
     collisions: u64,
     tags: Vec<Option<BranchAddr>>,
 }
@@ -35,7 +34,6 @@ impl LoopPredictor {
         let entries = (size_bytes / 8).next_power_of_two();
         Self {
             entries: vec![LoopEntry::default(); entries],
-            latched: None,
             collisions: 0,
             tags: vec![None; entries],
         }
@@ -55,25 +53,16 @@ impl DynamicPredictor for LoopPredictor {
         self.entries.len() * 8
     }
 
-    fn predict(&mut self, pc: BranchAddr) -> Prediction {
-        let index = self.index(pc);
-        let i = index as usize;
+    fn predict_update(&mut self, pc: BranchAddr, taken: bool) -> Prediction {
+        let i = self.index(pc) as usize;
         let collision = matches!(self.tags[i], Some(prev) if prev != pc);
         if collision {
             self.collisions += 1;
         }
         self.tags[i] = Some(pc);
-        let e = &self.entries[i];
+        let e = &mut self.entries[i];
         // Predict not-taken exactly at the learned exit point.
-        let taken = !(e.confident && e.current_run >= e.learned_trip);
-        self.latched = Some((pc, index));
-        Prediction { taken, collision }
-    }
-
-    fn update(&mut self, pc: BranchAddr, taken: bool) {
-        let (latched_pc, index) = self.latched.take().expect("predict before update");
-        assert_eq!(latched_pc, pc, "update must follow predict for the same pc");
-        let e = &mut self.entries[index as usize];
+        let predicted = !(e.confident && e.current_run >= e.learned_trip);
         if taken {
             e.current_run = e.current_run.saturating_add(1);
         } else {
@@ -81,6 +70,10 @@ impl DynamicPredictor for LoopPredictor {
             e.confident = e.learned_trip == e.current_run;
             e.learned_trip = e.current_run;
             e.current_run = 0;
+        }
+        Prediction {
+            taken: predicted,
+            collision,
         }
     }
 
