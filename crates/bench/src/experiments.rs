@@ -864,7 +864,8 @@ mod tests {
     fn every_suite_spec_passes_the_static_checker() {
         // The acceptance bar for the diagnostics engine: the harness's own
         // grids must lint clean (notes are fine, warnings and errors are
-        // not) — otherwise `run_grid`'s pre-flight would abort a real run.
+        // not). No runner applies the warnings, so this test is what keeps
+        // the fixed grids free of them.
         for (i, spec) in suite_specs().iter().enumerate() {
             let diags = sdbp_check::lint_spec(spec, "<suite>");
             assert!(

@@ -94,33 +94,13 @@ pub fn spec(
 /// threads, wall time, speedup, and cache hit/miss counters — to stderr.
 /// Reports come back in spec order, bit-identical to a serial run.
 ///
-/// Every cell is pre-flighted through `sdbp-check`'s coded diagnostics (on
-/// top of the sweep's own `ExperimentSpec::validate` gate), so a
-/// misconfigured grid fails fast with `SDBP`-coded reasons instead of
-/// wasting a long run.
-///
 /// Thread count follows the engine's resolution: the `SDBP_THREADS`
 /// environment variable if set, otherwise all available cores.
-///
-/// With `SDBP_STORE=<dir>` set, every grid becomes durable: the `n`-th
-/// grid of the process writes its manifest under `<dir>/grid-<n>`, and
-/// profiles persist in the store's disk tier across processes. Adding
-/// `SDBP_RESUME=1` replays cells already completed in those manifests.
-/// Neither variable changes anything written to stdout — replayed reports
-/// are byte-identical to freshly computed ones.
 pub fn run_grid(lab: &Lab, specs: Vec<ExperimentSpec>) -> Vec<Report> {
-    static GRID_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let mut sweep = Sweep::new(specs)
+    let result = Sweep::new(specs)
         .with_cache(lab.cache())
         .with_verbose(true)
-        .with_preflight(sdbp_check::preflight_hook());
-    if let Some(root) = std::env::var_os("SDBP_STORE").filter(|v| !v.is_empty()) {
-        let n = GRID_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        sweep = sweep
-            .with_store(std::path::Path::new(&root).join(format!("grid-{n:03}")))
-            .with_resume(std::env::var_os("SDBP_RESUME").is_some_and(|v| v == "1"));
-    }
-    let result = sweep.run();
+        .run();
     eprintln!("  sweep: {}", result.summary());
     result
         .into_reports()

@@ -1,10 +1,10 @@
 //! Static destructive-aliasing analysis, rendered as diagnostics.
 //!
-//! The analyzer itself lives in [`sdbp_profiles::interference`] (where the
+//! The analyzer itself is [`sdbp_profiles::rank_interference`] (the
 //! `Static_Collide` selection scheme also consumes it); this module is the
-//! diagnostics surface: [`analyze_aliasing`] runs the ranking under the
-//! checker's option shape, and [`lint_aliasing`] renders it as SDBP040
-//! hotspot notes or an SDBP041 opaque-scheme note.
+//! diagnostics surface: [`lint_aliasing`] runs the ranking with its default
+//! options and renders it as SDBP040 hotspot notes or an SDBP041
+//! opaque-scheme note.
 //!
 //! The ranking correlates with the simulator's measured destructive-collision
 //! counts (a pinned test in `tests/aliasing_crosscheck.rs` verifies this),
@@ -14,66 +14,19 @@
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use sdbp_predictors::PredictorConfig;
-use sdbp_profiles::{rank_interference, BiasProfile, InterferenceOptions};
+use sdbp_profiles::{rank_interference, BiasProfile, InterferenceOptions, InterferenceRanking};
 
-pub use sdbp_profiles::{InterferenceHotspot as Hotspot, InterferenceRanking as AliasingReport};
-
-/// Tuning knobs for [`analyze_aliasing`]: the analyzer's own options plus
-/// the checker's reporting depth.
-#[derive(Debug, Clone, Copy)]
-pub struct AliasingOptions {
-    /// Histories are enumerated exhaustively up to `2^exhaustive_bits`;
-    /// longer histories are sampled.
-    pub exhaustive_bits: u32,
-    /// Number of sampled history values for long histories.
-    pub history_samples: usize,
-    /// Number of hotspots reported as SDBP040 notes by [`lint_aliasing`].
-    pub top: usize,
-}
-
-impl Default for AliasingOptions {
-    fn default() -> Self {
-        let inner = InterferenceOptions::default();
-        Self {
-            exhaustive_bits: inner.exhaustive_bits,
-            history_samples: inner.history_samples,
-            top: 10,
-        }
-    }
-}
-
-impl AliasingOptions {
-    fn analyzer_options(&self) -> InterferenceOptions {
-        InterferenceOptions {
-            exhaustive_bits: self.exhaustive_bits,
-            history_samples: self.history_samples,
-        }
-    }
-}
-
-/// Statically analyzes destructive aliasing of `config` on the branches in
-/// `profile` — [`sdbp_profiles::rank_interference`] under the checker's
-/// options.
-///
-/// Returns `None` when the scheme does not expose its index function.
-pub fn analyze_aliasing(
-    profile: &BiasProfile,
-    config: PredictorConfig,
-    options: &AliasingOptions,
-) -> Option<AliasingReport> {
-    rank_interference(profile, config, &options.analyzer_options())
-}
-
-/// Runs the analyzer and renders its findings as diagnostics: SDBP040 notes
-/// for the top hotspots, or SDBP041 when the scheme is opaque to analysis.
+/// Ranks the destructive aliasing of `config` on the branches in `profile`
+/// and renders the findings as diagnostics: SDBP040 notes for the `top`
+/// hotspots, or SDBP041 when the scheme is opaque to analysis.
 pub fn lint_aliasing(
     profile: &BiasProfile,
     config: PredictorConfig,
-    options: &AliasingOptions,
+    top: usize,
     origin: &str,
-) -> (Option<AliasingReport>, Diagnostics) {
+) -> (Option<InterferenceRanking>, Diagnostics) {
     let mut diags = Diagnostics::new();
-    let Some(report) = analyze_aliasing(profile, config, options) else {
+    let Some(report) = rank_interference(profile, config, &InterferenceOptions::default()) else {
         diags.push(
             Diagnostic::note(
                 codes::ALIASING_OPAQUE_SCHEME,
@@ -86,7 +39,7 @@ pub fn lint_aliasing(
         );
         return (None, diags);
     };
-    for hotspot in report.hotspots.iter().take(options.top) {
+    for hotspot in report.hotspots.iter().take(top) {
         let share = if report.total_score > 0.0 {
             100.0 * hotspot.score / report.total_score
         } else {
@@ -134,17 +87,17 @@ mod tests {
             PredictorKind::Yags,
         ] {
             assert!(
-                analyze_aliasing(&profile, config(kind, 4096), &AliasingOptions::default())
-                    .is_none(),
+                rank_interference(
+                    &profile,
+                    config(kind, 4096),
+                    &InterferenceOptions::default()
+                )
+                .is_none(),
                 "{kind} should be opaque"
             );
         }
-        let (report, diags) = lint_aliasing(
-            &profile,
-            config(PredictorKind::BiMode, 4096),
-            &AliasingOptions::default(),
-            "<t>",
-        );
+        let (report, diags) =
+            lint_aliasing(&profile, config(PredictorKind::BiMode, 4096), 10, "<t>");
         assert!(report.is_none());
         assert_eq!(diags.iter().map(|d| d.code.0).collect::<Vec<_>>(), [41]);
     }
@@ -158,10 +111,10 @@ mod tests {
             (0x1000 + stride, 1000, 0), // same entry, never taken
             (0x1000 + 8, 1000, 1000),   // private entry
         ]);
-        let report = analyze_aliasing(
+        let report = rank_interference(
             &profile,
             config(PredictorKind::Bimodal, 64),
-            &AliasingOptions::default(),
+            &InterferenceOptions::default(),
         )
         .unwrap();
         assert_eq!(report.branches, 3);
@@ -176,10 +129,10 @@ mod tests {
     #[test]
     fn aligned_branches_do_not_alias_destructively() {
         let profile = profile_of(&[(0x1000, 1000, 1000), (0x1000 + 256 * 4, 1000, 1000)]);
-        let report = analyze_aliasing(
+        let report = rank_interference(
             &profile,
             config(PredictorKind::Bimodal, 64),
-            &AliasingOptions::default(),
+            &InterferenceOptions::default(),
         )
         .unwrap();
         assert!(
@@ -193,10 +146,10 @@ mod tests {
     fn self_interference_is_excluded() {
         // One mixed branch alone in its entry: no *aliasing* to report.
         let profile = profile_of(&[(0x1000, 1000, 500)]);
-        let report = analyze_aliasing(
+        let report = rank_interference(
             &profile,
             config(PredictorKind::Bimodal, 64),
-            &AliasingOptions::default(),
+            &InterferenceOptions::default(),
         )
         .unwrap();
         assert!(report.hotspots.is_empty());
@@ -210,10 +163,10 @@ mod tests {
         // worst case the paper's per-entry tagging measures dynamically.
         let stride = 65536u64 * 4;
         let sites = [(0x1000u64, 1000u64, 1000u64), (0x1000 + stride, 1000, 0)];
-        let report = analyze_aliasing(
+        let report = rank_interference(
             &profile_of(&sites),
             config(PredictorKind::Gshare, 16 * 1024),
-            &AliasingOptions::default(),
+            &InterferenceOptions::default(),
         )
         .unwrap();
         assert_eq!(report.hotspots.len(), 2);
@@ -233,10 +186,10 @@ mod tests {
             (0x1000u64, 1000u64, 1000u64),
             (0x1000 + (1u64 << 13) * 4, 1000, 0),
         ];
-        let report = analyze_aliasing(
+        let report = rank_interference(
             &profile_of(&sites),
             config(PredictorKind::Gshare, 16 * 1024),
-            &AliasingOptions::default(),
+            &InterferenceOptions::default(),
         )
         .unwrap();
         assert!(report.hotspots.is_empty(), "{:?}", report.hotspots);
@@ -255,10 +208,10 @@ mod tests {
             (0x400c, 100, 95),
         ]);
         let run = || {
-            analyze_aliasing(
+            rank_interference(
                 &profile,
                 config(PredictorKind::Gshare, 4096),
-                &AliasingOptions::default(),
+                &InterferenceOptions::default(),
             )
             .unwrap()
         };

@@ -1,13 +1,13 @@
 //! Hint-database lints: internal consistency and profile cross-checks.
 //!
-//! [`parse_hints_text`] re-parses the `"<hex pc> T|N"` format line by line
-//! (rather than through [`HintDatabase::from_text`], whose last-wins
-//! `HashMap` insert silently swallows duplicates) so duplicate and
-//! conflicting entries are visible. [`lint_hints_against_profile`] then
-//! cross-checks the surviving database against a bias profile: hints for
-//! branches the profile never saw, hints that contradict the profiled
-//! majority direction, and strongly biased hot branches left without a
-//! hint.
+//! [`parse_hints_text`] parses the `"<hex pc> T|N"` format line by line
+//! through [`HintDatabase::parse_line`] (rather than through
+//! [`HintDatabase::from_text`], whose last-wins `HashMap` insert silently
+//! swallows duplicates) so duplicate and conflicting entries are visible.
+//! [`lint_hints_against_profile`] then cross-checks the surviving database
+//! against a bias profile: hints for branches the profile never saw, hints
+//! that contradict the profiled majority direction, and strongly biased hot
+//! branches left without a hint.
 
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
@@ -25,33 +25,22 @@ pub fn parse_hints_text(text: &str, origin: &str) -> (HintDatabase, Diagnostics)
     let mut diags = Diagnostics::new();
     let mut db = HintDatabase::new();
     let mut first_seen: HashMap<BranchAddr, (usize, bool)> = HashMap::new();
-    for (idx, raw) in text.lines().enumerate() {
+    for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let Some(hint) = HintDatabase::parse_line(line) else {
             continue;
-        }
-        let mut parts = line.split_whitespace();
-        let pc = parts
-            .next()
-            .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok());
-        let taken = match parts.next() {
-            Some("T") | Some("t") => Some(true),
-            Some("N") | Some("n") => Some(false),
-            _ => None,
         };
-        let (Some(pc), Some(taken)) = (pc, taken) else {
+        let Ok((pc, taken)) = hint else {
             diags.push(
                 Diagnostic::error(
                     codes::HINT_PARSE_ERROR,
-                    format!("malformed hint line '{line}'"),
+                    format!("malformed hint line '{}'", line.trim()),
                 )
                 .with_span(Span::line(origin, "hint", line_no))
                 .with_note("expected '<hex pc> T|N'"),
             );
             continue;
         };
-        let pc = BranchAddr(pc);
         match first_seen.get(&pc) {
             None => {
                 first_seen.insert(pc, (line_no, taken));

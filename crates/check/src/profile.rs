@@ -13,7 +13,7 @@ use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use sdbp_core::ExperimentSpec;
 use sdbp_profiles::{BiasProfile, ProfileDatabase};
-use sdbp_trace::{BranchAddr, SiteStats};
+use sdbp_trace::BranchAddr;
 
 /// Provenance metadata recovered from a profile's header comments.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -31,9 +31,11 @@ pub struct ProfileMetadata {
 /// Parses a profile file: header metadata plus `"<hex pc> <executed>
 /// <taken>"` data lines.
 ///
-/// Unlike [`BiasProfile::from_text`], which stops at the first bad line,
-/// every malformed line is reported (SDBP035) and the well-formed remainder
-/// is still returned. An empty profile is SDBP033.
+/// Data lines go through [`BiasProfile::parse_line`], the loader's own
+/// grammar. Unlike [`BiasProfile::from_text`], which stops at the first bad
+/// line, every malformed line is reported (SDBP035, naming the bad field)
+/// and the well-formed remainder is still returned. An empty profile is
+/// SDBP033.
 pub fn parse_profile_text(text: &str, origin: &str) -> (BiasProfile, ProfileMetadata, Diagnostics) {
     let mut diags = Diagnostics::new();
     let mut profile = BiasProfile::new();
@@ -41,9 +43,6 @@ pub fn parse_profile_text(text: &str, origin: &str) -> (BiasProfile, ProfileMeta
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
         if let Some(comment) = line.strip_prefix('#') {
             if let Some((key, value)) = comment.trim().split_once(char::is_whitespace) {
                 let value = value.trim();
@@ -57,31 +56,17 @@ pub fn parse_profile_text(text: &str, origin: &str) -> (BiasProfile, ProfileMeta
             }
             continue;
         }
-        let mut parts = line.split_whitespace();
-        let pc = parts
-            .next()
-            .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok());
-        let executed = parts.next().and_then(|p| p.parse::<u64>().ok());
-        let taken = parts.next().and_then(|p| p.parse::<u64>().ok());
-        match (pc, executed, taken) {
-            (Some(pc), Some(executed), Some(taken)) if taken <= executed => {
-                profile.insert(BranchAddr(pc), SiteStats { executed, taken });
-            }
-            (Some(_), Some(executed), Some(taken)) => diags.push(
+        match BiasProfile::parse_line(line) {
+            Some(Ok((pc, stats))) => profile.insert(pc, stats),
+            Some(Err(e)) => diags.push(
                 Diagnostic::error(
                     codes::PROFILE_PARSE_ERROR,
-                    format!("taken count {taken} exceeds executed count {executed}"),
-                )
-                .with_span(Span::line(origin, "profile", line_no)),
-            ),
-            _ => diags.push(
-                Diagnostic::error(
-                    codes::PROFILE_PARSE_ERROR,
-                    format!("malformed profile line '{line}'"),
+                    format!("malformed profile line '{line}': {e}"),
                 )
                 .with_span(Span::line(origin, "profile", line_no))
                 .with_note("expected '<hex pc> <executed> <taken>'"),
             ),
+            None => {}
         }
     }
     if profile.is_empty() {
@@ -196,6 +181,7 @@ mod tests {
     use super::*;
     use sdbp_predictors::{PredictorConfig, PredictorKind};
     use sdbp_profiles::SelectionScheme;
+    use sdbp_trace::SiteStats;
     use sdbp_workloads::Benchmark;
 
     fn codes_of(diags: &Diagnostics) -> Vec<u16> {
@@ -235,6 +221,14 @@ mod tests {
         let (profile, _, diags) = parse_profile_text("100 1000 990\nzzz\n104 10 20\n", "<t>");
         assert_eq!(codes_of(&diags), [35, 35]);
         assert_eq!(profile.len(), 1, "good lines survive");
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "malformed profile line 'zzz': bad pc",
+                "malformed profile line '104 10 20': taken count 20 exceeds executed count 10",
+            ]
+        );
     }
 
     #[test]

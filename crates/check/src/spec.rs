@@ -6,14 +6,17 @@
 //!   by `sdbp check`'s inline options) into an [`ExperimentSpec`], emitting
 //!   coded diagnostics for unknown names, malformed values, and impossible
 //!   predictor configurations — with did-you-mean suggestions.
-//! * [`lint_spec`] checks an already-constructed spec for semantic problems:
-//!   out-of-range scheme parameters, zero budgets, warm-up swallowing the
-//!   run, profiling starvation, ineffective shift policies, and byte budgets
-//!   the scheme cannot realize exactly.
+//! * [`lint_spec`] checks an already-constructed spec for semantic problems.
+//!   Its errors are [`ExperimentSpec::validate`]'s problems — out-of-range
+//!   scheme parameters, zero budgets, warm-up swallowing the run — the rules
+//!   every runner enforces. Its warnings and notes are its own: profiling
+//!   starvation, `static_collide` on an opaque predictor, ineffective shift
+//!   policies, byte budgets the scheme cannot realize exactly, and history
+//!   declarations.
 
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
-use sdbp_core::{ExperimentSpec, ProfileSource, ShiftPolicy};
+use sdbp_core::{ExperimentSpec, ProfileSource, ShiftPolicy, SpecProblem};
 use sdbp_predictors::{DynamicPredictor, PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
 use sdbp_workloads::{Benchmark, InputSet};
@@ -201,10 +204,9 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                     SCHEME_NAMES,
                 )),
             },
-            "shift" => match value {
-                "shift" => shift = ShiftPolicy::Shift,
-                "no-shift" | "noshift" => shift = ShiftPolicy::NoShift,
-                _ => diags.push(suggest(
+            "shift" => match value.parse::<ShiftPolicy>() {
+                Ok(s) => shift = s,
+                Err(_) => diags.push(suggest(
                     malformed("shift", "shift or no-shift"),
                     value,
                     SHIFT_NAMES,
@@ -326,6 +328,33 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
     )
 }
 
+/// Renders one [`ExperimentSpec::validate`] problem as its coded error:
+/// SDBP008 for a zero budget, SDBP009 for the warm-up, SDBP007 for a scheme
+/// or training parameter (the training problem is spanned as `training`,
+/// its spec-file key).
+fn problem_diagnostic(spec: &ExperimentSpec, problem: &SpecProblem, origin: &str) -> Diagnostic {
+    let (code, field) = match problem.field {
+        "profile_instructions" | "measure_instructions" => {
+            (codes::ZERO_INSTRUCTION_BUDGET, problem.field)
+        }
+        "warmup_instructions" => (codes::WARMUP_EXCEEDS_BUDGET, problem.field),
+        "profile" => (codes::SCHEME_PARAMETER_OUT_OF_RANGE, "training"),
+        _ => (codes::SCHEME_PARAMETER_OUT_OF_RANGE, problem.field),
+    };
+    let diag =
+        Diagnostic::error(code, problem.message.clone()).with_span(Span::field(origin, field));
+    match field {
+        "warmup_instructions" => {
+            diag.with_suggestion("reduce warmup or raise measure_instructions")
+        }
+        "scheme" if matches!(spec.scheme, SelectionScheme::Bias { .. }) => {
+            diag.with_note("the paper's Static_95 uses a cutoff of 0.95")
+        }
+        "training" => diag.with_note("the paper's Spike-style merge uses 0.05"),
+        _ => diag,
+    }
+}
+
 /// Lints a constructed spec (no `history` declaration).
 pub fn lint_spec(spec: &ExperimentSpec, origin: &str) -> Diagnostics {
     lint_spec_with_history(spec, None, origin)
@@ -341,47 +370,30 @@ pub fn lint_spec_with_history(
     let mut diags = Diagnostics::new();
     let span = |field: &'static str| Span::field(origin, field);
 
-    // SDBP008: zero budgets.
-    if spec.profile_instructions == Some(0) {
-        diags.push(
-            Diagnostic::error(
-                codes::ZERO_INSTRUCTION_BUDGET,
-                "profiling budget is zero; no branch would be profiled",
-            )
-            .with_span(span("profile_instructions")),
-        );
-    }
-    if spec.measure_instructions == Some(0) {
-        diags.push(
-            Diagnostic::error(
-                codes::ZERO_INSTRUCTION_BUDGET,
-                "measurement budget is zero; no branch would be measured",
-            )
-            .with_span(span("measure_instructions")),
-        );
-    }
-
-    // SDBP009: warm-up swallowing the measured window.
-    let measure = spec.measure_budget();
-    if measure > 0 && spec.warmup_instructions >= measure {
-        diags.push(
-            Diagnostic::error(
-                codes::WARMUP_EXCEEDS_BUDGET,
-                format!(
-                    "warm-up of {} instructions consumes the whole measurement budget of {measure}",
-                    spec.warmup_instructions
-                ),
-            )
-            .with_span(span("warmup_instructions"))
-            .with_suggestion("reduce warmup or raise measure_instructions"),
-        );
-    }
+    // SDBP007/008/009: the run-blocking rules every runner applies, one
+    // error per problem. Fields are emitted in groups so the report keeps
+    // its budget → SDBP010 → scheme → SDBP042 → training order.
+    let problems = spec.validate().err().unwrap_or_default();
+    let reject = |fields: &[&str], diags: &mut Diagnostics| {
+        for problem in problems.iter().filter(|p| fields.contains(&p.field)) {
+            diags.push(problem_diagnostic(spec, problem, origin));
+        }
+    };
+    reject(
+        &[
+            "profile_instructions",
+            "measure_instructions",
+            "warmup_instructions",
+        ],
+        &mut diags,
+    );
 
     // SDBP010: profiling starvation. Hints selected from a profile that
     // covers a sliver of the measured run generalize poorly (the paper's
     // cross-training problem in miniature, but self-inflicted).
+    let measure = spec.measure_budget();
     let profile = spec.profile_budget();
-    if spec.scheme != sdbp_profiles::SelectionScheme::None
+    if spec.scheme != SelectionScheme::None
         && profile > 0
         && measure > 0
         && profile.saturating_mul(50) < measure
@@ -399,111 +411,30 @@ pub fn lint_spec_with_history(
         );
     }
 
-    // SDBP007: scheme and training parameters out of range.
-    match spec.scheme {
-        sdbp_profiles::SelectionScheme::None | sdbp_profiles::SelectionScheme::VsAccuracy => {}
-        sdbp_profiles::SelectionScheme::Bias { cutoff } => {
-            if !(cutoff > 0.0 && cutoff < 1.0) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("bias cutoff {cutoff} outside the open interval (0, 1)"),
-                    )
-                    .with_span(span("scheme"))
-                    .with_note("the paper's Static_95 uses a cutoff of 0.95"),
-                );
-            }
-        }
-        sdbp_profiles::SelectionScheme::Factor { factor } => {
-            if !(factor > 0.0 && factor.is_finite()) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("accuracy factor {factor} must be positive and finite"),
-                    )
-                    .with_span(span("scheme")),
-                );
-            }
-        }
-        sdbp_profiles::SelectionScheme::CollisionAware {
-            min_bias,
-            min_collision_rate,
-        } => {
-            if !(min_bias > 0.0 && min_bias < 1.0) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("minimum bias {min_bias} outside the open interval (0, 1)"),
-                    )
-                    .with_span(span("scheme")),
-                );
-            }
-            if !(0.0..1.0).contains(&min_collision_rate) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("minimum collision rate {min_collision_rate} outside [0, 1)"),
-                    )
-                    .with_span(span("scheme")),
-                );
-            }
-        }
-        sdbp_profiles::SelectionScheme::Collide {
-            min_bias,
-            min_score_rate,
-        } => {
-            if !(min_bias > 0.0 && min_bias < 1.0) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("minimum bias {min_bias} outside the open interval (0, 1)"),
-                    )
-                    .with_span(span("scheme")),
-                );
-            }
-            if !(0.0..1.0).contains(&min_score_rate) {
-                diags.push(
-                    Diagnostic::error(
-                        codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                        format!("minimum score rate {min_score_rate} outside [0, 1)"),
-                    )
-                    .with_span(span("scheme")),
-                );
-            }
-            // SDBP042: Static_Collide needs the predictor's index function.
-            let capability = spec.predictor.index_capability();
-            if !capability.is_analyzable() {
-                diags.push(
-                    Diagnostic::warning(
-                        codes::COLLIDE_ON_OPAQUE_PREDICTOR,
-                        format!(
-                            "static_collide cannot rank interference on {}: its index \
-                             function is {capability} to static analysis",
-                            spec.predictor.kind()
-                        ),
-                    )
-                    .with_span(span("scheme"))
-                    .with_suggestion(
-                        "use an analyzable predictor (bimodal, ghist, gshare, gselect, \
-                         e-gskew, perceptron, tage-lite), or select with static_col \
-                         from a measured accuracy profile",
-                    ),
-                );
-            }
-        }
-    }
-    if let ProfileSource::MergedCrossTrained { max_bias_change } = spec.profile {
-        if !(0.0..=1.0).contains(&max_bias_change) {
+    reject(&["scheme"], &mut diags);
+    // SDBP042: Static_Collide needs the predictor's index function.
+    if spec.scheme.needs_interference_ranking() {
+        let capability = spec.predictor.index_capability();
+        if !capability.is_analyzable() {
             diags.push(
-                Diagnostic::error(
-                    codes::SCHEME_PARAMETER_OUT_OF_RANGE,
-                    format!("maximum bias change {max_bias_change} outside [0, 1]"),
+                Diagnostic::warning(
+                    codes::COLLIDE_ON_OPAQUE_PREDICTOR,
+                    format!(
+                        "static_collide cannot rank interference on {}: its index \
+                         function is {capability} to static analysis",
+                        spec.predictor.kind()
+                    ),
                 )
-                .with_span(span("training"))
-                .with_note("the paper's Spike-style merge uses 0.05"),
+                .with_span(span("scheme"))
+                .with_suggestion(
+                    "use an analyzable predictor (bimodal, ghist, gshare, gselect, \
+                     e-gskew, perceptron, tage-lite), or select with static_col \
+                     from a measured accuracy profile",
+                ),
             );
         }
     }
+    reject(&["profile"], &mut diags);
 
     // SDBP011: shifting history into a predictor that keeps none.
     if spec.shift == ShiftPolicy::Shift && !spec.predictor.kind().uses_global_history() {

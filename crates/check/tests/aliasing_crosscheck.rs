@@ -6,7 +6,6 @@
 //! workload the two must agree on where the hotspots are — that agreement
 //! is the analyzer's acceptance test.
 
-use sdbp_check::{analyze_aliasing, AliasingOptions};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::{
     rank_interference, AccuracyProfile, BiasProfile, InterferenceOptions, SelectionScheme,
@@ -39,7 +38,7 @@ fn measured_top(config: PredictorConfig, n: usize) -> Vec<BranchAddr> {
 /// Top `n` branches by predicted destructive score.
 fn predicted_top(config: PredictorConfig, n: usize) -> Vec<BranchAddr> {
     let profile = BiasProfile::from_source(source());
-    let report = analyze_aliasing(&profile, config, &AliasingOptions::default())
+    let report = rank_interference(&profile, config, &InterferenceOptions::default())
         .expect("scheme exposes its index function");
     report.hotspots.iter().take(n).map(|h| h.pc).collect()
 }

@@ -146,10 +146,7 @@ pub fn profile(args: &Args) -> CmdResult {
     let header = format!(
         "# benchmark {}\n# input {}\n# seed {}\n# instructions {}\n",
         opts.benchmark.name(),
-        match opts.input {
-            InputSet::Train => "train",
-            InputSet::Ref => "ref",
-        },
+        opts.input.name(),
         opts.seed,
         opts.instructions
     );
@@ -389,7 +386,8 @@ pub fn grid(args: &Args) -> CmdResult {
             let config = PredictorConfig::new(kind, size).map_err(|e| e.to_string())?;
             let mut row = Vec::new();
             for &scheme in &schemes {
-                if scheme.needs_interference_ranking() && !sdbp_profiles::exposes_indices(config) {
+                if scheme.needs_interference_ranking() && !config.index_capability().is_analyzable()
+                {
                     row.push(None);
                     continue;
                 }
@@ -648,14 +646,10 @@ pub fn check(args: &Args) -> CmdResult {
                     &fresh
                 }
             };
-            let options = sdbp_check::AliasingOptions {
-                top: args
-                    .get_parsed_or("top", 10usize)
-                    .map_err(CliError::Usage)?,
-                ..Default::default()
-            };
-            let (_, aliasing_diags) =
-                sdbp_check::lint_aliasing(bias, spec.predictor, &options, &origin);
+            let top = args
+                .get_parsed_or("top", 10usize)
+                .map_err(CliError::Usage)?;
+            let (_, aliasing_diags) = sdbp_check::lint_aliasing(bias, spec.predictor, top, &origin);
             diags.merge(aliasing_diags);
         }
     }
@@ -899,6 +893,23 @@ mod tests {
             "1024",
         ]);
         assert!(sim(&a).is_ok());
+    }
+
+    #[test]
+    fn sim_rejects_specs_that_fail_validation() {
+        // Rejection comes before any profiling, so the default budget of
+        // the static_150 run costs nothing.
+        for extra in [["--instructions", "0"], ["--scheme", "static_150"]] {
+            let mut argv = vec!["sim", "--benchmark", "compress"];
+            argv.extend(extra);
+            let err = sim(&args(&argv)).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{extra:?}: {err}");
+            assert!(
+                err.to_string()
+                    .starts_with("spec rejected by pre-flight checks: "),
+                "{extra:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Binary artifact codecs for experiment specs and reports.
+//! The binary artifact codec for experiment specs.
 //!
-//! Implements [`Codec`] for [`ExperimentSpec`] and [`Report`], which makes
-//! both storable in the content-addressed artifact store and gives every
-//! spec a stable content digest ([`spec_digest`]) — the key under which a
-//! sweep manifest records the cell and under which its profile artifacts
-//! are cached on disk.
+//! Implements [`Codec`] for [`ExperimentSpec`], which gives every spec a
+//! stable content digest ([`spec_digest`]) — the key under which a sweep
+//! manifest records the cell and `--resume` finds it again.
 //!
 //! Encodings are canonical: enums are written as fixed tags or as their
 //! stable lowercase names, floats as IEEE-754 bit patterns, so two equal
@@ -13,8 +11,6 @@
 
 use crate::combined::ShiftPolicy;
 use crate::experiment::{ExperimentSpec, ProfileSource};
-use crate::metrics::{CollisionStats, SimStats};
-use crate::report::Report;
 use sdbp_artifacts::{Codec, CodecError, Decoder, Digest, Encoder};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectionScheme;
@@ -202,67 +198,6 @@ impl Codec for ExperimentSpec {
     }
 }
 
-impl Codec for Report {
-    const SCHEMA: &'static str = "sdbp-report";
-    const VERSION: u32 = 1;
-
-    fn encode_payload(&self, e: &mut Encoder) {
-        e.str(self.benchmark.name());
-        encode_predictor(&self.predictor, e);
-        e.str(&self.scheme_label);
-        encode_shift(self.shift, e);
-        encode_input(self.measure_input, e);
-        e.u64(self.hints as u64);
-        e.u64(self.stats.instructions);
-        e.u64(self.stats.branches);
-        e.u64(self.stats.mispredictions);
-        e.u64(self.stats.static_predicted);
-        e.u64(self.stats.static_mispredictions);
-        e.u64(self.stats.collisions.total);
-        e.u64(self.stats.collisions.constructive);
-        e.u64(self.stats.collisions.destructive);
-    }
-
-    fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let benchmark: Benchmark = d
-            .str("benchmark name")?
-            .parse()
-            .map_err(|e| invalid(format!("benchmark: {e}")))?;
-        let predictor = decode_predictor(d)?;
-        let scheme_label = d.str("scheme label")?;
-        let shift = decode_shift(d)?;
-        let measure_input = decode_input(d)?;
-        let hints = d.u64("hint count")? as usize;
-        let stats = SimStats {
-            instructions: d.u64("instructions")?,
-            branches: d.u64("branches")?,
-            mispredictions: d.u64("mispredictions")?,
-            static_predicted: d.u64("static predicted")?,
-            static_mispredictions: d.u64("static mispredictions")?,
-            collisions: CollisionStats {
-                total: d.u64("collisions total")?,
-                constructive: d.u64("collisions constructive")?,
-                destructive: d.u64("collisions destructive")?,
-            },
-        };
-        if stats.mispredictions > stats.branches
-            || stats.static_predicted > stats.branches
-            || stats.collisions.constructive + stats.collisions.destructive > stats.collisions.total
-        {
-            return Err(invalid("report counters exceed their totals"));
-        }
-        Ok(Report {
-            benchmark,
-            predictor,
-            scheme_label,
-            shift,
-            measure_input,
-            hints,
-            stats,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,29 +210,6 @@ mod tests {
             PredictorConfig::new(PredictorKind::Gshare, 4096).unwrap(),
             SelectionScheme::static_95(),
         )
-    }
-
-    fn report() -> Report {
-        Report {
-            benchmark: Benchmark::Perl,
-            predictor: PredictorConfig::new(PredictorKind::BiMode, 2048).unwrap(),
-            scheme_label: "static_acc".into(),
-            shift: ShiftPolicy::Shift,
-            measure_input: InputSet::Ref,
-            hints: 321,
-            stats: SimStats {
-                instructions: 1_000_000,
-                branches: 150_000,
-                mispredictions: 9_000,
-                static_predicted: 40_000,
-                static_mispredictions: 800,
-                collisions: CollisionStats {
-                    total: 5_000,
-                    constructive: 1_200,
-                    destructive: 3_100,
-                },
-            },
-        }
     }
 
     #[test]
@@ -341,64 +253,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn report_roundtrips() {
-        let r = report();
-        assert_eq!(Report::from_bytes(&r.to_bytes()).unwrap(), r);
-    }
-
-    #[test]
-    fn report_decode_rejects_impossible_counters() {
-        struct Evil;
-        impl Codec for Evil {
-            const SCHEMA: &'static str = "sdbp-report";
-            const VERSION: u32 = 1;
-            fn encode_payload(&self, e: &mut Encoder) {
-                let mut r = report();
-                r.stats.mispredictions = r.stats.branches + 1;
-                r.encode_payload(e);
-            }
-            fn decode_payload(_: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                Ok(Evil)
-            }
-        }
-        let err = Report::from_bytes(&Evil.to_bytes()).unwrap_err();
-        assert!(matches!(err, CodecError::Invalid { .. }), "{err}");
-    }
-
-    #[test]
-    fn spec_and_report_schemas_are_distinct() {
-        let err = Report::from_bytes(&spec().to_bytes()).unwrap_err();
-        assert!(matches!(err, CodecError::SchemaMismatch { .. }), "{err}");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn reports_roundtrip(
-            branches in any::<u32>(),
-            misp in any::<u32>(),
-            hints in any::<u32>(),
-            total in any::<u32>(),
-            constructive in any::<u32>(),
-        ) {
-            let branches = u64::from(branches);
-            let total = u64::from(total);
-            let constructive = u64::from(constructive).min(total);
-            let mut r = report();
-            r.stats.branches = branches;
-            r.stats.mispredictions = u64::from(misp).min(branches);
-            r.stats.static_predicted = branches / 2;
-            r.stats.static_mispredictions = branches / 8;
-            r.hints = hints as usize;
-            r.stats.collisions = CollisionStats {
-                total,
-                constructive,
-                destructive: total - constructive,
-            };
-            prop_assert_eq!(Report::from_bytes(&r.to_bytes()).unwrap(), r);
-        }
 
         #[test]
         fn truncated_specs_error_not_panic(cut in any::<u32>()) {

@@ -38,6 +38,23 @@ impl fmt::Display for ShiftPolicy {
     }
 }
 
+/// Parses a [`label`](ShiftPolicy::label) (`shift`, `no-shift`), or
+/// `noshift` for no shifting. Manifests and `sdbp check`'s spec parser both
+/// read shift policies through it.
+impl std::str::FromStr for ShiftPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "shift" => Ok(ShiftPolicy::Shift),
+            "no-shift" | "noshift" => Ok(ShiftPolicy::NoShift),
+            other => Err(format!(
+                "unknown shift policy '{other}' (expected shift or no-shift)"
+            )),
+        }
+    }
+}
+
 /// How one branch was resolved by the combined predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchResolution {
@@ -336,5 +353,11 @@ mod tests {
         assert_eq!(ShiftPolicy::NoShift.to_string(), "no-shift");
         assert_eq!(ShiftPolicy::Shift.to_string(), "shift");
         assert_eq!(ShiftPolicy::default(), ShiftPolicy::NoShift);
+        for policy in [ShiftPolicy::NoShift, ShiftPolicy::Shift] {
+            assert_eq!(policy.label().parse::<ShiftPolicy>(), Ok(policy));
+        }
+        assert_eq!("noshift".parse::<ShiftPolicy>(), Ok(ShiftPolicy::NoShift));
+        let err = "Shift".parse::<ShiftPolicy>().unwrap_err();
+        assert!(err.contains("'Shift'"), "{err}");
     }
 }

@@ -237,10 +237,11 @@ impl ExperimentSpec {
     /// Checks the structural invariants a spec must satisfy to produce a
     /// meaningful experiment, without running anything.
     ///
-    /// Every [`Sweep`](crate::Sweep) gates each cell on it; the `sdbp-check`
-    /// crate builds its coded diagnostics on top of the same conditions
-    /// (plus many more). A valid spec is guaranteed not to panic inside
-    /// [`Lab::run`] for spec-level reasons.
+    /// These are the only run-blocking spec rules: [`Lab::run`],
+    /// [`Lab::run_lockstep`] and every [`Sweep`](crate::Sweep) reject a spec
+    /// that breaks one, and `sdbp check` reports each problem as a coded
+    /// error (SDBP007–SDBP009). A valid spec is guaranteed not to panic
+    /// inside [`Lab::run`] for spec-level reasons.
     ///
     /// # Errors
     ///
@@ -288,7 +289,7 @@ impl ExperimentSpec {
                 if !(factor > 0.0 && factor.is_finite()) {
                     problem(
                         "scheme",
-                        format!("accuracy factor {factor} must be positive"),
+                        format!("accuracy factor {factor} must be positive and finite"),
                     );
                 }
             }
@@ -341,6 +342,20 @@ impl ExperimentSpec {
             Err(problems)
         }
     }
+
+    /// [`validate`](Self::validate) as the runners' gate: every problem,
+    /// rendered `field: message` and joined by `; `, becomes the reason of
+    /// one [`ExperimentError::Rejected`].
+    pub(crate) fn admit(&self) -> Result<(), ExperimentError> {
+        self.validate()
+            .map_err(|problems| ExperimentError::Rejected {
+                reason: problems
+                    .iter()
+                    .map(SpecProblem::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; "),
+            })
+    }
 }
 
 /// The profile artifacts hint selection for one spec reads (see
@@ -383,12 +398,11 @@ impl fmt::Display for SpecProblem {
 pub enum ExperimentError {
     /// Hint selection failed.
     Select(SelectError),
-    /// The spec was rejected before any simulation ran — by
-    /// [`ExperimentSpec::validate`], which every [`Sweep`](crate::Sweep)
-    /// applies, or by an installed pre-flight hook (see
-    /// [`Lab::with_preflight`]).
+    /// The spec was rejected before any simulation ran: it breaks a rule
+    /// of [`ExperimentSpec::validate`], which [`Lab`] and every
+    /// [`Sweep`](crate::Sweep) apply.
     Rejected {
-        /// The rendered pre-flight diagnostics.
+        /// The violated rules, each as `field: message`, joined by `; `.
         reason: String,
     },
     /// The cell was not executed at all (e.g. a sweep hit its cell cap
@@ -565,9 +579,10 @@ impl From<StoreError> for ExperimentError {
 ///
 /// # Errors
 ///
-/// Propagates [`SelectError`] from hint selection (e.g. an accuracy-based
-/// scheme without an accuracy profile — cannot happen through this API,
-/// which collects one on demand).
+/// [`ExperimentError::Rejected`] for a spec that fails
+/// [`ExperimentSpec::validate`]; otherwise propagates [`SelectError`] from
+/// hint selection (e.g. `Static_Collide` on a predictor whose index function
+/// is opaque to static analysis).
 pub fn run_experiment(spec: &ExperimentSpec) -> Result<Report, ExperimentError> {
     Lab::new().run(spec)
 }
@@ -583,16 +598,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<Report, ExperimentError> 
 /// [`Sweep`](crate::Sweep) — or across several labs — via [`Lab::with_cache`].
 pub struct Lab {
     cache: Arc<ArtifactCache>,
-    preflight: Option<PreflightFn>,
 }
-
-/// A pre-flight validator installable into a [`Lab`] or a
-/// [`Sweep`](crate::Sweep): inspects a spec before anything runs and
-/// returns the rendered diagnostics when the spec must be rejected.
-///
-/// The `sdbp-check` crate provides a full coded-diagnostics implementation;
-/// [`ExperimentSpec::validate`] is the dependency-free baseline.
-pub type PreflightFn = Arc<dyn Fn(&ExperimentSpec) -> Result<(), String> + Send + Sync>;
 
 impl Default for Lab {
     fn default() -> Self {
@@ -603,27 +609,12 @@ impl Default for Lab {
 impl Lab {
     /// Creates a lab with a fresh artifact cache.
     pub fn new() -> Self {
-        Self {
-            cache: Arc::new(ArtifactCache::new()),
-            preflight: None,
-        }
+        Self::with_cache(Arc::new(ArtifactCache::new()))
     }
 
     /// Creates a lab sharing an existing artifact cache.
     pub fn with_cache(cache: Arc<ArtifactCache>) -> Self {
-        Self {
-            cache,
-            preflight: None,
-        }
-    }
-
-    /// Installs a pre-flight validator that every subsequent [`Lab::run`]
-    /// consults before simulating; rejected specs come back as
-    /// [`ExperimentError::Rejected`] instead of running (or panicking)
-    /// mid-experiment.
-    pub fn with_preflight(mut self, preflight: PreflightFn) -> Self {
-        self.preflight = Some(preflight);
-        self
+        Self { cache }
     }
 
     /// The shared artifact cache behind this lab.
@@ -674,15 +665,14 @@ impl Lab {
             .select_with_interference(&bias, accuracy.as_deref(), ranking.as_ref())?)
     }
 
-    /// Phase one for one spec: pre-flight, hint selection, and the combined
-    /// predictor ready for measurement (plus the hint count for the report).
+    /// Phase one for one spec: the [`ExperimentSpec::validate`] gate, hint
+    /// selection, and the combined predictor ready for measurement (plus
+    /// the hint count for the report).
     fn phase_one(
         &self,
         spec: &ExperimentSpec,
     ) -> Result<(CombinedPredictor, usize), ExperimentError> {
-        if let Some(preflight) = &self.preflight {
-            preflight(spec).map_err(|reason| ExperimentError::Rejected { reason })?;
-        }
+        spec.admit()?;
         let hints = self.select_hints(spec)?;
         let hints_len = hints.len();
         // build_any: the measurement loop dispatches on the enum, not a
@@ -712,7 +702,7 @@ impl Lab {
     /// straight off the generator in chunk-sized memory
     /// ([`ArtifactCache::run_passes`]).
     ///
-    /// Members whose pre-flight or selection fails report their error and
+    /// Members that fail validation or selection report their error and
     /// simply do not join the traversal; the remaining members still share
     /// one. The traversals avoided are recorded in
     /// [`CacheStats`](crate::CacheStats)`::lockstep_traversals_saved`.
@@ -1114,18 +1104,15 @@ mod tests {
 
     #[test]
     fn lab_preflight_rejects_before_any_simulation() {
-        let lab = Lab::new().with_preflight(Arc::new(|spec: &ExperimentSpec| {
-            spec.validate().map_err(|p| {
-                p.iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            })
-        }));
+        let lab = Lab::new();
         let bad = spec(SelectionScheme::Bias { cutoff: 2.0 });
         match lab.run(&bad) {
             Err(ExperimentError::Rejected { reason }) => {
                 assert!(reason.contains("cutoff"), "{reason}");
+                assert_eq!(
+                    reason,
+                    "scheme: bias cutoff 2 outside the open interval (0, 1)"
+                );
             }
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -1135,6 +1122,12 @@ mod tests {
         );
         let good = spec(SelectionScheme::static_95());
         assert!(lab.run(&good).is_ok(), "valid specs still run");
+        let results = lab.run_lockstep(&[&bad, &good]);
+        assert!(matches!(results[0], Err(ExperimentError::Rejected { .. })));
+        assert!(
+            results[1].is_ok(),
+            "a rejected member does not block the group"
+        );
     }
 
     #[test]

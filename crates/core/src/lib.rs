@@ -81,7 +81,7 @@ pub use cache::{
 pub use codec::spec_digest;
 pub use combined::{BranchResolution, CombinedPredictor, ShiftPolicy};
 pub use experiment::{
-    run_experiment, ExperimentError, ExperimentSpec, Lab, PreflightFn, ProfileSource, SpecProblem,
+    run_experiment, ExperimentError, ExperimentSpec, Lab, ProfileSource, SpecProblem,
 };
 pub use manifest::{ManifestEntry, ManifestError, RunManifest, RunStore};
 pub use metrics::{CollisionStats, SimStats};

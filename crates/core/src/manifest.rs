@@ -18,18 +18,17 @@
 
 use crate::codec::spec_digest;
 use crate::experiment::{ExperimentError, ExperimentSpec};
+use crate::metrics::{CollisionStats, SimStats};
 use crate::report::Report;
 use sdbp_artifacts::{Digest, Json, Store};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::SelectError;
-use sdbp_workloads::{Benchmark, InputSet};
+use sdbp_workloads::Benchmark;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use crate::combined::ShiftPolicy;
 
 /// One line of a run manifest: a finished (or deliberately skipped) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,55 +115,65 @@ fn report_from_json(obj: &Json, line: usize) -> Result<Report, ManifestError> {
         .map_err(|e| bad(format!("{e}")))?;
     let predictor = PredictorConfig::new(kind, u64_field(obj, "size_bytes", line)? as usize)
         .map_err(|e| bad(format!("{e}")))?;
-    let shift = match str_field(obj, "shift", line)? {
-        "no-shift" => ShiftPolicy::NoShift,
-        "shift" => ShiftPolicy::Shift,
-        other => return Err(bad(format!("unknown shift policy '{other}'"))),
+    let stats = SimStats {
+        instructions: u64_field(obj, "instructions", line)?,
+        branches: u64_field(obj, "branches", line)?,
+        mispredictions: u64_field(obj, "mispredictions", line)?,
+        static_predicted: u64_field(obj, "static_predicted", line)?,
+        static_mispredictions: u64_field(obj, "static_mispredictions", line)?,
+        collisions: CollisionStats {
+            total: u64_field(obj, "collisions", line)?,
+            constructive: u64_field(obj, "constructive", line)?,
+            destructive: u64_field(obj, "destructive", line)?,
+        },
     };
-    let measure_input = match str_field(obj, "input", line)? {
-        "train" => InputSet::Train,
-        "ref" => InputSet::Ref,
-        other => return Err(bad(format!("unknown input set '{other}'"))),
-    };
+    let c = stats.collisions;
+    if stats.mispredictions > stats.branches
+        || stats.static_predicted > stats.branches
+        || c.constructive.saturating_add(c.destructive) > c.total
+    {
+        return Err(bad("report counters exceed their totals".to_string()));
+    }
     Ok(Report {
         benchmark,
         predictor,
         scheme_label: str_field(obj, "scheme", line)?.to_string(),
-        shift,
-        measure_input,
+        shift: str_field(obj, "shift", line)?.parse().map_err(bad)?,
+        measure_input: str_field(obj, "input", line)?.parse().map_err(bad)?,
         hints: u64_field(obj, "hints", line)? as usize,
-        stats: crate::metrics::SimStats {
-            instructions: u64_field(obj, "instructions", line)?,
-            branches: u64_field(obj, "branches", line)?,
-            mispredictions: u64_field(obj, "mispredictions", line)?,
-            static_predicted: u64_field(obj, "static_predicted", line)?,
-            static_mispredictions: u64_field(obj, "static_mispredictions", line)?,
-            collisions: crate::metrics::CollisionStats {
-                total: u64_field(obj, "collisions", line)?,
-                constructive: u64_field(obj, "constructive", line)?,
-                destructive: u64_field(obj, "destructive", line)?,
-            },
-        },
+        stats,
     })
 }
 
-/// Reconstructs an error from its manifest record. The common classes come
-/// back as their precise variants; anything else becomes
-/// [`ExperimentError::Replayed`] preserving kind and message.
+/// Reconstructs an error from its manifest record, the inverse of
+/// [`ManifestEntry::to_line`]'s `kind` plus rendered message: rejected,
+/// skipped and both selection errors come back as the exact error that was
+/// recorded; anything else becomes [`ExperimentError::Replayed`] preserving
+/// kind and message.
 fn error_from_record(kind: &str, message: &str) -> ExperimentError {
-    match kind {
-        "select" => ExperimentError::Select(SelectError::MissingAccuracyProfile),
-        "rejected" => ExperimentError::Rejected {
-            reason: message.to_string(),
-        },
-        "skipped" => ExperimentError::Skipped {
-            reason: message.to_string(),
-        },
-        _ => ExperimentError::Replayed {
-            kind: kind.to_string(),
-            message: message.to_string(),
-        },
-    }
+    let reason = |rebuild: fn(String) -> ExperimentError| {
+        // The reason is what follows the variant's fixed rendered prefix.
+        let prefix = rebuild(String::new()).to_string();
+        message
+            .strip_prefix(prefix.as_str())
+            .map(|reason| rebuild(reason.to_string()))
+    };
+    let exact = match kind {
+        "rejected" => reason(|reason| ExperimentError::Rejected { reason }),
+        "skipped" => reason(|reason| ExperimentError::Skipped { reason }),
+        "select" => [
+            SelectError::MissingAccuracyProfile,
+            SelectError::MissingInterferenceRanking,
+        ]
+        .into_iter()
+        .map(ExperimentError::Select)
+        .find(|e| e.to_string() == message),
+        _ => None,
+    };
+    exact.unwrap_or_else(|| ExperimentError::Replayed {
+        kind: kind.to_string(),
+        message: message.to_string(),
+    })
 }
 
 impl ManifestEntry {
@@ -447,8 +456,8 @@ pub fn entry_for(
 mod tests {
     use super::*;
     use crate::combined::ShiftPolicy;
-    use crate::metrics::{CollisionStats, SimStats};
     use sdbp_profiles::SelectionScheme;
+    use sdbp_workloads::InputSet;
 
     fn spec() -> ExperimentSpec {
         ExperimentSpec::self_trained(
@@ -497,21 +506,42 @@ mod tests {
         let back = ManifestEntry::parse_line(&entry.to_line(), 1).unwrap();
         assert_eq!(back, entry);
 
-        let err_entry = entry_for(
-            4,
-            &spec(),
-            &Err(ExperimentError::Rejected {
-                reason: "bias cutoff 2 outside the open interval (0, 1)".into(),
-            }),
-            Duration::ZERO,
-        );
-        let back = ManifestEntry::parse_line(&err_entry.to_line(), 1).unwrap();
-        match &back.outcome {
-            Err(ExperimentError::Rejected { reason }) => {
-                assert!(reason.contains("bias cutoff"), "{reason}")
-            }
-            other => panic!("expected Rejected, got {other:?}"),
+        for error in [
+            ExperimentError::Rejected {
+                reason: "measure_instructions: measurement budget is zero".into(),
+            },
+            ExperimentError::Skipped {
+                reason: "cell cap of 3 reached before this cell".into(),
+            },
+            ExperimentError::Select(SelectError::MissingAccuracyProfile),
+            ExperimentError::Select(SelectError::MissingInterferenceRanking),
+        ] {
+            let err_entry = entry_for(4, &spec(), &Err(error), Duration::ZERO);
+            let back = ManifestEntry::parse_line(&err_entry.to_line(), 1).unwrap();
+            assert_eq!(back, err_entry);
+            assert_eq!(back.to_line(), err_entry.to_line(), "lines stay identical");
         }
+    }
+
+    #[test]
+    fn reports_with_impossible_counters_are_rejected() {
+        let mut misp = report();
+        misp.stats.mispredictions = misp.stats.branches + 1;
+        let mut statics = report();
+        statics.stats.static_predicted = statics.stats.branches + 1;
+        let mut collisions = report();
+        collisions.stats.collisions.constructive = collisions.stats.collisions.total;
+        for bad in [misp, statics, collisions] {
+            let line = entry_for(0, &spec(), &Ok(bad), Duration::ZERO).to_line();
+            let err = ManifestEntry::parse_line(&line, 5).unwrap_err();
+            assert_eq!(err.line, 5);
+            assert!(err.message.contains("counters exceed"), "{err}");
+        }
+        let bad_shift = ok_entry(0)
+            .to_line()
+            .replace("\"no-shift\"", "\"sideways\"");
+        let err = ManifestEntry::parse_line(&bad_shift, 1).unwrap_err();
+        assert!(err.message.contains("'sideways'"), "{err}");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! ```
 
 use crate::cache::{ArtifactCache, ArtifactKey, CacheStats};
-use crate::experiment::{ExperimentError, ExperimentSpec, Lab, PreflightFn};
+use crate::experiment::{ExperimentError, ExperimentSpec, Lab};
 use crate::manifest::{entry_for, RunStore};
 use crate::report::Report;
 use sdbp_predictors::PredictorConfig;
@@ -83,7 +83,6 @@ pub struct Sweep {
     threads: Option<usize>,
     cache: Arc<ArtifactCache>,
     verbose: bool,
-    preflight: Option<PreflightFn>,
     store_dir: Option<PathBuf>,
     resume: bool,
     cell_cap: Option<usize>,
@@ -102,7 +101,6 @@ impl Sweep {
             threads: None,
             cache: Arc::new(ArtifactCache::new()),
             verbose: false,
-            preflight: None,
             store_dir: None,
             resume: false,
             cell_cap: None,
@@ -154,14 +152,6 @@ impl Sweep {
         self
     }
 
-    /// Installs an additional pre-flight validator run after
-    /// [`ExperimentSpec::validate`] (e.g. `sdbp-check`'s full
-    /// coded-diagnostics pass).
-    pub fn with_preflight(mut self, preflight: PreflightFn) -> Self {
-        self.preflight = Some(preflight);
-        self
-    }
-
     /// The worker count [`run`](Sweep::run) will use.
     pub fn threads(&self) -> usize {
         self.threads
@@ -169,28 +159,11 @@ impl Sweep {
             .min(self.specs.len().max(1))
     }
 
-    /// Checks one spec against [`ExperimentSpec::validate`] and the
-    /// installed pre-flight hook, in that order.
-    fn preflight_cell(&self, spec: &ExperimentSpec) -> Result<(), ExperimentError> {
-        if let Err(problems) = spec.validate() {
-            let reason = problems
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            return Err(ExperimentError::Rejected { reason });
-        }
-        if let Some(preflight) = &self.preflight {
-            preflight(spec).map_err(|reason| ExperimentError::Rejected { reason })?;
-        }
-        Ok(())
-    }
-
     /// Decides what happens to every cell before anything runs.
     ///
     /// A cell the manifest already completed is replayed; past the cell cap
     /// a cell is skipped; otherwise it counts toward the cap and is either
-    /// rejected by pre-flight or runnable. The runnable cells' profile
+    /// rejected by [`ExperimentSpec::validate`] or runnable. The runnable cells' profile
     /// reads are pooled by profiling run, and the runnable cells are
     /// grouped by measurement stream, both in first-appearance order.
     fn plan(&self, run_store: Option<&RunStore>) -> Plan {
@@ -208,7 +181,7 @@ impl Sweep {
                     return Disposition::Skip;
                 }
                 executed += 1;
-                match self.preflight_cell(spec) {
+                match spec.admit() {
                     Ok(()) => Disposition::Run,
                     Err(rejection) => Disposition::Rejected(rejection),
                 }
@@ -405,7 +378,8 @@ impl Sweep {
 enum Disposition {
     /// Measured with its stream group.
     Run,
-    /// Failed pre-flight: reports the rejection without running.
+    /// Failed [`ExperimentSpec::validate`]: reports the rejection without
+    /// running.
     Rejected(ExperimentError),
     /// Completed by an earlier run: replays the manifest's outcome.
     Replay(Result<Report, ExperimentError>),
@@ -969,32 +943,6 @@ mod tests {
         for (i, cell) in result.cells.iter().enumerate() {
             if i != 1 {
                 assert!(cell.report.is_ok(), "cell {i}: {:?}", cell.report);
-            }
-        }
-    }
-
-    #[test]
-    fn custom_preflight_hook_runs_after_strict_validation() {
-        let specs = grid();
-        let result = Sweep::new(specs)
-            .with_threads(2)
-            .with_preflight(Arc::new(|spec: &ExperimentSpec| {
-                if spec.predictor.size_bytes() < 1024 {
-                    Err("policy: tables under 1 KB are not allowed".to_string())
-                } else {
-                    Ok(())
-                }
-            }))
-            .run();
-        for cell in &result.cells {
-            if cell.spec.predictor.size_bytes() < 1024 {
-                assert!(
-                    matches!(cell.report, Err(ExperimentError::Rejected { .. })),
-                    "{:?}",
-                    cell.report
-                );
-            } else {
-                assert!(cell.report.is_ok());
             }
         }
     }

@@ -114,29 +114,39 @@ impl BiasProfile {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut profile = Self::new();
         for (idx, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+            if let Some(site) = Self::parse_line(line) {
+                let (pc, stats) = site.map_err(|e| format!("line {}: {e}", idx + 1))?;
+                profile.insert(pc, stats);
             }
-            let mut parts = line.split_whitespace();
-            let pc = parts
-                .next()
-                .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok())
-                .ok_or_else(|| format!("line {}: bad pc", idx + 1))?;
-            let executed = parts
-                .next()
-                .and_then(|p| p.parse::<u64>().ok())
-                .ok_or_else(|| format!("line {}: bad executed count", idx + 1))?;
-            let taken = parts
-                .next()
-                .and_then(|p| p.parse::<u64>().ok())
-                .ok_or_else(|| format!("line {}: bad taken count", idx + 1))?;
-            if taken > executed {
-                return Err(format!("line {}: taken exceeds executed", idx + 1));
-            }
-            profile.insert(BranchAddr(pc), SiteStats { executed, taken });
         }
         Ok(profile)
+    }
+
+    /// Parses one line of the [`to_text`](BiasProfile::to_text) format,
+    /// `<hex pc> <executed> <taken>`: `None` for a blank or `#` comment
+    /// line, otherwise the site or a message naming the bad field.
+    pub fn parse_line(line: &str) -> Option<Result<(BranchAddr, SiteStats), String>> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        let mut parts = line.split_whitespace();
+        let pc = parts
+            .next()
+            .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok());
+        let mut count = || parts.next().and_then(|p| p.parse::<u64>().ok());
+        let (executed, taken) = (count(), count());
+        Some(match (pc, executed, taken) {
+            (None, ..) => Err("bad pc".to_string()),
+            (_, None, _) => Err("bad executed count".to_string()),
+            (_, _, None) => Err("bad taken count".to_string()),
+            (Some(_), Some(executed), Some(taken)) if taken > executed => Err(format!(
+                "taken count {taken} exceeds executed count {executed}"
+            )),
+            (Some(pc), Some(executed), Some(taken)) => {
+                Ok((BranchAddr(pc), SiteStats { executed, taken }))
+            }
+        })
     }
 }
 
@@ -228,13 +238,14 @@ mod tests {
 
     #[test]
     fn from_text_rejects_garbage() {
-        assert!(BiasProfile::from_text("zz 1 1\n").is_err());
-        assert!(BiasProfile::from_text("10 x 1\n").is_err());
-        assert!(BiasProfile::from_text("10 1\n").is_err());
-        assert!(
-            BiasProfile::from_text("10 1 2\n").is_err(),
-            "taken > executed"
-        );
+        for (text, error) in [
+            ("zz 1 1\n", "line 1: bad pc"),
+            ("10 x 1\n", "line 1: bad executed count"),
+            ("\n10 1\n", "line 2: bad taken count"),
+            ("10 1 2\n", "line 1: taken count 2 exceeds executed count 1"),
+        ] {
+            assert_eq!(BiasProfile::from_text(text), Err(error.to_string()));
+        }
         assert!(BiasProfile::from_text("# just a comment\n")
             .unwrap()
             .is_empty());

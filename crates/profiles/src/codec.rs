@@ -1,9 +1,8 @@
 //! Binary artifact codecs for the profile types.
 //!
-//! Implements [`Codec`] for [`BiasProfile`], [`AccuracyProfile`],
-//! [`HintDatabase`] and [`ProfileDatabase`], making phase-one outputs
-//! storable in the content-addressed artifact store and exchangeable
-//! between runs.
+//! Implements [`Codec`] for [`BiasProfile`] and [`AccuracyProfile`], the
+//! phase-one outputs a sweep's artifact cache persists in its
+//! content-addressed store and reads back across processes.
 //!
 //! Encodings are **canonical**: site tables are sorted by branch address
 //! before writing, so two structurally equal profiles always serialize to
@@ -28,54 +27,42 @@
 
 use crate::accuracy::{AccuracyProfile, SiteAccuracy};
 use crate::bias::BiasProfile;
-use crate::database::ProfileDatabase;
-use crate::hints::HintDatabase;
 use sdbp_artifacts::{Codec, CodecError, Decoder, Encoder};
 use sdbp_trace::{BranchAddr, SiteStats};
-
-/// Writes a bias profile's payload (shared with [`ProfileDatabase`]'s
-/// per-run encoding).
-fn encode_bias_payload(profile: &BiasProfile, e: &mut Encoder) {
-    let mut sites: Vec<(BranchAddr, &SiteStats)> = profile.iter().collect();
-    sites.sort_unstable_by_key(|(pc, _)| *pc);
-    e.u64(sites.len() as u64);
-    for (pc, stats) in sites {
-        e.u64(pc.0);
-        e.u64(stats.executed);
-        e.u64(stats.taken);
-    }
-}
-
-fn decode_bias_payload(d: &mut Decoder<'_>) -> Result<BiasProfile, CodecError> {
-    let count = d.u64("site count")?;
-    let mut profile = BiasProfile::new();
-    for _ in 0..count {
-        let pc = BranchAddr(d.u64("site pc")?);
-        let executed = d.u64("site executed")?;
-        let taken = d.u64("site taken")?;
-        if taken > executed {
-            return Err(CodecError::Invalid {
-                context: format!(
-                    "site {:x}: taken count {taken} exceeds executed count {executed}",
-                    pc.0
-                ),
-            });
-        }
-        profile.insert(pc, SiteStats { executed, taken });
-    }
-    Ok(profile)
-}
 
 impl Codec for BiasProfile {
     const SCHEMA: &'static str = "sdbp-bias-profile";
     const VERSION: u32 = 1;
 
     fn encode_payload(&self, e: &mut Encoder) {
-        encode_bias_payload(self, e);
+        let mut sites: Vec<(BranchAddr, &SiteStats)> = self.iter().collect();
+        sites.sort_unstable_by_key(|(pc, _)| *pc);
+        e.u64(sites.len() as u64);
+        for (pc, stats) in sites {
+            e.u64(pc.0);
+            e.u64(stats.executed);
+            e.u64(stats.taken);
+        }
     }
 
     fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        decode_bias_payload(d)
+        let count = d.u64("site count")?;
+        let mut profile = BiasProfile::new();
+        for _ in 0..count {
+            let pc = BranchAddr(d.u64("site pc")?);
+            let executed = d.u64("site executed")?;
+            let taken = d.u64("site taken")?;
+            if taken > executed {
+                return Err(CodecError::Invalid {
+                    context: format!(
+                        "site {:x}: taken count {taken} exceeds executed count {executed}",
+                        pc.0
+                    ),
+                });
+            }
+            profile.insert(pc, SiteStats { executed, taken });
+        }
+        Ok(profile)
     }
 }
 
@@ -118,58 +105,6 @@ impl Codec for AccuracyProfile {
             );
         }
         Ok(profile)
-    }
-}
-
-impl Codec for HintDatabase {
-    const SCHEMA: &'static str = "sdbp-hints";
-    const VERSION: u32 = 1;
-
-    fn encode_payload(&self, e: &mut Encoder) {
-        let mut hints: Vec<(BranchAddr, bool)> = self.iter().collect();
-        hints.sort_unstable_by_key(|(pc, _)| *pc);
-        e.u64(hints.len() as u64);
-        for (pc, taken) in hints {
-            e.u64(pc.0);
-            e.bool(taken);
-        }
-    }
-
-    fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let count = d.u64("hint count")?;
-        let mut db = HintDatabase::new();
-        for _ in 0..count {
-            let pc = BranchAddr(d.u64("hint pc")?);
-            let taken = d.bool("hint direction")?;
-            db.insert(pc, taken);
-        }
-        Ok(db)
-    }
-}
-
-impl Codec for ProfileDatabase {
-    const SCHEMA: &'static str = "sdbp-profile-db";
-    const VERSION: u32 = 1;
-
-    fn encode_payload(&self, e: &mut Encoder) {
-        e.str(self.program());
-        e.u64(self.num_runs() as u64);
-        for (label, profile) in self.iter() {
-            e.str(label);
-            encode_bias_payload(profile, e);
-        }
-    }
-
-    fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let program = d.str("program name")?;
-        let runs = d.u64("run count")?;
-        let mut db = ProfileDatabase::new(program);
-        for _ in 0..runs {
-            let label = d.str("run label")?;
-            let profile = decode_bias_payload(d)?;
-            db.add_run(label, profile);
-        }
-        Ok(db)
     }
 }
 
@@ -240,37 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn hints_roundtrip_preserves_directions() {
-        let db: HintDatabase = [
-            (BranchAddr(0x30), false),
-            (BranchAddr(0x10), true),
-            (BranchAddr(0x20), true),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(HintDatabase::from_bytes(&db.to_bytes()).unwrap(), db);
-        assert_eq!(
-            HintDatabase::from_bytes(&HintDatabase::new().to_bytes()).unwrap(),
-            HintDatabase::new()
-        );
-    }
-
-    #[test]
-    fn profile_database_roundtrip_keeps_runs_in_order() {
-        let mut db = ProfileDatabase::new("perl");
-        db.add_run("train", bias_profile(&[(0x10, 100, 98)]));
-        db.add_run("ref", bias_profile(&[(0x10, 100, 2), (0x20, 7, 7)]));
-        let back = ProfileDatabase::from_bytes(&db.to_bytes()).unwrap();
-        assert_eq!(back, db);
-        let labels: Vec<&str> = back.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, ["train", "ref"]);
-    }
-
-    #[test]
     fn schemas_are_distinct() {
-        // A hint database must not decode as a bias profile.
-        let db: HintDatabase = [(BranchAddr(0x10), true)].into_iter().collect();
-        let err = BiasProfile::from_bytes(&db.to_bytes()).unwrap_err();
+        // An accuracy profile must not decode as a bias profile.
+        let mut accuracy = AccuracyProfile::new();
+        accuracy.insert(
+            BranchAddr(0x10),
+            SiteAccuracy {
+                executed: 4,
+                correct: 3,
+                destructive_collisions: 1,
+            },
+        );
+        let err = BiasProfile::from_bytes(&accuracy.to_bytes()).unwrap_err();
         assert!(matches!(err, CodecError::SchemaMismatch { .. }), "{err}");
     }
 
@@ -302,16 +218,6 @@ mod tests {
                 });
             }
             prop_assert_eq!(AccuracyProfile::from_bytes(&p.to_bytes()).unwrap(), p);
-        }
-
-        #[test]
-        fn hint_databases_roundtrip(hints in proptest::collection::vec(
-            (any::<u32>(), any::<bool>()), 0..48)) {
-            let db: HintDatabase = hints
-                .into_iter()
-                .map(|(pc, taken)| (BranchAddr(u64::from(pc)), taken))
-                .collect();
-            prop_assert_eq!(HintDatabase::from_bytes(&db.to_bytes()).unwrap(), db);
         }
 
         #[test]

@@ -94,23 +94,34 @@ impl HintDatabase {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut db = Self::new();
         for (idx, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+            if let Some(hint) = Self::parse_line(line) {
+                let (pc, taken) = hint.map_err(|e| format!("line {}: {e}", idx + 1))?;
+                db.insert(pc, taken);
             }
-            let mut parts = line.split_whitespace();
-            let pc = parts
-                .next()
-                .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok())
-                .ok_or_else(|| format!("line {}: bad pc", idx + 1))?;
-            let taken = match parts.next() {
-                Some("T") | Some("t") => true,
-                Some("N") | Some("n") => false,
-                _ => return Err(format!("line {}: bad hint", idx + 1)),
-            };
-            db.insert(BranchAddr(pc), taken);
         }
         Ok(db)
+    }
+
+    /// Parses one line of the [`to_text`](HintDatabase::to_text) format,
+    /// `<hex pc> T|N`: `None` for a blank or `#` comment line, otherwise the
+    /// hint or a message naming the bad field.
+    pub fn parse_line(line: &str) -> Option<Result<(BranchAddr, bool), String>> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        let mut parts = line.split_whitespace();
+        let Some(pc) = parts
+            .next()
+            .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok())
+        else {
+            return Some(Err("bad pc".to_string()));
+        };
+        Some(match parts.next() {
+            Some("T" | "t") => Ok((BranchAddr(pc), true)),
+            Some("N" | "n") => Ok((BranchAddr(pc), false)),
+            _ => Err("bad hint".to_string()),
+        })
     }
 }
 
@@ -176,9 +187,13 @@ mod tests {
     fn from_text_tolerates_comments_and_rejects_garbage() {
         let db = HintDatabase::from_text("# hints\n\n10 T\n").unwrap();
         assert_eq!(db.len(), 1);
-        assert!(HintDatabase::from_text("zz T\n").is_err());
-        assert!(HintDatabase::from_text("10 X\n").is_err());
-        assert!(HintDatabase::from_text("10\n").is_err());
+        for (text, error) in [
+            ("zz T\n", "line 1: bad pc"),
+            ("10 X\n", "line 1: bad hint"),
+            ("# hints\n10\n", "line 2: bad hint"),
+        ] {
+            assert_eq!(HintDatabase::from_text(text), Err(error.to_string()));
+        }
     }
 
     #[test]
