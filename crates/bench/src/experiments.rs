@@ -1,9 +1,11 @@
-//! The experiment implementations behind the harness binaries.
+//! The experiments behind `sdbp bench <name>`.
 //!
 //! Each function regenerates one table or figure of the paper and returns
-//! the rendered report; the binaries under `src/bin/` are thin wrappers, and
-//! `all_experiments` runs the full set in one process (sharing one [`Lab`]
-//! so profiles are computed once).
+//! the rendered report. [`SUITE`] names them, so every entry is a word of
+//! `sdbp bench` that prints its table, and [`all_experiments`] renders the
+//! full set on one [`Lab`] (so profiles are computed once): the text of
+//! `results_full.txt`. [`headline`] reproduces the abstract's two headline
+//! cells and stays out of the suite.
 //!
 //! Every grid-shaped experiment builds its full spec list up front and runs
 //! it through [`crate::run_grid`] — the parallel [`sdbp_core::Sweep`] engine
@@ -799,24 +801,89 @@ pub fn ablate_selection(lab: &Lab) -> String {
     )
 }
 
-/// The full experiment suite in `all_experiments` order. Run on one shared
-/// [`Lab`], the outputs, each followed by a newline, are
-/// `results_full.txt`.
-pub const SUITE: [fn(&Lab) -> String; 13] = [
-    table1,
-    table2,
-    fig1_6,
-    fig7_12,
-    table3,
-    table4,
-    table5,
-    fig13,
-    ablate_shift,
-    ablate_cutoff,
-    ablate_selection,
-    ablate_doubling,
-    ablate_mcfarling,
+/// One experiment: runs its grid on a lab and returns the rendered table.
+pub type Experiment = fn(&Lab) -> String;
+
+/// The full experiment suite in [`all_experiments`] order, each entry
+/// under the name `sdbp bench` knows it by.
+pub const SUITE: [(&str, Experiment); 13] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1_6", fig1_6),
+    ("fig7_12", fig7_12),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("fig13", fig13),
+    ("ablate_shift", ablate_shift),
+    ("ablate_cutoff", ablate_cutoff),
+    ("ablate_selection", ablate_selection),
+    ("ablate_doubling", ablate_doubling),
+    ("ablate_mcfarling", ablate_mcfarling),
 ];
+
+/// Every [`SUITE`] experiment run in order on `lab`, each output followed
+/// by a newline: the text of `results_full.txt`. Sharing one lab means each
+/// workload is profiled once across all grids.
+pub fn all_experiments(lab: &Lab) -> String {
+    SUITE
+        .iter()
+        .map(|(_, experiment)| experiment(lab) + "\n")
+        .collect()
+}
+
+/// The abstract's headline numbers.
+///
+/// The paper's abstract claims "prediction rate improvements of up to 75%
+/// for a simple branch predictor (ghist) and up to 14% for a very
+/// aggressive hybrid predictor (2bcgskew) for certain programs" — the ghist
+/// number comes from 4 KB on m88ksim, the 2bcgskew number from 2 KB on gcc.
+/// This reproduces exactly those two configurations, running all six cells
+/// as one grid, and reports each one's best static scheme.
+pub fn headline(lab: &Lab) -> String {
+    let schemes = [
+        SelectionScheme::None,
+        SelectionScheme::static_95(),
+        SelectionScheme::static_acc(),
+    ];
+    let cells = [
+        (
+            Benchmark::M88ksim,
+            PredictorKind::Ghist,
+            4 * 1024,
+            "ghist 4KB on m88ksim",
+            "paper: up to +75% MISPs/KI with static prediction",
+        ),
+        (
+            Benchmark::Gcc,
+            PredictorKind::TwoBcGskew,
+            2 * 1024,
+            "2bcgskew 2KB on gcc",
+            "paper: up to +14% MISPs/KI with static prediction",
+        ),
+    ];
+    let specs = cells
+        .iter()
+        .flat_map(|&(benchmark, kind, size, ..)| {
+            schemes.map(|scheme| spec(benchmark, kind, size, scheme))
+        })
+        .collect();
+    let reports = run_grid(lab, specs);
+    let mut lines = Vec::new();
+    let rows = reports.chunks(schemes.len());
+    for (i, ((.., label, claim), row)) in cells.iter().zip(rows).enumerate() {
+        let best = row[1..]
+            .iter()
+            .map(|r| r.improvement_over(&row[0]))
+            .fold(f64::NEG_INFINITY, f64::max);
+        lines.push(format!("Headline {}: {label} ({claim})", i + 1));
+        lines.push(format!(
+            "  measured: best improvement {:+.1}%",
+            best * 100.0
+        ));
+    }
+    lines.join("\n")
+}
 
 /// Every spec the full experiment suite runs, grouped by grid. The grids
 /// through Figure 13 come in [`SUITE`] order; the five ablation grids do

@@ -1,20 +1,20 @@
-//! Shared plumbing for the experiment harness binaries and the `sdbp bench`
-//! suites.
+//! The experiment harness behind `sdbp bench <name>`.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of Patil &
-//! Emer (HPCA 2000); this library holds the conventions they share — the
+//! Each function in [`experiments`] regenerates one table or figure of Patil
+//! & Emer (HPCA 2000); [`calibration`] holds two workload-calibration
+//! diagnostics. This library holds the conventions they share — the
 //! experiment seed, instruction budgets, and per-run report helpers — so
-//! that every harness binary measures the *same* workload streams.
+//! that every experiment measures the *same* workload streams.
 //!
 //! Run an individual experiment with, e.g.:
 //!
 //! ```text
-//! cargo run --release -p sdbp-bench --bin table2
+//! sdbp bench table2
 //! ```
 //!
-//! or everything at once with `--bin all_experiments`. Budgets scale with
-//! the `SDBP_SCALE` environment variable (default 1.0; e.g. `SDBP_SCALE=0.1`
-//! for a quick smoke pass).
+//! or everything at once with `sdbp bench all_experiments`, which writes
+//! `results_full.txt`. Budgets scale with the `SDBP_SCALE` environment
+//! variable (default 1.0; e.g. `SDBP_SCALE=0.1` for a quick smoke pass).
 //!
 //! The [`kernel`], [`passes`], [`frontier`] and [`families`] modules are the
 //! suites behind `sdbp bench <suite>`, which writes their reports as the
@@ -30,7 +30,7 @@ use sdbp_workloads::Benchmark;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The fixed seed every harness binary uses, so results are directly
+/// The fixed seed every experiment uses, so results are directly
 /// comparable across tables and reruns.
 pub const SEED: u64 = 2000;
 
@@ -73,7 +73,7 @@ pub fn measure_budget() -> u64 {
     ((MEASURE_INSTRUCTIONS as f64) * scale()) as u64
 }
 
-/// Builds the standard self-trained spec used across harness binaries.
+/// Builds the standard self-trained spec used across the experiments.
 pub fn spec(
     benchmark: Benchmark,
     kind: PredictorKind,
@@ -188,6 +188,7 @@ mod tests {
         assert!(SIZE_SWEEP.windows(2).all(|w| w[1] == 2 * w[0]));
     }
 }
+pub mod calibration;
 pub mod experiments;
 pub mod families;
 pub mod frontier;

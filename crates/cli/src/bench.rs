@@ -1,4 +1,11 @@
-//! `sdbp bench <suite>` and the `BENCH_<suite>.json` record format.
+//! `sdbp bench <word>` — the harness's one entry point — and the
+//! `BENCH_<suite>.json` record format.
+//!
+//! Every word regenerates one checked-in result or one table. The four
+//! record suites write their `BENCH_<suite>.json` records and
+//! `all_experiments` writes `results_full.txt`; the paper experiments of
+//! [`experiments::SUITE`], `headline` and the two calibration diagnostics
+//! print their text. `--out` sends any word's output to a file instead.
 //!
 //! This module is the only code that knows the record format. Every record
 //! opens with one envelope — `schema`, `quick`, `cores` and `reps` — and
@@ -8,23 +15,195 @@
 //! what it measured.
 
 use crate::args::Args;
+use crate::commands::predictor_of;
 use crate::error::CliError;
 use sdbp_artifacts::Json;
+use sdbp_bench::experiments::{self, Experiment};
 use sdbp_bench::families::{schemes, FamiliesReport, FAMILY_PREDICTORS, FAMILY_SIZE};
 use sdbp_bench::frontier::{frontier_schemes, FrontierReport, FRONTIER_KINDS};
 use sdbp_bench::kernel::{KernelMeasurement, KernelReport};
 use sdbp_bench::passes::{PassesMeasurement, PassesReport};
-use sdbp_bench::{Timing, COMPARISON_SIZE, SEED};
+use sdbp_bench::{calibration, Timing, COMPARISON_SIZE, SEED};
+use sdbp_core::Lab;
+use sdbp_predictors::PredictorConfig;
 use sdbp_workloads::Benchmark;
 use std::fs;
+use std::time::Instant;
 
-/// Every suite, with the schema its record carries.
-const SUITES: [(&str, &str); 4] = [
-    ("kernel", "sdbp-bench-kernel/v3"),
-    ("passes", "sdbp-bench-passes/v4"),
-    ("frontier", "sdbp-bench-frontier/v2"),
-    ("families", "sdbp-bench-families/v2"),
+/// What a word runs.
+#[derive(Clone, Copy)]
+enum Run {
+    /// A record suite: the schema its record carries, and its run in full
+    /// or `--quick` mode, returning the summary to print and the record.
+    Record(&'static str, fn(bool) -> (String, Record)),
+    /// A paper experiment, run on a fresh [`Lab`]; its table gets a final
+    /// newline.
+    Experiment(Experiment),
+    /// A word that reads its own options and returns its whole text.
+    Text(fn(&Args) -> Result<String, CliError>),
+}
+
+/// A word of `sdbp bench`: what it runs, and where its output goes unless
+/// `--out` names a file (`None` is stdout).
+struct Word {
+    name: &'static str,
+    run: Run,
+    out: Option<&'static str>,
+}
+
+/// The words besides the experiment suite's.
+const WORDS: [Word; 8] = [
+    Word {
+        name: "kernel",
+        run: Run::Record("sdbp-bench-kernel/v3", |quick| {
+            let report = sdbp_bench::kernel::run(quick, |m| eprintln!("{m}"));
+            (report.summary(), kernel(&report))
+        }),
+        out: Some("BENCH_kernel.json"),
+    },
+    Word {
+        name: "passes",
+        run: Run::Record("sdbp-bench-passes/v4", |quick| {
+            let report = sdbp_bench::passes::run(quick, |m| eprintln!("{m}"));
+            (report.summary(), passes(&report))
+        }),
+        out: Some("BENCH_passes.json"),
+    },
+    Word {
+        name: "frontier",
+        run: Run::Record("sdbp-bench-frontier/v2", |quick| {
+            let report = sdbp_bench::frontier::run(quick, |cell| {
+                eprintln!(
+                    "  {:<9} {:<10} {:<15} {:>8.3} MISPs/KI  {:>6} hints",
+                    cell.benchmark.name(),
+                    cell.predictor.name(),
+                    cell.scheme,
+                    cell.misp_per_ki,
+                    cell.hints
+                );
+            });
+            (report.summary(), frontier(&report))
+        }),
+        out: Some("BENCH_frontier.json"),
+    },
+    Word {
+        name: "families",
+        run: Run::Record("sdbp-bench-families/v2", |quick| {
+            let report = sdbp_bench::families::run(quick, |f| eprintln!("{f}"));
+            (report.summary(), families(&report))
+        }),
+        out: Some("BENCH_families.json"),
+    },
+    Word {
+        name: "all_experiments",
+        run: Run::Text(|_| {
+            let lab = Lab::new();
+            let started = Instant::now();
+            let text = experiments::all_experiments(&lab);
+            eprintln!(
+                "all experiments completed in {:.1?} on {} threads; lifetime cache: {}",
+                started.elapsed(),
+                sdbp_core::default_threads(),
+                lab.cache().stats()
+            );
+            Ok(text)
+        }),
+        out: Some("results_full.txt"),
+    },
+    Word {
+        name: "headline",
+        run: Run::Experiment(experiments::headline),
+        out: None,
+    },
+    Word {
+        name: "diag_classes",
+        run: Run::Text(|args| {
+            let benchmark = benchmark_of(args, "m88ksim")?;
+            Ok(calibration::diag_classes(benchmark, predictor_of(args)?))
+        }),
+        out: None,
+    },
+    Word {
+        name: "diag_hist",
+        run: Run::Text(|args| {
+            let benchmark = benchmark_of(args, "compress")?;
+            let gshare = PredictorConfig::parse("gshare", args.get_or("size", "8192"))
+                .map_err(CliError::usage)?;
+            Ok(calibration::diag_hist(benchmark, gshare.size_bytes()))
+        }),
+        out: None,
+    },
 ];
+
+/// Every word: those above, then the experiment suite's in
+/// `all_experiments` order.
+fn words() -> impl Iterator<Item = Word> {
+    let suite = experiments::SUITE.map(|(name, experiment)| Word {
+        name,
+        run: Run::Experiment(experiment),
+        out: None,
+    });
+    WORDS.into_iter().chain(suite)
+}
+
+/// Parses `--benchmark`, with the word's own default.
+fn benchmark_of(args: &Args, default: &str) -> Result<Benchmark, CliError> {
+    args.get_or("benchmark", default)
+        .parse()
+        .map_err(CliError::usage)
+}
+
+/// `sdbp bench <word>` — run one word and send its output to `--out`, else
+/// to the word's default destination. A record suite prints its summary
+/// and writes its record even when its own cross-check fails; the command
+/// then exits non-zero.
+pub fn run(name: &str, args: &Args) -> Result<(), CliError> {
+    let Some(word) = words().find(|w| w.name == name) else {
+        let names: Vec<&str> = words().map(|w| w.name).collect();
+        return Err(CliError::Usage(format!(
+            "bench needs a word ({}), got '{name}'",
+            names.join("|")
+        )));
+    };
+    let quick = args.has_flag("quick");
+    let (text, failure) = match word.run {
+        Run::Record(schema, run) => {
+            eprintln!(
+                "running the {name} suite ({} mode)...",
+                if quick { "quick" } else { "full" }
+            );
+            let (summary, record) = run(quick);
+            print!("{summary}");
+            (
+                record.document(schema).render_pretty() + "\n",
+                record.failure,
+            )
+        }
+        _ if quick => {
+            let suites: Vec<&str> = words()
+                .filter(|w| matches!(w.run, Run::Record(..)))
+                .map(|w| w.name)
+                .collect();
+            return Err(CliError::Usage(format!(
+                "--quick applies only to the record suites ({}), not '{name}'",
+                suites.join("|")
+            )));
+        }
+        Run::Experiment(experiment) => (experiment(&Lab::new()) + "\n", None),
+        Run::Text(run) => (run(args)?, None),
+    };
+    match args.get("out").or(word.out) {
+        Some(out) => {
+            fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
+            println!("wrote {out}");
+        }
+        None => print!("{text}"),
+    }
+    match failure {
+        Some(why) => Err(CliError::Failure(why.to_string())),
+        None => Ok(()),
+    }
+}
 
 /// One finished suite run, ready to write.
 struct Record {
@@ -48,62 +227,6 @@ impl Record {
             ("reps", int(self.reps)),
         ];
         Json::obj(envelope.into_iter().chain(self.body.iter().cloned()))
-    }
-}
-
-/// `sdbp bench <suite>` — run one harness suite, print its summary, and
-/// write its record to `--out` (default `BENCH_<suite>.json`). The record
-/// is written even when the suite's own cross-check fails; the command then
-/// exits non-zero.
-pub fn run(suite: &str, args: &Args) -> Result<(), CliError> {
-    let Some(&(suite, schema)) = SUITES.iter().find(|(name, _)| *name == suite) else {
-        let names = SUITES.map(|(name, _)| name).join("|");
-        return Err(CliError::Usage(format!(
-            "bench needs a suite ({names}), got '{suite}'"
-        )));
-    };
-    let quick = args.has_flag("quick");
-    let out = args
-        .get("out")
-        .map_or_else(|| format!("BENCH_{suite}.json"), str::to_string);
-    eprintln!(
-        "running the {suite} suite ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    let (summary, record) = match suite {
-        "kernel" => {
-            let report = sdbp_bench::kernel::run(quick, |m| eprintln!("{m}"));
-            (report.summary(), kernel(&report))
-        }
-        "passes" => {
-            let report = sdbp_bench::passes::run(quick, |m| eprintln!("{m}"));
-            (report.summary(), passes(&report))
-        }
-        "frontier" => {
-            let report = sdbp_bench::frontier::run(quick, |cell| {
-                eprintln!(
-                    "  {:<9} {:<10} {:<15} {:>8.3} MISPs/KI  {:>6} hints",
-                    cell.benchmark.name(),
-                    cell.predictor.name(),
-                    cell.scheme,
-                    cell.misp_per_ki,
-                    cell.hints
-                );
-            });
-            (report.summary(), frontier(&report))
-        }
-        _ => {
-            let report = sdbp_bench::families::run(quick, |f| eprintln!("{f}"));
-            (report.summary(), families(&report))
-        }
-    };
-    print!("{summary}");
-    let text = record.document(schema).render_pretty() + "\n";
-    fs::write(&out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    match record.failure {
-        Some(why) => Err(CliError::Failure(why.to_string())),
-        None => Ok(()),
     }
 }
 
@@ -310,9 +433,12 @@ mod tests {
     use sdbp_bench::passes::GridOutcome;
     use sdbp_workloads::WorkloadFamily;
 
-    /// The schema `suite`'s record carries.
+    /// The schema the record suite `suite` writes.
     fn schema(suite: &str) -> &'static str {
-        SUITES.iter().find(|(s, _)| *s == suite).unwrap().1
+        match words().find(|w| w.name == suite).map(|w| w.run) {
+            Some(Run::Record(schema, _)) => schema,
+            _ => panic!("{suite} is not a record suite"),
+        }
     }
 
     /// Renders `suite`'s `record` as the file would hold it and parses it
@@ -578,8 +704,10 @@ mod tests {
             else {
                 continue;
             };
-            // A record no suite writes any more fails here too.
-            let expected = SUITES.iter().find(|(s, _)| *s == suite).map(|(_, s)| *s);
+            // A record no suite writes by default any more fails here too.
+            let expected = words()
+                .find(|w| w.out == Some(name.as_str()))
+                .map(|w| schema(w.name));
             let text = fs::read_to_string(root.join(&name)).unwrap();
             let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             let found = at(&doc, &["schema"]).as_str();
@@ -590,13 +718,70 @@ mod tests {
         assert_eq!(seen, ["families", "frontier", "kernel", "passes"]);
     }
 
+    /// Every word besides the four record suites.
+    const FORMER_BINARIES: [&str; 17] = [
+        "ablate_cutoff",
+        "ablate_doubling",
+        "ablate_mcfarling",
+        "ablate_selection",
+        "ablate_shift",
+        "all_experiments",
+        "diag_classes",
+        "diag_hist",
+        "fig13",
+        "fig1_6",
+        "fig7_12",
+        "headline",
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+    ];
+
     #[test]
     fn the_suite_is_a_required_known_word() {
         let args = Args::default();
         for suite in ["", "simkernel"] {
             let err = run(suite, &args).unwrap_err();
             assert_eq!(err.exit_code(), 2);
-            assert!(err.to_string().contains("kernel|passes|frontier|families"));
+            let message = err.to_string();
+            assert!(message.contains("kernel|passes|frontier|families"));
+            for name in FORMER_BINARIES {
+                assert!(message.contains(name), "{name} is not listed: {message}");
+            }
+        }
+        for name in FORMER_BINARIES {
+            assert!(words().any(|w| w.name == name), "{name} is not a word");
+        }
+        let mut names: Vec<&str> = words().map(|w| w.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), words().count(), "a word is listed twice");
+    }
+
+    #[test]
+    fn quick_is_a_usage_error_outside_the_record_suites() {
+        let args = Args::parse(["bench".to_string(), "--quick".to_string()]).unwrap();
+        for name in FORMER_BINARIES {
+            let err = run(name, &args).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{name}: {err}");
+            assert!(err.to_string().contains("--quick"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn words_with_options_reject_bad_values() {
+        for (name, option, value) in [
+            ("diag_classes", "--benchmark", "gobmk"),
+            ("diag_classes", "--predictor", "gshrae"),
+            ("diag_classes", "--size", "3000"),
+            ("diag_hist", "--benchmark", "gobmk"),
+            ("diag_hist", "--size", "3000"),
+        ] {
+            let argv = ["bench", option, value].map(str::to_string);
+            let err = run(name, &Args::parse(argv).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{name} {option} {value}: {err}");
         }
     }
 }

@@ -64,7 +64,7 @@ fn scheme_of(args: &Args) -> Result<SelectionScheme, CliError> {
 
 /// Parses `--predictor`/`--size` through [`PredictorConfig::parse`], the
 /// shared option-to-config path also used by `sdbp check`'s spec parser.
-fn predictor_of(args: &Args) -> Result<PredictorConfig, CliError> {
+pub(crate) fn predictor_of(args: &Args) -> Result<PredictorConfig, CliError> {
     PredictorConfig::parse(
         args.get_or("predictor", "gshare"),
         args.get_or("size", "8192"),
@@ -294,7 +294,9 @@ pub fn sweep(args: &Args) -> CmdResult {
         .with_threads(threads)
         .with_verbose(true)
         .run();
-    let summary = result.summary();
+    // Before any failed cell ends the command, so a failed run still says
+    // what it ran.
+    eprintln!("  {}", result.summary());
     let mut t = TableWriter::with_columns(&["size", "MISPs/KI", "accuracy", "collisions", "hints"]);
     t.numeric();
     for (size_kb, report) in sizes.iter().zip(result.into_reports()?) {
@@ -306,7 +308,6 @@ pub fn sweep(args: &Args) -> CmdResult {
             grouped(report.hints as u64),
         ]);
     }
-    eprintln!("  {summary}");
     println!(
         "{kind} on {} ({}, {scheme}):\n\n{}",
         opts.benchmark,
@@ -416,9 +417,15 @@ pub fn grid(args: &Args) -> CmdResult {
         return Err(CliError::Usage(
             "--resume requires --store <dir> (nothing to resume from)".into(),
         ));
+    } else if args.get("max-cells").is_some() {
+        return Err(CliError::Usage(
+            "--max-cells requires --store <dir> (only a stored run resumes past the cap)".into(),
+        ));
     }
     let result = sweep.run();
-    let summary = result.summary();
+    // Before any failed cell ends the command, so a failed run still says
+    // what it ran and how many cells it replayed.
+    eprintln!("  {}", result.summary());
     let reports = result.into_reports()?;
     // Columns: one per scheme, then a delta column per non-baseline scheme
     // (the first scheme listed is the baseline).
@@ -430,7 +437,6 @@ pub fn grid(args: &Args) -> CmdResult {
             .map(|s| format!("Δ{}", s.label().trim_start_matches("static_"))),
     );
     let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    eprintln!("  {summary}");
     for (benchmark, rows) in benchmarks.iter().zip(&layout) {
         let mut t = TableWriter::with_columns(&column_refs);
         t.numeric();
@@ -568,7 +574,7 @@ pub fn check(args: &Args) -> CmdResult {
     let deny_warnings = args.has_flag("deny-warnings");
     let mut diags = sdbp_check::Diagnostics::new();
 
-    // --suite: lint every spec the experiment harness binaries would run.
+    // --suite: lint every spec the `sdbp bench` experiments would run.
     if args.has_flag("suite") {
         for spec in sdbp_bench::experiments::suite_specs() {
             diags.merge(sdbp_check::lint_spec(&spec, "<suite>"));
@@ -975,6 +981,24 @@ mod tests {
     fn grid_resume_without_store_is_a_usage_error() {
         let err = grid(&args(&["grid", "--resume"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn grid_max_cells_without_store_is_a_usage_error() {
+        let err = grid(&args(&[
+            "grid",
+            "--benchmark",
+            "compress",
+            "--size",
+            "2048",
+            "--instructions",
+            "100000",
+            "--max-cells",
+            "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("--max-cells"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use error::CliError;
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // `sdbp artifact <action>` and `sdbp bench <suite>` carry a bare word
+    // `sdbp artifact <action>` and `sdbp bench <word>` carry a bare word
     // the option parser would reject as a stray positional; peel it off
     // before parsing.
     let mut word = String::new();
@@ -104,16 +104,19 @@ commands:
                                (inspect --digest HEX), or prune corrupt
                                objects, dangling links, and stale temp
                                files (gc); all take --store DIR
-  bench kernel|passes|frontier|families
-                               run one harness suite and write its record
-                               (--out, default BENCH_<suite>.json; --quick
-                               for the CI smoke budget): kernel throughput
-                               vs the reference kernel, per-cell vs sweep
-                               traversals, static hints on the frontier
-                               predictors, or the per-family grid with its
-                               imported-trace identity check; exits
-                               non-zero, after writing, when the suite's
-                               own cross-check fails
+  bench <word>                 regenerate one harness result (--out FILE
+                               writes it elsewhere; docs/experiments.md
+                               maps every word): kernel|passes|frontier|
+                               families run a suite and write
+                               BENCH_<word>.json (--quick for the CI smoke
+                               budget), exiting non-zero, after writing,
+                               when its own cross-check fails;
+                               all_experiments writes results_full.txt;
+                               table1-5, fig1_6, fig7_12, fig13, ablate_*
+                               and headline print one table; diag_classes
+                               (--benchmark, --predictor, --size) and
+                               diag_hist (--benchmark, --size) print a
+                               calibration diagnostic
 
 common options:
   --benchmark go|gcc|perl|m88ksim|compress|ijpeg   (default gcc); also
@@ -207,6 +210,9 @@ examples:
   sdbp grid --benchmark gcc --store runs/gcc
   sdbp grid --benchmark gcc --store runs/gcc --resume
   sdbp artifact ls --store runs/gcc
-  # regenerate a checked-in record (BENCH_passes.json):
+  # regenerate a checked-in record (BENCH_passes.json), then the paper's
+  # Table 3 alone, then every table into results_full.txt:
   sdbp bench passes
+  sdbp bench table3
+  sdbp bench all_experiments
 ";

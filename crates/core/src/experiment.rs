@@ -574,8 +574,8 @@ impl From<StoreError> for ExperimentError {
 ///
 /// Sweeps should use a [`Lab`] (serial) or a [`Sweep`](crate::Sweep)
 /// (parallel), which memoize profiles and event streams across runs —
-/// profiling gcc once instead of forty times makes the harness binaries an
-/// order of magnitude faster.
+/// profiling gcc once instead of forty times makes the `sdbp bench`
+/// experiments an order of magnitude faster.
 ///
 /// # Errors
 ///

@@ -8,8 +8,8 @@ use std::fmt;
 
 /// The result of one experiment: configuration echo plus measured statistics.
 ///
-/// Reports are what the harness binaries print and what `EXPERIMENTS.md`
-/// records next to the paper's numbers.
+/// Reports are what the `sdbp bench` experiments print and what
+/// `EXPERIMENTS.md` records next to the paper's numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The workload.

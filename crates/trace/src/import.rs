@@ -1,8 +1,8 @@
 //! External trace ingestion: format autodetection and streaming importers.
 //!
 //! The simulator's front door is [`crate::BranchSource`]; this module makes
-//! that literal for *files*. A [`TraceImporter`] turns an on-disk trace in
-//! any supported [`TraceFormat`] into an [`ImportStream`] — a bounded-memory
+//! that literal for *files*. [`open_path`] turns an on-disk trace in any
+//! supported [`TraceFormat`] into an [`ImportStream`] — a bounded-memory
 //! `BranchSource` that decodes chunks straight out of one fixed read buffer,
 //! so a multi-gigabyte ChampSim-style capture streams through the pass
 //! framework exactly like a synthetic generator.
@@ -46,7 +46,7 @@ const READ_BUF_LEN: usize = 64 * 1024;
 /// Events per [`BranchSource::fill_events`] pull in the whole-file readers.
 const CHUNK_EVENTS: usize = 8192;
 
-/// The on-disk trace formats the importer seam understands.
+/// The on-disk trace formats [`open_path`] understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceFormat {
     /// Native varint-delta binary format (`SDBT` magic).
@@ -58,7 +58,8 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
-    /// All supported formats, in autodetection order.
+    /// All supported formats, in autodetection order: framed binary first,
+    /// then the stricter text grammar, then perf text.
     pub const ALL: [TraceFormat; 3] = [
         TraceFormat::SdbtBinary,
         TraceFormat::SdbpText,
@@ -71,6 +72,19 @@ impl TraceFormat {
             TraceFormat::SdbtBinary => "sdbt-binary",
             TraceFormat::SdbpText => "sdbp-text",
             TraceFormat::PerfText => "perf-text",
+        }
+    }
+
+    /// Whether `prefix` (the first bytes of an input, trimmed to whole lines
+    /// for the text formats) looks like this format.
+    fn sniff(self, prefix: &[u8]) -> bool {
+        match self {
+            TraceFormat::SdbtBinary => prefix.len() >= 4 && prefix[..4] == *b"SDBT",
+            TraceFormat::SdbpText => first_significant_line(prefix).is_some_and(|line| {
+                line.starts_with('!') || parse_record_fields(line.split_whitespace(), 1).is_ok()
+            }),
+            TraceFormat::PerfText => first_significant_line(prefix)
+                .is_some_and(|line| matches!(parse_perf_line(&line, 1), Ok(Some(_)))),
         }
     }
 }
@@ -93,108 +107,6 @@ impl FromStr for TraceFormat {
                     "unknown trace format '{s}', expected one of sdbt-binary, sdbp-text, perf-text"
                 )
             })
-    }
-}
-
-/// A format adapter: recognizes its format in raw bytes and opens files of
-/// that format as streaming branch sources.
-///
-/// Implementations are stateless unit structs; [`importers`] is the
-/// registry [`autodetect`] walks in order.
-pub trait TraceImporter: Sync {
-    /// The format this importer handles.
-    fn format(&self) -> TraceFormat;
-
-    /// Whether `prefix` (the first bytes of an input, trimmed to whole lines
-    /// for text formats) looks like this importer's format.
-    fn sniff(&self, prefix: &[u8]) -> bool;
-
-    /// Opens `path` as a bounded-memory streaming source.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] when the file cannot be opened, plus header
-    /// validation errors for framed formats (bad magic, unsupported
-    /// version, oversized name).
-    fn open(&self, path: &Path) -> Result<ImportStream, TraceError> {
-        let file = File::open(path)?;
-        let label = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "<import>".to_string());
-        let reader = BufReader::with_capacity(READ_BUF_LEN, file);
-        ImportStream::open(self.format(), Box::new(reader), label)
-    }
-}
-
-/// Importer for the native binary format.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryImporter;
-
-impl TraceImporter for BinaryImporter {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::SdbtBinary
-    }
-
-    fn sniff(&self, prefix: &[u8]) -> bool {
-        prefix.len() >= 4 && prefix[..4] == *b"SDBT"
-    }
-}
-
-/// Importer for the sdbp text format.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TextImporter;
-
-impl TraceImporter for TextImporter {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::SdbpText
-    }
-
-    fn sniff(&self, prefix: &[u8]) -> bool {
-        match first_significant_line(prefix) {
-            Some(line) => {
-                line.starts_with('!') || parse_record_fields(line.split_whitespace(), 1).is_ok()
-            }
-            None => false,
-        }
-    }
-}
-
-/// Importer for `perf script` branch-record text.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfImporter;
-
-impl TraceImporter for PerfImporter {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::PerfText
-    }
-
-    fn sniff(&self, prefix: &[u8]) -> bool {
-        match first_significant_line(prefix) {
-            Some(line) => parse_perf_line(&line, 1)
-                .map(|e| e.is_some())
-                .unwrap_or(false),
-            None => false,
-        }
-    }
-}
-
-static BINARY_IMPORTER: BinaryImporter = BinaryImporter;
-static TEXT_IMPORTER: TextImporter = TextImporter;
-static PERF_IMPORTER: PerfImporter = PerfImporter;
-
-/// The importer registry, in autodetection order: framed binary first, then
-/// the stricter text grammar, then the perf adapter.
-pub fn importers() -> [&'static dyn TraceImporter; 3] {
-    [&BINARY_IMPORTER, &TEXT_IMPORTER, &PERF_IMPORTER]
-}
-
-/// The importer for a specific format.
-pub fn importer_for(format: TraceFormat) -> &'static dyn TraceImporter {
-    match format {
-        TraceFormat::SdbtBinary => &BINARY_IMPORTER,
-        TraceFormat::SdbpText => &TEXT_IMPORTER,
-        TraceFormat::PerfText => &PERF_IMPORTER,
     }
 }
 
@@ -222,25 +134,22 @@ pub fn autodetect(prefix: &[u8]) -> Option<TraceFormat> {
     } else {
         prefix
     };
-    for imp in importers() {
-        let probe = if imp.format() == TraceFormat::SdbtBinary {
+    TraceFormat::ALL.into_iter().find(|&format| {
+        let probe = if format == TraceFormat::SdbtBinary {
             prefix
         } else {
             trimmed
         };
-        if imp.sniff(probe) {
-            return Some(imp.format());
-        }
-    }
-    None
+        format.sniff(probe)
+    })
 }
 
 /// Opens `path` as a streaming branch source, autodetecting its format.
 ///
 /// # Errors
 ///
-/// [`TraceError::UnknownFormat`] when no importer recognizes the input;
-/// otherwise whatever the matching importer's `open` reports.
+/// [`TraceError::UnknownFormat`] when no format recognizes the input;
+/// otherwise whatever [`ImportStream::open`] reports for that format.
 pub fn open_path(path: &Path) -> Result<ImportStream, TraceError> {
     let mut f = File::open(path)?;
     let mut prefix = vec![0u8; SNIFF_LEN];
@@ -260,7 +169,19 @@ pub fn open_path(path: &Path) -> Result<ImportStream, TraceError> {
     let format = autodetect(&prefix).ok_or_else(|| TraceError::UnknownFormat {
         prefix: prefix[..n.min(8)].to_vec(),
     })?;
-    importer_for(format).open(path)
+    open_as(format, path)
+}
+
+/// Opens `path`, whose content is in `format`, as a bounded-memory streaming
+/// source labelled by the file's stem.
+fn open_as(format: TraceFormat, path: &Path) -> Result<ImportStream, TraceError> {
+    let file = File::open(path)?;
+    let label = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "<import>".to_string());
+    let reader = BufReader::with_capacity(READ_BUF_LEN, file);
+    ImportStream::open(format, Box::new(reader), label)
 }
 
 /// Reads a whole trace file into memory, autodetecting its format.
@@ -652,8 +573,9 @@ pub fn parse_perf_line(line: &str, lineno: usize) -> Result<Option<BranchEvent>,
 ///
 /// The synthetic prefix carries the trace name as the comm field and a fake
 /// monotonically increasing timestamp derived from the retired-instruction
-/// total, so the output round-trips through [`PerfImporter`] event-for-event
-/// (perf text has no name channel, so the name itself does not survive).
+/// total, so the output autodetects as [`TraceFormat::PerfText`] and
+/// round-trips through [`open_path`] event-for-event (perf text has no name
+/// channel, so the name itself does not survive).
 ///
 /// # Errors
 ///

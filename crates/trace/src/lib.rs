@@ -50,7 +50,7 @@ pub use error::{RecordError, TraceError};
 pub use event::{BranchAddr, BranchEvent, Outcome, PcHasher, PcMap, PcSet};
 pub use import::{
     autodetect, import_trace, open_path, scan_path, write_perf_text, ImportStream, TraceFormat,
-    TraceImporter, TraceScan,
+    TraceScan,
 };
 pub use source::{
     BranchSource, InterleaveSource, IterSource, SampleSource, SkipSource, SliceSource, TakeSource,

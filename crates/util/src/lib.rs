@@ -6,8 +6,8 @@
 //! self-contained, seedable random-number generator ([`rng::Xoshiro256StarStar`])
 //! together with the sampling distributions the synthetic workloads need
 //! ([`dist`]), plus small helpers used across the workspace: online statistics
-//! ([`stats`]) and plain-text table rendering ([`table`]) used by the experiment
-//! harness binaries.
+//! ([`stats`]) and plain-text table rendering ([`table`]) used by the
+//! `sdbp bench` experiments.
 //!
 //! # Examples
 //!

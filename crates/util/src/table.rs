@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! All the experiment harness binaries print paper-style tables; this module
+//! Every `sdbp bench` experiment prints paper-style tables; this module
 //! centralizes column alignment so the output stays legible without a
 //! third-party dependency.
 

@@ -27,8 +27,9 @@
 //!   [`util`] — deterministic RNG and table rendering.
 //!
 //! The `sdbp-bench` crate regenerates every table and figure of the paper
-//! (`cargo run --release -p sdbp-bench --bin all_experiments`), and the
-//! `sdbp` CLI (`sdbp-cli`) drives individual simulations.
+//! through the `sdbp` CLI (`sdbp-cli`): `sdbp bench all_experiments`
+//! writes them all, and the CLI's other commands drive individual
+//! simulations.
 //!
 //! # Quickstart
 //!
