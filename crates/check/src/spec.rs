@@ -2,10 +2,11 @@
 //!
 //! Two entry points:
 //!
-//! * [`parse_spec_text`] parses the `key value` spec-file format (also fed
-//!   by `sdbp check`'s inline options) into an [`ExperimentSpec`], emitting
-//!   coded diagnostics for unknown names, malformed values, and impossible
-//!   predictor configurations — with did-you-mean suggestions.
+//! * [`parse_spec_fields`] parses `key value` fields — a spec file's lines
+//!   ([`parse_spec_text`]) or any `sdbp` command's spec options — into an
+//!   [`ExperimentSpec`], emitting coded diagnostics for unknown names,
+//!   malformed values, and impossible predictor configurations — with
+//!   did-you-mean suggestions.
 //! * [`lint_spec`] checks an already-constructed spec for semantic problems.
 //!   Its errors are [`ExperimentSpec::validate`]'s problems — out-of-range
 //!   scheme parameters, zero budgets, warm-up swallowing the run — the rules
@@ -18,7 +19,7 @@ use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use sdbp_core::{ExperimentSpec, ProfileSource, ShiftPolicy, SpecProblem};
 use sdbp_predictors::{DynamicPredictor, PredictorConfig, PredictorKind};
-use sdbp_profiles::SelectionScheme;
+use sdbp_profiles::{SelectionScheme, SCHEME_NAMES};
 use sdbp_workloads::{Benchmark, InputSet};
 
 /// A spec parsed from text, plus any side declarations that do not live on
@@ -32,7 +33,7 @@ pub struct ParsedSpec {
     pub declared_history: Option<u32>,
 }
 
-/// The keys [`parse_spec_text`] understands.
+/// The keys [`parse_spec_fields`] understands.
 pub const SPEC_KEYS: &[&str] = &[
     "benchmark",
     "predictor",
@@ -66,8 +67,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// The closest candidate to `input`, if any is close enough to be a
-/// plausible typo (distance ≤ ⌈len/3⌉, minimum 2).
-pub(crate) fn closest<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> {
+/// plausible typo (distance ≤ ⌈len/3⌉, minimum 2), option names included.
+pub fn closest<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> {
     let lower = input.to_ascii_lowercase();
     let budget = (lower.len().div_ceil(3)).max(2);
     candidates
@@ -85,28 +86,36 @@ fn suggest(diag: Diagnostic, input: &str, candidates: &[&str]) -> Diagnostic {
     }
 }
 
-const SCHEME_NAMES: &[&str] = &[
-    "none",
-    "static_95",
-    "static_acc",
-    "static_col",
-    "static_collide",
-];
 const SHIFT_NAMES: &[&str] = &["no-shift", "shift"];
 const TRAINING_NAMES: &[&str] = &["self", "cross", "merged", "cross-merged"];
 const INPUT_NAMES: &[&str] = &["train", "ref"];
 
-/// Parses the `key value` spec-file format.
+/// Parses the `key value` spec-file format through [`parse_spec_fields`].
 ///
 /// Lines are `key value` pairs; blank lines and `#` comments are skipped.
-/// Unset keys take the CLI defaults (gcc, ref, seed 2000, gshare, 8192
-/// bytes, scheme none, self-training, no shift, no warm-up, workload-default
-/// budgets). `origin` names the source in diagnostic spans (a path, or
-/// `<args>` for inline options).
-///
-/// Parse failures are reported per line; a spec is still constructed from
-/// whatever parsed unless the predictor configuration itself is unusable.
+/// Diagnostics name the line a field came from.
 pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
+    let lines = text.lines().map(str::trim).zip(1..);
+    let fields = lines.filter(|(line, _)| !line.is_empty() && !line.starts_with('#'));
+    let fields = fields.map(|(line, n)| {
+        let (key, value) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        (key, value.trim(), Some(n))
+    });
+    parse_spec_fields(fields, origin)
+}
+
+/// Parses spec fields given as `(key, value, line)`, `line` being the
+/// spec-file line a field came from (`None` for a command-line option).
+///
+/// Fields apply in order, so a later one wins. Unset keys take the defaults
+/// (gcc, ref, seed 2000, gshare, 8192 bytes, scheme none, self-training, no
+/// shift, no warm-up, workload-default budgets). `origin` names the source
+/// in diagnostic spans. A spec is still constructed from whatever parsed
+/// unless the predictor configuration itself is unusable.
+pub fn parse_spec_fields<'a>(
+    fields: impl IntoIterator<Item = (&'a str, &'a str, Option<usize>)>,
+    origin: &str,
+) -> (ParsedSpec, Diagnostics) {
     let mut diags = Diagnostics::new();
     let mut benchmark = Benchmark::Gcc;
     let mut kind = PredictorKind::Gshare;
@@ -124,22 +133,17 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
     let mut declared_history: Option<u32> = None;
     let mut config_unusable = false;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = match line.split_once(char::is_whitespace) {
-            Some((k, v)) => (k, v.trim()),
-            None => (line, ""),
+    for (key, value, line) in fields {
+        let span = |field: &str| match line {
+            Some(n) => Span::line(origin, field, n),
+            None => Span::field(origin, field),
         };
         let malformed = |field: &str, what: &str| {
             Diagnostic::error(
                 codes::MALFORMED_FIELD_VALUE,
                 format!("invalid {field} value '{value}': expected {what}"),
             )
-            .with_span(Span::line(origin, field.to_string(), line_no))
+            .with_span(span(field))
         };
         match key {
             "benchmark" => match value.parse::<Benchmark>() {
@@ -151,7 +155,7 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                             codes::UNKNOWN_BENCHMARK,
                             format!("unknown benchmark '{value}'"),
                         )
-                        .with_span(Span::line(origin, "benchmark", line_no))
+                        .with_span(span("benchmark"))
                         .with_note(format!("known benchmarks: {}", names.join(", "))),
                         value,
                         &names,
@@ -161,7 +165,7 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
             "predictor" => match value.parse::<PredictorKind>() {
                 Ok(k) => {
                     kind = k;
-                    kind_set = Some(line_no);
+                    kind_set = line;
                 }
                 Err(_) => {
                     config_unusable = true;
@@ -171,38 +175,41 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                             codes::UNKNOWN_PREDICTOR,
                             format!("unknown predictor '{value}'"),
                         )
-                        .with_span(Span::line(origin, "predictor", line_no))
+                        .with_span(span("predictor"))
                         .with_note(format!("known predictors: {}", names.join(", "))),
                         value,
                         &names,
                     ));
                 }
             },
-            // Size and scheme go through the shared parsers the CLI uses
-            // (sdbp-predictors / sdbp-profiles), so both front ends accept
-            // and reject identical syntax.
+            // Size and scheme go through the shared parsers of
+            // sdbp-predictors and sdbp-profiles.
             "size" => match sdbp_predictors::parse_size_bytes(value) {
                 Ok(s) => {
                     size = s;
-                    size_set = Some(line_no);
+                    size_set = line;
                 }
                 Err(_) => diags.push(malformed("size", "a size in bytes")),
             },
             "scheme" => match value.parse::<SelectionScheme>() {
                 Ok(s) => scheme = s,
-                Err(_) => diags.push(suggest(
-                    Diagnostic::error(
-                        codes::UNKNOWN_SCHEME,
-                        format!("unknown selection scheme '{value}'"),
-                    )
-                    .with_span(Span::line(origin, "scheme", line_no))
-                    .with_note(
-                        "expected none, static_<pct>, static_acc, static_col, \
-                         or static_collide",
-                    ),
-                    value,
-                    SCHEME_NAMES,
-                )),
+                Err(_) => {
+                    // `static_<pct>` is a pattern, not a name to suggest.
+                    let names: Vec<&str> = SCHEME_NAMES
+                        .split(", ")
+                        .filter(|n| !n.contains('<'))
+                        .collect();
+                    diags.push(suggest(
+                        Diagnostic::error(
+                            codes::UNKNOWN_SCHEME,
+                            format!("unknown selection scheme '{value}'"),
+                        )
+                        .with_span(span("scheme"))
+                        .with_note(format!("expected one of {SCHEME_NAMES}")),
+                        value,
+                        &names,
+                    ))
+                }
             },
             "shift" => match value.parse::<ShiftPolicy>() {
                 Ok(s) => shift = s,
@@ -260,7 +267,7 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
                     codes::UNKNOWN_SPEC_FIELD,
                     format!("unknown spec field '{other}' ignored"),
                 )
-                .with_span(Span::line(origin, other.to_string(), line_no)),
+                .with_span(span(other)),
                 other,
                 SPEC_KEYS,
             )),
@@ -569,6 +576,8 @@ warmup 1000
 
     #[test]
     fn defaults_mirror_the_cli() {
+        // `sdbp` commands parse their options here too, so these are the
+        // CLI's defaults as well.
         let (parsed, diags) = parse_spec_text("", "<args>");
         assert!(diags.is_empty());
         let spec = parsed.spec.unwrap();
@@ -577,6 +586,38 @@ warmup 1000
         assert_eq!(spec.predictor.size_bytes(), 8192);
         assert_eq!(spec.scheme, SelectionScheme::None);
         assert_eq!(spec.seed, 2000);
+        assert_eq!(spec.measure_instructions, None, "the workload's budget");
+    }
+
+    #[test]
+    fn option_fields_span_their_key_without_a_line() {
+        let fields = [("benchmark", "compres", None), ("size", "3000", None)];
+        let (parsed, diags) = parse_spec_fields(fields, "<args>");
+        assert!(parsed.spec.is_none());
+        assert_eq!(codes_of(&diags), [13, 2]);
+        let spans: Vec<String> = diags
+            .iter()
+            .map(|d| d.span.as_ref().unwrap().to_string())
+            .collect();
+        assert_eq!(spans, ["<args> (benchmark)", "<args> (size)"]);
+        assert_eq!(
+            diags.iter().next().unwrap().suggestion.as_deref(),
+            Some("did you mean 'compress'?")
+        );
+    }
+
+    #[test]
+    fn a_later_field_wins() {
+        let fields = [
+            ("instructions", "1000", None),
+            ("profile_instructions", "500", None),
+            ("seed", "1", None),
+            ("seed", "7", None),
+        ];
+        let spec = parse_spec_fields(fields, "<args>").0.spec.unwrap();
+        assert_eq!(spec.profile_instructions, Some(500));
+        assert_eq!(spec.measure_instructions, Some(1000));
+        assert_eq!(spec.seed, 7);
     }
 
     #[test]
@@ -794,13 +835,27 @@ warmup 1000
                 "docs/predictors.md is missing predictor {quoted}"
             );
         }
-        for scheme in SCHEME_NAMES {
+        for scheme in SCHEME_NAMES.split(", ") {
             let quoted = format!("`{scheme}`");
             assert!(
                 doc.contains(&quoted),
                 "docs/predictors.md is missing scheme {quoted}"
             );
         }
+    }
+
+    #[test]
+    fn diagnostics_doc_lists_every_spec_key() {
+        // SDBP015's entry in docs/diagnostics.md lists the valid keys; a key
+        // added here fails until the entry names it, in this order.
+        let doc = include_str!("../../../docs/diagnostics.md");
+        let entry = doc
+            .split("`unknown-spec-field`")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("docs/diagnostics.md has an SDBP015 entry");
+        let listed: Vec<&str> = entry.split('`').skip(1).step_by(2).collect();
+        assert_eq!(listed, SPEC_KEYS);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! what it measured.
 
 use crate::args::Args;
-use crate::commands::predictor_of;
+use crate::commands::spec_of;
 use crate::error::CliError;
 use sdbp_artifacts::Json;
 use sdbp_bench::experiments::{self, Experiment};
@@ -25,7 +25,6 @@ use sdbp_bench::kernel::{KernelMeasurement, KernelReport};
 use sdbp_bench::passes::{PassesMeasurement, PassesReport};
 use sdbp_bench::{calibration, Timing, COMPARISON_SIZE, SEED};
 use sdbp_core::Lab;
-use sdbp_predictors::PredictorConfig;
 use sdbp_workloads::Benchmark;
 use std::fs;
 use std::time::Instant;
@@ -43,18 +42,21 @@ enum Run {
     Text(fn(&Args) -> Result<String, CliError>),
 }
 
-/// A word of `sdbp bench`: what it runs, and where its output goes unless
-/// `--out` names a file (`None` is stdout).
+/// A word of `sdbp bench`: its option list, what it runs, and where its
+/// output goes unless `--out` names a file (`None` is stdout).
 struct Word {
     name: &'static str,
+    options: &'static str,
     run: Run,
     out: Option<&'static str>,
 }
 
-/// The words besides the experiment suite's.
+/// The words besides the experiment suite's; those taking only `--out`
+/// come last, next to the suite's, so `sdbp help` lists them together.
 const WORDS: [Word; 8] = [
     Word {
         name: "kernel",
+        options: "quick out",
         run: Run::Record("sdbp-bench-kernel/v3", |quick| {
             let report = sdbp_bench::kernel::run(quick, |m| eprintln!("{m}"));
             (report.summary(), kernel(&report))
@@ -63,6 +65,7 @@ const WORDS: [Word; 8] = [
     },
     Word {
         name: "passes",
+        options: "quick out",
         run: Run::Record("sdbp-bench-passes/v4", |quick| {
             let report = sdbp_bench::passes::run(quick, |m| eprintln!("{m}"));
             (report.summary(), passes(&report))
@@ -71,6 +74,7 @@ const WORDS: [Word; 8] = [
     },
     Word {
         name: "frontier",
+        options: "quick out",
         run: Run::Record("sdbp-bench-frontier/v2", |quick| {
             let report = sdbp_bench::frontier::run(quick, |cell| {
                 eprintln!(
@@ -88,6 +92,7 @@ const WORDS: [Word; 8] = [
     },
     Word {
         name: "families",
+        options: "quick out",
         run: Run::Record("sdbp-bench-families/v2", |quick| {
             let report = sdbp_bench::families::run(quick, |f| eprintln!("{f}"));
             (report.summary(), families(&report))
@@ -95,7 +100,28 @@ const WORDS: [Word; 8] = [
         out: Some("BENCH_families.json"),
     },
     Word {
+        name: "diag_classes",
+        options: "benchmark=m88ksim predictor size out",
+        run: Run::Text(|args| {
+            let spec = spec_of(args)?;
+            Ok(calibration::diag_classes(spec.benchmark, spec.predictor))
+        }),
+        out: None,
+    },
+    Word {
+        name: "diag_hist",
+        options: "benchmark=compress size out",
+        run: Run::Text(|args| {
+            // Without --predictor, the spec's predictor is gshare.
+            let spec = spec_of(args)?;
+            let size = spec.predictor.size_bytes();
+            Ok(calibration::diag_hist(spec.benchmark, size))
+        }),
+        out: None,
+    },
+    Word {
         name: "all_experiments",
+        options: "out",
         run: Run::Text(|_| {
             let lab = Lab::new();
             let started = Instant::now();
@@ -112,25 +138,8 @@ const WORDS: [Word; 8] = [
     },
     Word {
         name: "headline",
+        options: "out",
         run: Run::Experiment(experiments::headline),
-        out: None,
-    },
-    Word {
-        name: "diag_classes",
-        run: Run::Text(|args| {
-            let benchmark = benchmark_of(args, "m88ksim")?;
-            Ok(calibration::diag_classes(benchmark, predictor_of(args)?))
-        }),
-        out: None,
-    },
-    Word {
-        name: "diag_hist",
-        run: Run::Text(|args| {
-            let benchmark = benchmark_of(args, "compress")?;
-            let gshare = PredictorConfig::parse("gshare", args.get_or("size", "8192"))
-                .map_err(CliError::usage)?;
-            Ok(calibration::diag_hist(benchmark, gshare.size_bytes()))
-        }),
         out: None,
     },
 ];
@@ -140,17 +149,16 @@ const WORDS: [Word; 8] = [
 fn words() -> impl Iterator<Item = Word> {
     let suite = experiments::SUITE.map(|(name, experiment)| Word {
         name,
+        options: "out",
         run: Run::Experiment(experiment),
         out: None,
     });
     WORDS.into_iter().chain(suite)
 }
 
-/// Parses `--benchmark`, with the word's own default.
-fn benchmark_of(args: &Args, default: &str) -> Result<Benchmark, CliError> {
-    args.get_or("benchmark", default)
-        .parse()
-        .map_err(CliError::usage)
+/// Every word with its option list.
+pub fn usages() -> crate::args::Words {
+    words().map(|w| (w.name, w.options)).collect()
 }
 
 /// `sdbp bench <word>` — run one word and send its output to `--out`, else
@@ -158,16 +166,12 @@ fn benchmark_of(args: &Args, default: &str) -> Result<Benchmark, CliError> {
 /// and writes its record even when its own cross-check fails; the command
 /// then exits non-zero.
 pub fn run(name: &str, args: &Args) -> Result<(), CliError> {
-    let Some(word) = words().find(|w| w.name == name) else {
-        let names: Vec<&str> = words().map(|w| w.name).collect();
-        return Err(CliError::Usage(format!(
-            "bench needs a word ({}), got '{name}'",
-            names.join("|")
-        )));
-    };
-    let quick = args.has_flag("quick");
+    let word = words()
+        .find(|w| w.name == name)
+        .expect("args were parsed against a known word");
     let (text, failure) = match word.run {
         Run::Record(schema, run) => {
+            let quick = args.given("quick");
             eprintln!(
                 "running the {name} suite ({} mode)...",
                 if quick { "quick" } else { "full" }
@@ -178,16 +182,6 @@ pub fn run(name: &str, args: &Args) -> Result<(), CliError> {
                 record.document(schema).render_pretty() + "\n",
                 record.failure,
             )
-        }
-        _ if quick => {
-            let suites: Vec<&str> = words()
-                .filter(|w| matches!(w.run, Run::Record(..)))
-                .map(|w| w.name)
-                .collect();
-            return Err(CliError::Usage(format!(
-                "--quick applies only to the record suites ({}), not '{name}'",
-                suites.join("|")
-            )));
         }
         Run::Experiment(experiment) => (experiment(&Lab::new()) + "\n", None),
         Run::Text(run) => (run(args)?, None),
@@ -739,11 +733,16 @@ mod tests {
         "table5",
     ];
 
+    /// Parses `sdbp bench <name> <options>` the way `sdbp` does.
+    fn parse(name: &str, options: &[&str]) -> Result<Args, CliError> {
+        let argv = ["bench", name].into_iter().chain(options.iter().copied());
+        crate::parse(argv.map(String::from).collect()).map(|(_, _, args)| args)
+    }
+
     #[test]
     fn the_suite_is_a_required_known_word() {
-        let args = Args::default();
         for suite in ["", "simkernel"] {
-            let err = run(suite, &args).unwrap_err();
+            let err = parse(suite, &[]).unwrap_err();
             assert_eq!(err.exit_code(), 2);
             let message = err.to_string();
             assert!(message.contains("kernel|passes|frontier|families"));
@@ -762,11 +761,13 @@ mod tests {
 
     #[test]
     fn quick_is_a_usage_error_outside_the_record_suites() {
-        let args = Args::parse(["bench".to_string(), "--quick".to_string()]).unwrap();
         for name in FORMER_BINARIES {
-            let err = run(name, &args).unwrap_err();
+            let err = parse(name, &["--quick"]).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{name}: {err}");
             assert!(err.to_string().contains("--quick"), "{name}: {err}");
+        }
+        for name in ["kernel", "passes", "frontier", "families"] {
+            assert!(parse(name, &["--quick"]).unwrap().given("quick"));
         }
     }
 
@@ -779,9 +780,11 @@ mod tests {
             ("diag_hist", "--benchmark", "gobmk"),
             ("diag_hist", "--size", "3000"),
         ] {
-            let argv = ["bench", option, value].map(str::to_string);
-            let err = run(name, &Args::parse(argv).unwrap()).unwrap_err();
+            let args = parse(name, &[option, value]).unwrap();
+            let err = run(name, &args).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{name} {option} {value}: {err}");
         }
+        // diag_hist measures gshare alone.
+        assert!(parse("diag_hist", &["--predictor", "bimodal"]).is_err());
     }
 }

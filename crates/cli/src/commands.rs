@@ -3,12 +3,10 @@
 use crate::args::Args;
 use crate::error::CliError;
 use sdbp_artifacts::{Digest, Store};
-use sdbp_core::{
-    BranchAnalysis, CombinedPredictor, ExperimentSpec, Lab, ProfileSource, ShiftPolicy, Simulator,
-    Sweep,
-};
+use sdbp_check::Diagnostics;
+use sdbp_core::{BranchAnalysis, CombinedPredictor, ExperimentSpec, Lab, Simulator, Sweep};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
-use sdbp_profiles::{BiasProfile, HintDatabase, SelectionScheme};
+use sdbp_profiles::{BiasProfile, HintDatabase, SelectionScheme, SCHEME_NAMES};
 use sdbp_trace::{import_trace, write_binary, write_text, BranchSource, Trace};
 use sdbp_util::table::{fixed, grouped, pct, TableWriter};
 use sdbp_workloads::{imports, open_source, Benchmark, InputSet, WorkloadFamily};
@@ -17,59 +15,47 @@ use std::path::Path;
 
 type CmdResult = Result<(), CliError>;
 
-/// Common options: `--benchmark`, `--input`, `--seed`, `--instructions`.
-struct RunOptions {
-    benchmark: Benchmark,
-    input: InputSet,
-    seed: u64,
-    instructions: u64,
+/// The experiment a command's spec-field options describe, parsed by
+/// `sdbp check`'s spec parser; a bad value is a usage error that carries
+/// its coded diagnostic.
+pub(crate) fn spec_of(args: &Args) -> Result<ExperimentSpec, CliError> {
+    let (parsed, diags) = sdbp_check::spec::parse_spec_fields(spec_fields(args), "<args>");
+    match parsed.spec {
+        Some(spec) if !diags.has_errors() => Ok(spec),
+        _ => Err(CliError::Usage(format!(
+            "invalid options for `sdbp {}`\n{}",
+            args.command(),
+            diags.render_text().trim_end()
+        ))),
+    }
 }
 
-fn run_options(args: &Args) -> Result<RunOptions, CliError> {
-    let benchmark: Benchmark = args
-        .get_or("benchmark", "gcc")
-        .parse()
-        .map_err(CliError::usage)?;
-    let input = input_of(args)?;
-    let seed = args
-        .get_parsed_or("seed", 2000u64)
-        .map_err(CliError::Usage)?;
-    let default_budget = benchmark.default_instructions(input);
-    let instructions = args
-        .get_parsed_or("instructions", default_budget)
-        .map_err(CliError::Usage)?;
-    Ok(RunOptions {
-        benchmark,
-        input,
-        seed,
-        instructions,
-    })
+/// The spec fields among a command's options, in declaration order.
+fn spec_fields(args: &Args) -> impl Iterator<Item = (&str, &str, Option<usize>)> {
+    args.fields()
+        .filter(|(key, _)| sdbp_check::SPEC_KEYS.contains(key))
+        .map(|(key, value)| (key, value, None))
 }
 
-/// Parses `--input` through [`InputSet`]'s own parser, which `sdbp check`
-/// also uses.
-fn input_of(args: &Args) -> Result<InputSet, CliError> {
-    args.get_or("input", "ref")
-        .parse()
-        .map_err(|e| CliError::Usage(format!("invalid --input: {e}")))
+/// The stream a spec measures: its benchmark, input and seed, cut at its
+/// measurement budget.
+fn workload(spec: &ExperimentSpec) -> impl BranchSource {
+    open_source(spec.benchmark, spec.measure_input, spec.seed)
+        .take_instructions(spec.measure_budget())
 }
 
-/// Parses `--scheme` through [`SelectionScheme`]'s own parser — the same
-/// one `sdbp check` uses, so both tools accept (and reject) identically.
-fn scheme_of(args: &Args) -> Result<SelectionScheme, CliError> {
-    args.get_or("scheme", "none")
-        .parse()
-        .map_err(|e| CliError::Usage(format!("invalid --scheme: {e}")))
+/// Sets both phases' budgets to the measurement budget, which defaults to
+/// the measured input's own: one `--instructions` sizes a whole run.
+fn one_budget(mut spec: ExperimentSpec) -> ExperimentSpec {
+    let budget = spec.measure_budget();
+    spec.profile_instructions = Some(budget);
+    spec.measure_instructions = Some(budget);
+    spec
 }
 
-/// Parses `--predictor`/`--size` through [`PredictorConfig::parse`], the
-/// shared option-to-config path also used by `sdbp check`'s spec parser.
-pub(crate) fn predictor_of(args: &Args) -> Result<PredictorConfig, CliError> {
-    PredictorConfig::parse(
-        args.get_or("predictor", "gshare"),
-        args.get_or("size", "8192"),
-    )
-    .map_err(CliError::usage)
+/// Reads a text file the command was pointed at.
+fn read(path: &str) -> Result<String, CliError> {
+    fs::read_to_string(path).map_err(|e| CliError::Failure(format!("cannot read {path}: {e}")))
 }
 
 /// Reads a trace file in any importable format, the same autodetection
@@ -78,17 +64,27 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
     import_trace(Path::new(path)).map_err(|e| CliError::Failure(format!("{path}: {e}")))
 }
 
+/// Prints diagnostics in the `--format` asked for; `true` for text.
+fn print_diagnostics(args: &Args, diags: &Diagnostics) -> Result<bool, CliError> {
+    match args.value("format") {
+        "json" => println!("{}", diags.to_json()),
+        "text" => print!("{}", diags.render_text()),
+        other => {
+            return Err(CliError::Usage(format!(
+                "invalid --format '{other}' (text|json)"
+            )))
+        }
+    }
+    Ok(args.value("format") == "text")
+}
+
 /// `sdbp gen` — generate a trace file from a synthetic workload.
 pub fn gen(args: &Args) -> CmdResult {
-    let opts = run_options(args)?;
-    let out = args
-        .get("out")
-        .ok_or("gen requires --out <path>".to_string())?;
-    let trace = open_source(opts.benchmark, opts.input, opts.seed)
-        .take_instructions(opts.instructions)
-        .collect_trace();
+    let spec = spec_of(args)?;
+    let out = args.value("out");
+    let trace = workload(&spec).collect_trace();
     let mut buf = Vec::new();
-    if args.has_flag("text") || out.ends_with(".txt") {
+    if args.given("text") || out.ends_with(".txt") {
         write_text(&mut buf, &trace).map_err(|e| e.to_string())?;
     } else {
         write_binary(&mut buf, &trace).map_err(|e| e.to_string())?;
@@ -105,14 +101,12 @@ pub fn gen(args: &Args) -> CmdResult {
 
 /// `sdbp stats` — characterize a trace file or a synthetic workload.
 pub fn stats(args: &Args) -> CmdResult {
+    args.conflicts("trace", "benchmark input seed instructions")?;
     let stats = if let Some(path) = args.get("trace") {
         let trace = load_trace(path)?;
         sdbp_trace::TraceStats::from_source(sdbp_trace::SliceSource::from_trace(&trace))
     } else {
-        let opts = run_options(args)?;
-        sdbp_trace::TraceStats::from_source(
-            open_source(opts.benchmark, opts.input, opts.seed).take_instructions(opts.instructions),
-        )
+        sdbp_trace::TraceStats::from_source(workload(&spec_of(args)?))
     };
     let mut t = TableWriter::with_columns(&["metric", "value"]);
     t.align(1, sdbp_util::table::Align::Right);
@@ -134,21 +128,17 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `sdbp profile` — collect a bias profile and write it as text.
 pub fn profile(args: &Args) -> CmdResult {
-    let opts = run_options(args)?;
-    let out = args
-        .get("out")
-        .ok_or("profile requires --out <path>".to_string())?;
-    let profile = BiasProfile::from_source(
-        open_source(opts.benchmark, opts.input, opts.seed).take_instructions(opts.instructions),
-    );
+    let spec = spec_of(args)?;
+    let out = args.value("out");
+    let profile = BiasProfile::from_source(workload(&spec));
     // Metadata header: `sdbp check` cross-checks these fields against the
     // spec the profile is later used with (SDBP030/031/032).
     let header = format!(
         "# benchmark {}\n# input {}\n# seed {}\n# instructions {}\n",
-        opts.benchmark.name(),
-        opts.input.name(),
-        opts.seed,
-        opts.instructions
+        spec.benchmark.name(),
+        spec.measure_input.name(),
+        spec.seed,
+        spec.measure_budget()
     );
     fs::write(out, format!("{header}{}", profile.to_text()))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -163,19 +153,14 @@ pub fn profile(args: &Args) -> CmdResult {
 /// `sdbp select` — select static hints from a profile (or from a fresh run)
 /// and write the hint database.
 pub fn select(args: &Args) -> CmdResult {
-    let scheme = scheme_of(args)?;
-    let out = args
-        .get("out")
-        .ok_or("select requires --out <path>".to_string())?;
-    let opts = run_options(args)?;
-    let source =
-        || open_source(opts.benchmark, opts.input, opts.seed).take_instructions(opts.instructions);
+    let spec = spec_of(args)?;
+    let (scheme, out) = (spec.scheme, args.value("out"));
+    let source = || workload(&spec);
     let (bias, accuracy) = match args.get("profile") {
         Some(path) => {
-            let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let bias = BiasProfile::from_text(&text)?;
+            let bias = BiasProfile::from_text(&read(path)?)?;
             let accuracy = if scheme.needs_accuracy_profile() {
-                let mut predictor = predictor_of(args)?.build();
+                let mut predictor = spec.predictor.build();
                 Some(sdbp_profiles::AccuracyProfile::collect(
                     source(),
                     predictor.as_mut(),
@@ -188,7 +173,7 @@ pub fn select(args: &Args) -> CmdResult {
         // No profile file: both profiles come from a fresh run — fused
         // into a single generator traversal through the pass framework.
         None if scheme.needs_accuracy_profile() => {
-            let mut predictor = predictor_of(args)?.build();
+            let mut predictor = spec.predictor.build();
             let mut bias_pass = sdbp_profiles::BiasPass::new();
             let mut accuracy_pass = sdbp_profiles::AccuracyPass::new(predictor.as_mut());
             sdbp_passes::PassRunner::new().run(source(), &mut [&mut bias_pass, &mut accuracy_pass]);
@@ -201,7 +186,7 @@ pub fn select(args: &Args) -> CmdResult {
     let ranking = if scheme.needs_interference_ranking() {
         sdbp_profiles::rank_interference(
             &bias,
-            predictor_of(args)?,
+            spec.predictor,
             &sdbp_profiles::InterferenceOptions::default(),
         )
     } else {
@@ -218,80 +203,44 @@ pub fn select(args: &Args) -> CmdResult {
 /// `sdbp sim` — simulate a predictor over a workload or trace, optionally
 /// with a hint database or an on-the-fly selection scheme.
 pub fn sim(args: &Args) -> CmdResult {
-    let config = predictor_of(args)?;
-    let shift = if args.has_flag("shift") {
-        ShiftPolicy::Shift
-    } else {
-        ShiftPolicy::NoShift
-    };
+    args.requires("hints", "trace")?;
+    args.conflicts("trace", "benchmark input seed instructions scheme training")?;
+    let spec = spec_of(args)?;
 
     // Trace-file mode: external traces with an optional hint database.
     if let Some(path) = args.get("trace") {
         let trace = load_trace(path)?;
         let hints = match args.get("hints") {
-            Some(hint_path) => {
-                let text = fs::read_to_string(hint_path)
-                    .map_err(|e| format!("cannot read {hint_path}: {e}"))?;
-                HintDatabase::from_text(&text)?
-            }
+            Some(path) => HintDatabase::from_text(&read(path)?)?,
             None => HintDatabase::new(),
         };
-        let mut combined = CombinedPredictor::new(config.build_any(), hints, shift);
+        let mut combined = CombinedPredictor::new(spec.predictor.build_any(), hints, spec.shift);
         let stats =
             Simulator::new().run(sdbp_trace::SliceSource::from_trace(&trace), &mut combined);
-        println!("{config} on {path}: {stats}");
+        println!("{} on {path}: {stats}", spec.predictor);
         return Ok(());
     }
 
     // Workload mode: the full two-phase experiment.
-    let opts = run_options(args)?;
-    let scheme = scheme_of(args)?;
-    let training: ProfileSource = args
-        .get_or("training", "self")
-        .parse()
-        .map_err(|e| CliError::Usage(format!("invalid --training: {e}")))?;
-    let mut spec = ExperimentSpec::self_trained(opts.benchmark, config, scheme)
-        .with_shift(shift)
-        .with_seed(opts.seed)
-        .with_measure_input(opts.input)
-        .with_profile(training);
-    spec.measure_instructions = Some(opts.instructions);
-    spec.profile_instructions = Some(opts.instructions);
-    let report = Lab::new().run(&spec)?;
+    let report = Lab::new().run(&one_budget(spec))?;
     println!("{report}");
     Ok(())
-}
-
-/// Reads the `--threads` override (0 or absent = automatic resolution:
-/// `SDBP_THREADS` env, then all available cores).
-fn threads_of(args: &Args) -> Result<usize, CliError> {
-    args.get_parsed_or("threads", 0usize)
-        .map_err(CliError::Usage)
 }
 
 /// `sdbp sweep` — size sweep of one predictor/scheme on one benchmark,
 /// run in parallel through the sweep engine.
 pub fn sweep(args: &Args) -> CmdResult {
-    let kind: PredictorKind = args
-        .get_or("predictor", "gshare")
-        .parse()
-        .map_err(CliError::usage)?;
-    let scheme = scheme_of(args)?;
-    let opts = run_options(args)?;
-    let threads = threads_of(args)?;
+    let base = one_budget(spec_of(args)?);
+    let kind = base.predictor.kind();
     let sizes = [1usize, 2, 4, 8, 16, 32, 64];
     let mut specs = Vec::new();
     for size_kb in sizes {
-        let config = PredictorConfig::new(kind, size_kb * 1024).map_err(|e| e.to_string())?;
-        let mut spec = ExperimentSpec::self_trained(opts.benchmark, config, scheme)
-            .with_seed(opts.seed)
-            .with_measure_input(opts.input);
-        spec.measure_instructions = Some(opts.instructions);
-        spec.profile_instructions = Some(opts.instructions);
+        let mut spec = base.clone();
+        spec.predictor = PredictorConfig::new(kind, size_kb * 1024).map_err(|e| e.to_string())?;
         specs.push(spec);
     }
     let result = Sweep::new(specs)
-        .with_threads(threads)
+        .with_threads(args.parsed("threads")?)
         .with_verbose(true)
         .run();
     // Before any failed cell ends the command, so a failed run still says
@@ -309,9 +258,10 @@ pub fn sweep(args: &Args) -> CmdResult {
         ]);
     }
     println!(
-        "{kind} on {} ({}, {scheme}):\n\n{}",
-        opts.benchmark,
-        opts.input,
+        "{kind} on {} ({}, {}):\n\n{}",
+        base.benchmark,
+        base.measure_input,
+        base.scheme,
         t.render()
     );
     Ok(())
@@ -319,7 +269,9 @@ pub fn sweep(args: &Args) -> CmdResult {
 
 /// Resolves the benchmarks a `grid` run covers: an imported `--trace`
 /// file, every member of a `--family`, or the single `--benchmark`.
-fn grid_benchmarks(args: &Args) -> Result<Vec<Benchmark>, CliError> {
+fn grid_benchmarks(args: &Args, spec: &ExperimentSpec) -> Result<Vec<Benchmark>, CliError> {
+    args.conflicts("trace", "family benchmark")?;
+    args.conflicts("family", "benchmark")?;
     if let Some(path) = args.get("trace") {
         let benchmark = imports::register(Path::new(path)).map_err(CliError::Failure)?;
         return Ok(vec![benchmark]);
@@ -334,7 +286,7 @@ fn grid_benchmarks(args: &Args) -> Result<Vec<Benchmark>, CliError> {
         }
         return Ok(members);
     }
-    Ok(vec![run_options(args)?.benchmark])
+    Ok(vec![spec.benchmark])
 }
 
 /// `sdbp grid` — the Figure 7–12 experiment: every paper predictor at
@@ -344,24 +296,13 @@ fn grid_benchmarks(args: &Args) -> Result<Vec<Benchmark>, CliError> {
 /// summary then reports MISPs/KI per family), and `--trace` admits an
 /// external trace file and grids over it.
 pub fn grid(args: &Args) -> CmdResult {
-    let benchmarks = grid_benchmarks(args)?;
-    let input = input_of(args)?;
-    let seed = args
-        .get_parsed_or("seed", 2000u64)
-        .map_err(CliError::Usage)?;
-    let explicit_instructions = match args.get("instructions") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|e| CliError::Usage(format!("invalid --instructions '{v}': {e}")))?,
-        ),
-        None => None,
-    };
-    let size = args
-        .get_parsed_or("size", 8192usize)
-        .map_err(CliError::Usage)?;
-    let threads = threads_of(args)?;
+    args.requires("resume", "store")?;
+    args.requires("max-cells", "store")?;
+    let base = spec_of(args)?;
+    let benchmarks = grid_benchmarks(args, &base)?;
+    let size = base.predictor.size_bytes();
     let schemes: Vec<SelectionScheme> = args
-        .get_or("schemes", "none,static_95,static_acc")
+        .value("schemes")
         .split(',')
         .map(|name| {
             name.trim()
@@ -369,19 +310,12 @@ pub fn grid(args: &Args) -> CmdResult {
                 .map_err(|e| CliError::Usage(format!("invalid --schemes entry '{name}': {e}")))
         })
         .collect::<Result<_, _>>()?;
-    if schemes.is_empty() {
-        return Err(CliError::Usage(
-            "--schemes must name at least one scheme".into(),
-        ));
-    }
     // Cells whose scheme needs the interference ranking on a predictor that
     // is opaque to it would fail at selection time; skip them up front and
     // render n/a — the same policy as `sdbp bench frontier` and SDBP042.
     let mut specs = Vec::new();
     let mut layout: Vec<Vec<Vec<Option<usize>>>> = Vec::new();
     for &benchmark in &benchmarks {
-        let instructions =
-            explicit_instructions.unwrap_or_else(|| benchmark.default_instructions(input));
         let mut rows = Vec::new();
         for kind in PredictorKind::PAPER {
             let config = PredictorConfig::new(kind, size).map_err(|e| e.to_string())?;
@@ -392,35 +326,24 @@ pub fn grid(args: &Args) -> CmdResult {
                     row.push(None);
                     continue;
                 }
-                let mut spec = ExperimentSpec::self_trained(benchmark, config, scheme)
-                    .with_seed(seed)
-                    .with_measure_input(input);
-                spec.measure_instructions = Some(instructions);
-                spec.profile_instructions = Some(instructions);
-                specs.push(spec);
+                let mut spec = base.clone().with_scheme(scheme);
+                spec.benchmark = benchmark;
+                spec.predictor = config;
+                specs.push(one_budget(spec));
                 row.push(Some(specs.len() - 1));
             }
             rows.push(row);
         }
         layout.push(rows);
     }
-    let mut sweep = Sweep::new(specs).with_threads(threads).with_verbose(true);
+    let mut sweep = Sweep::new(specs)
+        .with_threads(args.parsed("threads")?)
+        .with_verbose(true);
     if let Some(dir) = args.get("store") {
         sweep = sweep
             .with_store(dir)
-            .with_resume(args.has_flag("resume"))
-            .with_max_cells(
-                args.get_parsed_or("max-cells", 0usize)
-                    .map_err(CliError::Usage)?,
-            );
-    } else if args.has_flag("resume") {
-        return Err(CliError::Usage(
-            "--resume requires --store <dir> (nothing to resume from)".into(),
-        ));
-    } else if args.get("max-cells").is_some() {
-        return Err(CliError::Usage(
-            "--max-cells requires --store <dir> (only a stored run resumes past the cap)".into(),
-        ));
+            .with_resume(args.given("resume"))
+            .with_max_cells(args.parsed("max-cells")?);
     }
     let result = sweep.run();
     // Before any failed cell ends the command, so a failed run still says
@@ -463,7 +386,7 @@ pub fn grid(args: &Args) -> CmdResult {
         println!(
             "MISPs/KI on {} ({}, {} bytes):\n\n{}",
             benchmark.name(),
-            input,
+            base.measure_input,
             size,
             t.render()
         );
@@ -475,10 +398,7 @@ pub fn grid(args: &Args) -> CmdResult {
 /// admission diagnostics and, when it passes, register it as an imported
 /// benchmark for this process (grids name it like any synthetic one).
 pub fn ingest(args: &Args) -> CmdResult {
-    let path = args
-        .get("trace")
-        .ok_or("ingest requires --trace <path>".to_string())?;
-    let deny_warnings = args.has_flag("deny-warnings");
+    let path = args.value("trace");
     let p = Path::new(path);
     // One scan serves both the lints and the admission registration.
     let scanned = sdbp_trace::scan_path(p);
@@ -487,16 +407,8 @@ pub fn ingest(args: &Args) -> CmdResult {
         // Open failed: re-derive the failure as SDBP070/SDBP071.
         Err(_) => sdbp_check::lint_trace_path(p),
     };
-    match args.get_or("format", "text") {
-        "json" => println!("{}", diags.to_json()),
-        "text" => print!("{}", diags.render_text()),
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --format '{other}' (text|json)"
-            )))
-        }
-    }
-    if !diags.passes(deny_warnings) {
+    print_diagnostics(args, &diags)?;
+    if !diags.passes(args.given("deny-warnings")) {
         return Err(CliError::Failure(format!(
             "ingest rejected {path}: {}",
             diags.summary()
@@ -517,17 +429,11 @@ pub fn ingest(args: &Args) -> CmdResult {
 /// `sdbp hotspots` — per-branch misprediction breakdown: the top
 /// contributors a performance engineer (or a selection scheme) would target.
 pub fn hotspots(args: &Args) -> CmdResult {
-    let config = predictor_of(args)?;
-    let (kind, size) = (config.kind(), config.size_bytes());
-    let top = args
-        .get_parsed_or("top", 15usize)
-        .map_err(CliError::Usage)?;
-    let opts = run_options(args)?;
-    let mut predictor = CombinedPredictor::pure_dynamic(config.build_any());
-    let analysis = BranchAnalysis::run(
-        open_source(opts.benchmark, opts.input, opts.seed).take_instructions(opts.instructions),
-        &mut predictor,
-    );
+    let spec = spec_of(args)?;
+    let (kind, size) = (spec.predictor.kind(), spec.predictor.size_bytes());
+    let top = args.parsed("top")?;
+    let mut predictor = CombinedPredictor::pure_dynamic(spec.predictor.build_any());
+    let analysis = BranchAnalysis::run(workload(&spec), &mut predictor);
     let mut t =
         TableWriter::with_columns(&["pc", "executed", "mispredicted", "rate", "collisions"]);
     t.numeric();
@@ -543,8 +449,8 @@ pub fn hotspots(args: &Args) -> CmdResult {
     println!(
         "{kind} {size}B on {}.{}: {} — top {top} branches cover {:.0}% of mispredictions
 ",
-        opts.benchmark,
-        opts.input,
+        spec.benchmark,
+        spec.measure_input,
         analysis.stats(),
         analysis.misprediction_concentration(top) * 100.0
     );
@@ -552,58 +458,64 @@ pub fn hotspots(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Synthesizes spec-file text from the inline `check` options, so inline
-/// invocations go through the same parser — and get the same coded
-/// diagnostics — as `--spec` files.
-fn inline_spec_text(args: &Args) -> String {
-    let mut text = String::new();
-    for key in sdbp_check::SPEC_KEYS {
-        if let Some(value) = args.get(key) {
-            text.push_str(&format!("{key} {value}\n"));
-        }
+/// The bias profile `--aliasing` and `--index-analysis` analyze: the
+/// `--profile` file, else a fresh profile of `--instructions` (500 000
+/// unless given) on the train input.
+fn analyzed_profile(
+    args: &Args,
+    spec: &ExperimentSpec,
+    profile: Option<BiasProfile>,
+) -> Result<BiasProfile, CliError> {
+    if let Some(bias) = profile {
+        return Ok(bias);
     }
-    if args.has_flag("shift") {
-        text.push_str("shift shift\n");
-    }
-    text
+    let budget = args.get("instructions").unwrap_or("500000");
+    let budget = budget
+        .parse()
+        .map_err(|e| CliError::Usage(format!("invalid --instructions '{budget}': {e}")))?;
+    let fresh = open_source(spec.benchmark, InputSet::Train, spec.seed).take_instructions(budget);
+    Ok(BiasProfile::from_source(fresh))
 }
 
 /// `sdbp check` — static diagnostics over a spec, a hint database, and a
 /// profile, without running any simulation.
 pub fn check(args: &Args) -> CmdResult {
-    let deny_warnings = args.has_flag("deny-warnings");
-    let mut diags = sdbp_check::Diagnostics::new();
+    // With --spec, the file holds the spec; --instructions may still size
+    // the fresh profile.
+    let inline = sdbp_check::SPEC_KEYS
+        .iter()
+        .filter(|&&key| key != "instructions");
+    args.conflicts("spec", &inline.copied().collect::<Vec<_>>().join(" "))?;
+    let mut diags = Diagnostics::new();
 
     // --suite: lint every spec the `sdbp bench` experiments would run.
-    if args.has_flag("suite") {
+    if args.given("suite") {
         for spec in sdbp_bench::experiments::suite_specs() {
             diags.merge(sdbp_check::lint_spec(&spec, "<suite>"));
         }
     }
 
     // The spec under scrutiny: a `--spec` file, or the inline options.
-    let (spec_text, origin) = match args.get("spec") {
-        Some(path) => (
-            fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
-            path.to_string(),
+    let (origin, (parsed, parse_diags)) = match args.get("spec") {
+        Some(path) => (path, sdbp_check::parse_spec_text(&read(path)?, path)),
+        None => (
+            "<args>",
+            sdbp_check::spec::parse_spec_fields(spec_fields(args), "<args>"),
         ),
-        None => (inline_spec_text(args), "<args>".to_string()),
     };
-    let (parsed, parse_diags) = sdbp_check::parse_spec_text(&spec_text, &origin);
     diags.merge(parse_diags);
     if let Some(spec) = &parsed.spec {
         diags.merge(sdbp_check::lint_spec_with_history(
             spec,
             parsed.declared_history,
-            &origin,
+            origin,
         ));
     }
 
     // --profile: metadata cross-checks, and the data for --aliasing.
     let mut profile = None;
     if let Some(path) = args.get("profile") {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (bias, metadata, profile_diags) = sdbp_check::parse_profile_text(&text, path);
+        let (bias, metadata, profile_diags) = sdbp_check::parse_profile_text(&read(path)?, path);
         diags.merge(profile_diags);
         if let Some(spec) = &parsed.spec {
             diags.merge(sdbp_check::lint_profile_against_spec(&metadata, spec, path));
@@ -613,8 +525,7 @@ pub fn check(args: &Args) -> CmdResult {
 
     // --hints: duplicate/conflict lints, plus profile cross-checks.
     if let Some(path) = args.get("hints") {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (hints, hint_diags) = sdbp_check::parse_hints_text(&text, path);
+        let (hints, hint_diags) = sdbp_check::parse_hints_text(&read(path)?, path);
         diags.merge(hint_diags);
         if let Some(bias) = &profile {
             diags.merge(sdbp_check::lint_hints_against_profile(
@@ -629,81 +540,33 @@ pub fn check(args: &Args) -> CmdResult {
     // --manifest: lint a grid run manifest — parse damage, schema drift,
     // duplicate or failed cells, torn tails (SDBP050–SDBP054).
     if let Some(path) = args.get("manifest") {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        diags.merge(sdbp_check::lint_manifest_text(&text, path));
+        diags.merge(sdbp_check::lint_manifest_text(&read(path)?, path));
     }
 
-    // --aliasing: forecast destructive interference from the profile and
-    // the spec's index function. Falls back to a bounded fresh profiling
-    // run when no --profile file was given.
-    if args.has_flag("aliasing") {
-        if let Some(spec) = &parsed.spec {
-            let fresh;
-            let bias = match &profile {
-                Some(b) => b,
-                None => {
-                    let budget = args
-                        .get_parsed_or("instructions", 500_000u64)
-                        .map_err(CliError::Usage)?;
-                    fresh = BiasProfile::from_source(
-                        open_source(spec.benchmark, InputSet::Train, spec.seed)
-                            .take_instructions(budget),
-                    );
-                    &fresh
-                }
-            };
-            let top = args
-                .get_parsed_or("top", 10usize)
-                .map_err(CliError::Usage)?;
-            let (_, aliasing_diags) = sdbp_check::lint_aliasing(bias, spec.predictor, top, &origin);
+    // --aliasing forecasts destructive interference from the profile and
+    // the spec's index function; --index-analysis proves the index
+    // function's collision structure with exact GF(2) linear algebra
+    // (SDBP060–SDBP064), the profile driving the SDBP063 proven-pair search.
+    let (aliasing, index_analysis) = (args.given("aliasing"), args.given("index-analysis"));
+    if let (Some(spec), true) = (&parsed.spec, aliasing || index_analysis) {
+        let bias = analyzed_profile(args, spec, profile)?;
+        let top = args.parsed("top")?;
+        if aliasing {
+            let (_, aliasing_diags) = sdbp_check::lint_aliasing(&bias, spec.predictor, top, origin);
             diags.merge(aliasing_diags);
         }
-    }
-
-    // --index-analysis: prove the index function's collision structure with
-    // exact GF(2) linear algebra (SDBP060–SDBP064). Like --aliasing, a
-    // bounded fresh profiling run stands in when no --profile was given —
-    // the profile drives the SDBP063 proven-pair search.
-    if args.has_flag("index-analysis") {
-        if let Some(spec) = &parsed.spec {
-            let fresh;
-            let bias = match &profile {
-                Some(b) => b,
-                None => {
-                    let budget = args
-                        .get_parsed_or("instructions", 500_000u64)
-                        .map_err(CliError::Usage)?;
-                    fresh = BiasProfile::from_source(
-                        open_source(spec.benchmark, InputSet::Train, spec.seed)
-                            .take_instructions(budget),
-                    );
-                    &fresh
-                }
-            };
-            let options = sdbp_check::IndexAnalysisOptions {
-                top_pairs: args
-                    .get_parsed_or("top", 10usize)
-                    .map_err(CliError::Usage)?,
-            };
+        if index_analysis {
+            let options = sdbp_check::IndexAnalysisOptions { top_pairs: top };
             let (_, index_diags) =
-                sdbp_check::lint_index_analysis(Some(bias), spec.predictor, &options, &origin);
+                sdbp_check::lint_index_analysis(Some(&bias), spec.predictor, &options, origin);
             diags.merge(index_diags);
         }
     }
 
-    match args.get_or("format", "text") {
-        "json" => println!("{}", diags.to_json()),
-        "text" => {
-            print!("{}", diags.render_text());
-            println!("check: {}", diags.summary());
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "invalid --format '{other}' (text|json)"
-            )))
-        }
+    if print_diagnostics(args, &diags)? {
+        println!("check: {}", diags.summary());
     }
-    if diags.passes(deny_warnings) {
+    if diags.passes(args.given("deny-warnings")) {
         Ok(())
     } else {
         Err(CliError::Failure(format!(
@@ -713,22 +576,21 @@ pub fn check(args: &Args) -> CmdResult {
     }
 }
 
-/// Opens the `--store` directory an `artifact` action operates on.
-fn store_of(args: &Args) -> Result<Store, CliError> {
-    let dir = args
-        .get("store")
-        .ok_or_else(|| CliError::Usage("artifact commands require --store <dir>".into()))?;
-    Ok(Store::open(dir)?)
-}
+/// `sdbp artifact`'s words and their options.
+pub const ARTIFACT: &[(&str, &str)] = &[
+    ("ls", "store!"),
+    ("inspect", "store! digest!"),
+    ("gc", "store!"),
+];
 
 /// `sdbp artifact <action>` — inspect and maintain a durable artifact
 /// store: `ls` (every object with schema and size), `inspect --digest HEX`
 /// (one object in detail), `gc` (prune corrupt objects, dangling links,
 /// and stale temp files).
 pub fn artifact(action: &str, args: &Args) -> CmdResult {
+    let store = Store::open(args.value("store"))?;
     match action {
         "ls" => {
-            let store = store_of(args)?;
             let entries = store.list()?;
             let mut t = TableWriter::with_columns(&["digest", "schema", "version", "bytes"]);
             t.align(3, sdbp_util::table::Align::Right);
@@ -762,12 +624,7 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
             Ok(())
         }
         "inspect" => {
-            let store = store_of(args)?;
-            let digest: Digest = args
-                .get("digest")
-                .ok_or_else(|| CliError::Usage("artifact inspect requires --digest <hex>".into()))?
-                .parse()
-                .map_err(CliError::usage)?;
+            let digest: Digest = args.parsed("digest")?;
             let bytes = store
                 .get_bytes(digest)?
                 .ok_or_else(|| CliError::Failure(format!("no object {digest} in the store")))?;
@@ -784,7 +641,6 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
             Ok(())
         }
         "gc" => {
-            let store = store_of(args)?;
             let (removed, kept) = store.gc()?;
             println!(
                 "gc {}: removed {removed}, kept {kept}",
@@ -792,17 +648,12 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
             );
             Ok(())
         }
-        "" => Err(CliError::Usage(
-            "artifact requires an action: ls, inspect, or gc".into(),
-        )),
-        other => Err(CliError::Usage(format!(
-            "unknown artifact action '{other}' (ls|inspect|gc)"
-        ))),
+        other => unreachable!("artifact words are ls, inspect and gc, not '{other}'"),
     }
 }
 
 /// `sdbp list` — enumerate benchmarks, predictors and schemes.
-pub fn list() -> CmdResult {
+pub fn list(_: &Args) -> CmdResult {
     println!("benchmarks:");
     for b in Benchmark::SYNTHETIC {
         let spec = b.spec();
@@ -826,7 +677,7 @@ pub fn list() -> CmdResult {
             }
         );
     }
-    println!("\nschemes: none, static_95, static_<pct>, static_acc, static_col, static_collide");
+    println!("\nschemes: {SCHEME_NAMES}");
     Ok(())
 }
 
@@ -834,41 +685,87 @@ pub fn list() -> CmdResult {
 mod tests {
     use super::*;
 
+    /// Parses a command line the way `sdbp` does, against its command's
+    /// declarations.
+    fn try_args(tokens: &[&str]) -> Result<Args, CliError> {
+        crate::parse(tokens.iter().map(|s| s.to_string()).collect()).map(|(_, _, args)| args)
+    }
+
     fn args(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        try_args(tokens).unwrap_or_else(|e| panic!("{tokens:?}: {e}"))
+    }
+
+    /// Asserts `tokens` fail as a usage error (exit 2) naming `needle`,
+    /// whether the parser or the command rejects them.
+    fn assert_usage_error(tokens: &[&str], needle: &str) {
+        let err = match try_args(tokens) {
+            Ok(a) => {
+                let run = match tokens[0] {
+                    "sim" => sim,
+                    "stats" => stats,
+                    "grid" => grid,
+                    "check" => check,
+                    other => panic!("no runner for {other}"),
+                };
+                run(&a).expect_err(&format!("{tokens:?} ran"))
+            }
+            Err(e) => e,
+        };
+        assert_eq!(err.exit_code(), 2, "{tokens:?}: {err}");
+        assert!(err.to_string().contains(needle), "{tokens:?}: {err}");
     }
 
     #[test]
     fn run_options_defaults() {
-        let o = run_options(&args(&["sim"])).unwrap();
-        assert_eq!(o.benchmark, Benchmark::Gcc);
-        assert_eq!(o.input, InputSet::Ref);
-        assert_eq!(o.seed, 2000);
-        assert!(o.instructions > 0);
+        let spec = spec_of(&args(&["sim"])).unwrap();
+        assert_eq!(spec.benchmark, Benchmark::Gcc);
+        assert_eq!(spec.measure_input, InputSet::Ref);
+        assert_eq!(spec.seed, 2000);
+        assert!(spec.measure_budget() > 0);
+        let spec = one_budget(spec_of(&args(&["sim", "--training", "cross"])).unwrap());
+        assert_eq!(
+            spec.profile_instructions,
+            Some(Benchmark::Gcc.default_instructions(InputSet::Ref)),
+            "one budget, the measured input's"
+        );
     }
 
     #[test]
     fn run_options_rejects_bad_input() {
-        assert!(run_options(&args(&["sim", "--input", "weird"])).is_err());
-        assert!(run_options(&args(&["sim", "--benchmark", "nope"])).is_err());
+        for (option, value, suggestion) in [
+            ("--input", "weird", None),
+            ("--benchmark", "nope", None),
+            ("--benchmark", "compres", Some("did you mean 'compress'?")),
+        ] {
+            let err = spec_of(&args(&["sim", option, value])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{option} {value}");
+            if let Some(suggestion) = suggestion {
+                assert!(err.to_string().contains(suggestion), "{err}");
+            }
+        }
     }
 
     #[test]
     fn scheme_parsing() {
-        assert_eq!(scheme_of(&args(&["x"])).unwrap(), SelectionScheme::None);
+        let scheme = |argv: &[&str]| spec_of(&args(argv)).map(|spec| spec.scheme);
+        assert_eq!(scheme(&["sim"]).unwrap(), SelectionScheme::None);
         assert_eq!(
-            scheme_of(&args(&["x", "--scheme", "static_95"])).unwrap(),
+            scheme(&["sim", "--scheme", "static_95"]).unwrap(),
             SelectionScheme::static_95()
         );
         assert_eq!(
-            scheme_of(&args(&["x", "--scheme", "static_90"])).unwrap(),
+            scheme(&["sim", "--scheme", "static_90"]).unwrap(),
             SelectionScheme::Bias { cutoff: 0.90 }
         );
         assert_eq!(
-            scheme_of(&args(&["x", "--scheme", "static_acc"])).unwrap(),
+            scheme(&["sim", "--scheme", "static_acc"]).unwrap(),
             SelectionScheme::static_acc()
         );
-        assert!(scheme_of(&args(&["x", "--scheme", "bogus"])).is_err());
+        let err = scheme(&["sim", "--scheme", "statik_95"]).unwrap_err();
+        assert!(
+            err.to_string().contains("did you mean 'static_95'?"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -919,6 +816,65 @@ mod tests {
     }
 
     #[test]
+    fn missing_required_options_are_usage_errors() {
+        for argv in [
+            &["gen", "--benchmark", "compress"][..],
+            &["profile", "--benchmark", "compress"],
+            &["select", "--scheme", "static_95"],
+            &["ingest", "--format", "json"],
+            &["artifact", "gc"],
+            &["artifact", "inspect", "--store", "d"],
+        ] {
+            let err = try_args(argv).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{argv:?}: {err}");
+            assert!(err.to_string().contains("requires --"), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_trace_replay_rejects_workload_options() {
+        for option in ["--scheme", "--training", "--benchmark", "--input", "--seed"] {
+            assert_usage_error(&["sim", "--trace", "t.sdbt", option, "x"], option);
+        }
+        assert_usage_error(
+            &["sim", "--trace", "t.sdbt", "--instructions", "9"],
+            "--trace",
+        );
+        assert_usage_error(
+            &["stats", "--trace", "t.sdbt", "--benchmark", "go"],
+            "--benchmark",
+        );
+    }
+
+    #[test]
+    fn hints_need_a_trace() {
+        assert_usage_error(
+            &["sim", "--benchmark", "compress", "--hints", "h"],
+            "--hints",
+        );
+    }
+
+    #[test]
+    fn grid_takes_one_workload_source() {
+        for argv in [
+            &["grid", "--trace", "t.sdbt", "--family", "h2p"][..],
+            &["grid", "--trace", "t.sdbt", "--benchmark", "go"],
+            &["grid", "--family", "h2p", "--benchmark", "go"],
+        ] {
+            assert_usage_error(argv, "cannot be combined");
+        }
+    }
+
+    #[test]
+    fn check_spec_files_exclude_inline_spec_fields() {
+        assert_usage_error(
+            &["check", "--spec", "s", "--scheme", "static_95"],
+            "--scheme",
+        );
+        assert_usage_error(&["check", "--spec", "s", "--shift"], "--shift");
+    }
+
+    #[test]
     fn check_accepts_clean_inline_options() {
         let a = args(&[
             "check",
@@ -948,15 +904,12 @@ mod tests {
 
     #[test]
     fn artifact_actions_require_a_store_and_an_action() {
-        let missing_store = artifact("ls", &args(&["artifact"])).unwrap_err();
+        let missing_store = try_args(&["artifact", "ls"]).unwrap_err();
         assert_eq!(missing_store.exit_code(), 2);
-        let dir = std::env::temp_dir().join("sdbp-cli-artifact-usage-test");
-        let store_arg = dir.to_str().unwrap().to_string();
-        let missing_action = artifact("", &args(&["artifact", "--store", &store_arg])).unwrap_err();
+        let missing_action = try_args(&["artifact", "--store", "d"]).unwrap_err();
         assert_eq!(missing_action.exit_code(), 2);
-        let unknown = artifact("prune", &args(&["artifact", "--store", &store_arg])).unwrap_err();
+        let unknown = try_args(&["artifact", "prune", "--store", "d"]).unwrap_err();
         assert!(unknown.to_string().contains("prune"));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -966,39 +919,40 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let digest = store.put_bytes_addressed(b"loose bytes").unwrap();
         let store_arg = dir.to_str().unwrap().to_string();
-        artifact("ls", &args(&["artifact", "--store", &store_arg])).unwrap();
+        artifact("ls", &args(&["artifact", "ls", "--store", &store_arg])).unwrap();
         let hex = digest.to_string();
         artifact(
             "inspect",
-            &args(&["artifact", "--store", &store_arg, "--digest", &hex]),
+            &args(&[
+                "artifact", "inspect", "--store", &store_arg, "--digest", &hex,
+            ]),
         )
         .unwrap_err(); // loose bytes carry no envelope: corrupt, exit 3
-        artifact("gc", &args(&["artifact", "--store", &store_arg])).unwrap();
+        artifact("gc", &args(&["artifact", "gc", "--store", &store_arg])).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn grid_resume_without_store_is_a_usage_error() {
-        let err = grid(&args(&["grid", "--resume"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2);
+        assert_usage_error(&["grid", "--resume"], "--resume requires --store");
     }
 
     #[test]
     fn grid_max_cells_without_store_is_a_usage_error() {
-        let err = grid(&args(&[
-            "grid",
-            "--benchmark",
-            "compress",
-            "--size",
-            "2048",
-            "--instructions",
-            "100000",
+        assert_usage_error(
+            &[
+                "grid",
+                "--benchmark",
+                "compress",
+                "--size",
+                "2048",
+                "--instructions",
+                "100000",
+                "--max-cells",
+                "3",
+            ],
             "--max-cells",
-            "3",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--max-cells"), "{err}");
+        );
     }
 
     #[test]
@@ -1070,26 +1024,30 @@ mod tests {
 
     #[test]
     fn grid_benchmarks_expands_families() {
-        let server = grid_benchmarks(&args(&["grid", "--family", "server"])).unwrap();
+        let members = |argv: &[&str]| {
+            let a = args(argv);
+            grid_benchmarks(&a, &spec_of(&a).unwrap())
+        };
+        let server = members(&["grid", "--family", "server"]).unwrap();
         assert_eq!(server.len(), 2);
         assert!(server.iter().all(|b| b.family() == WorkloadFamily::Server));
-        let spec95 = grid_benchmarks(&args(&["grid", "--family", "spec95"])).unwrap();
+        let spec95 = members(&["grid", "--family", "spec95"]).unwrap();
         assert_eq!(spec95.len(), 6);
-        let h2p = grid_benchmarks(&args(&["grid", "--family", "h2p"])).unwrap();
+        let h2p = members(&["grid", "--family", "h2p"]).unwrap();
         assert_eq!(h2p.len(), 2);
-        let err = grid_benchmarks(&args(&["grid", "--family", "desktop"])).unwrap_err();
+        let err = members(&["grid", "--family", "desktop"]).unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        let default = grid_benchmarks(&args(&["grid"])).unwrap();
+        let default = members(&["grid"]).unwrap();
         assert_eq!(default, vec![Benchmark::Gcc]);
     }
 
     #[test]
     fn run_options_accepts_family_benchmarks() {
-        let o = run_options(&args(&["sim", "--benchmark", "h2p_churn"])).unwrap();
-        assert_eq!(o.benchmark.family(), WorkloadFamily::H2p);
-        assert!(o.instructions > 0);
-        let o = run_options(&args(&["stats", "--benchmark", "server_web"])).unwrap();
-        assert_eq!(o.benchmark.family(), WorkloadFamily::Server);
+        let spec = spec_of(&args(&["sim", "--benchmark", "h2p_churn"])).unwrap();
+        assert_eq!(spec.benchmark.family(), WorkloadFamily::H2p);
+        assert!(spec.measure_budget() > 0);
+        let spec = spec_of(&args(&["stats", "--benchmark", "server_web"])).unwrap();
+        assert_eq!(spec.benchmark.family(), WorkloadFamily::Server);
     }
 
     #[test]
@@ -1116,7 +1074,7 @@ mod tests {
         fs::write(&garbage, [0u8, 200, 1, 255, 7, 7, 7, 7]).unwrap();
         let unknown = ingest(&args(&["ingest", "--trace", garbage.to_str().unwrap()]));
         assert!(unknown.is_err());
-        assert!(ingest(&args(&["ingest"])).is_err(), "requires --trace");
+        assert!(try_args(&["ingest"]).is_err(), "requires --trace");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,11 +23,6 @@ pub enum CliError {
 }
 
 impl CliError {
-    /// Wraps a displayable error as a usage (exit 2) failure.
-    pub fn usage(e: impl fmt::Display) -> Self {
-        CliError::Usage(e.to_string())
-    }
-
     /// The process exit code this failure maps to.
     pub fn exit_code(&self) -> i32 {
         match self {

@@ -253,33 +253,6 @@ impl PredictorConfig {
         Ok(Self { kind, size_bytes })
     }
 
-    /// Parses a `(kind, size)` pair of command-line strings into a validated
-    /// configuration — the one helper behind both the CLI's
-    /// `--predictor`/`--size` options and `sdbp check`'s spec fields, so the
-    /// two surfaces cannot drift.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::UnknownKind`] for an unrecognized scheme name,
-    /// [`ConfigError::BadSizeLiteral`] when `size_bytes` is not an unsigned
-    /// integer, and [`ConfigError::BadSize`] when the byte count is invalid
-    /// for the scheme.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sdbp_predictors::{PredictorConfig, PredictorKind};
-    ///
-    /// let cfg = PredictorConfig::parse("gshare", "16384").unwrap();
-    /// assert_eq!(cfg.kind(), PredictorKind::Gshare);
-    /// assert!(PredictorConfig::parse("gshare", "huge").is_err());
-    /// ```
-    pub fn parse(kind: &str, size_bytes: &str) -> Result<Self, ConfigError> {
-        let kind: PredictorKind = kind.parse()?;
-        let size = parse_size_bytes(size_bytes)?;
-        Self::new(kind, size)
-    }
-
     /// The scheme.
     pub fn kind(&self) -> PredictorKind {
         self.kind
@@ -352,8 +325,8 @@ impl PredictorConfig {
 }
 
 /// Parses a byte-count literal (`"8192"`), rejecting anything that is not a
-/// plain unsigned integer. Used by [`PredictorConfig::parse`] and by spec
-/// parsers that need the raw count before validating it against a kind.
+/// plain unsigned integer. Spec parsers need the raw count before
+/// [`PredictorConfig::new`] validates it against a kind.
 ///
 /// # Errors
 ///
@@ -417,21 +390,21 @@ mod tests {
 
     #[test]
     fn parse_helper_matches_the_constructor() {
+        // A size parses to the raw count the constructor then validates.
+        let size = parse_size_bytes("4096").unwrap();
         assert_eq!(
-            PredictorConfig::parse("gshare", "4096").unwrap(),
-            PredictorConfig::new(PredictorKind::Gshare, 4096).unwrap()
+            PredictorConfig::new(PredictorKind::Gshare, size)
+                .unwrap()
+                .size_bytes(),
+            4096
         );
         assert_eq!(
-            PredictorConfig::parse("nonsense", "4096").unwrap_err(),
-            ConfigError::UnknownKind("nonsense".into())
-        );
-        assert_eq!(
-            PredictorConfig::parse("gshare", "huge").unwrap_err(),
+            parse_size_bytes("huge").unwrap_err(),
             ConfigError::BadSizeLiteral("huge".into())
         );
         assert!(matches!(
-            PredictorConfig::parse("gshare", "3000").unwrap_err(),
-            ConfigError::BadSize { .. }
+            PredictorConfig::new(PredictorKind::Gshare, parse_size_bytes("3000").unwrap()),
+            Err(ConfigError::BadSize { .. })
         ));
         assert_eq!(parse_size_bytes(" 512 "), Ok(512));
         assert!(parse_size_bytes("-1").is_err());

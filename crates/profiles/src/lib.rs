@@ -59,4 +59,4 @@ pub use interference::{
     InterferenceRanking,
 };
 pub use passes::{AccuracyPass, BiasPass};
-pub use select::{SelectError, SelectionScheme};
+pub use select::{SelectError, SelectionScheme, SCHEME_NAMES};

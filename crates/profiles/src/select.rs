@@ -285,12 +285,13 @@ impl fmt::Display for SelectionScheme {
     }
 }
 
-/// Parses the scheme syntax shared by the CLI, spec files, and the linter:
-/// `none | static_95 | static_<pct> | static_acc | static_col |
-/// static_collide` (with `collide` as a short alias).
-///
-/// This is the single source of truth for scheme names — `sdbp sim --scheme`
-/// and `sdbp check`'s spec parser both call it, so they cannot drift.
+/// Every scheme name [`SelectionScheme`]'s parser accepts, as `sdbp list`
+/// prints them; `static_<pct>` stands for any bias cutoff in percent.
+pub const SCHEME_NAMES: &str =
+    "none, static_95, static_<pct>, static_acc, static_col, static_collide";
+
+/// Parses the [`SCHEME_NAMES`] (and `collide`, short for `static_collide`)
+/// for every command and `sdbp check`'s spec parser, so they cannot drift.
 impl std::str::FromStr for SelectionScheme {
     type Err = String;
 
@@ -306,10 +307,7 @@ impl std::str::FromStr for SelectionScheme {
                     .strip_prefix("static_")
                     .and_then(|pct| pct.parse().ok())
                     .ok_or_else(|| {
-                        format!(
-                            "unknown scheme '{other}' (expected none, static_<pct>, \
-                             static_acc, static_col, or static_collide)"
-                        )
+                        format!("unknown scheme '{other}' (expected one of {SCHEME_NAMES})")
                     })?;
                 Ok(SelectionScheme::Bias {
                     cutoff: cutoff / 100.0,
@@ -361,6 +359,17 @@ mod tests {
             events.push(BranchEvent::new(BranchAddr(0x30), i % 2 == 0, 0));
         }
         events
+    }
+
+    #[test]
+    fn every_scheme_name_parses_to_its_label() {
+        for name in SCHEME_NAMES.split(", ") {
+            let text = name.replace("<pct>", "90");
+            let scheme: SelectionScheme = text.parse().unwrap();
+            assert_eq!(scheme.label(), text);
+        }
+        let err = "bogus".parse::<SelectionScheme>().unwrap_err();
+        assert!(err.contains(SCHEME_NAMES), "{err}");
     }
 
     #[test]

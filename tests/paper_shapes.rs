@@ -2,7 +2,7 @@
 //!
 //! These run at reduced instruction budgets, so thresholds are loose; the
 //! full-size numbers live in `EXPERIMENTS.md` and are regenerated by the
-//! `sdbp-bench` binaries.
+//! words of `sdbp bench`.
 
 use sdbp::prelude::*;
 
