@@ -82,9 +82,9 @@ mod tests {
     fn opaque_schemes_return_none() {
         let profile = profile_of(&[(0x100, 100, 100)]);
         for kind in [
-            PredictorKind::BiMode,
             PredictorKind::TwoBcGskew,
-            PredictorKind::Yags,
+            PredictorKind::Agree,
+            PredictorKind::Tournament,
         ] {
             assert!(
                 rank_interference(
@@ -97,7 +97,7 @@ mod tests {
             );
         }
         let (report, diags) =
-            lint_aliasing(&profile, config(PredictorKind::BiMode, 4096), 10, "<t>");
+            lint_aliasing(&profile, config(PredictorKind::TwoBcGskew, 4096), 10, "<t>");
         assert!(report.is_none());
         assert_eq!(diags.iter().map(|d| d.code.0).collect::<Vec<_>>(), [41]);
     }

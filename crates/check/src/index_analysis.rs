@@ -237,10 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn egskew_reports_one_class_note_per_bank() {
+    fn bimode_reports_one_class_note_per_bank() {
         let (facts, diags) = lint_index_analysis(
             None,
-            config(PredictorKind::EGskew, 4096),
+            config(PredictorKind::BiMode, 4096),
             &IndexAnalysisOptions::default(),
             "<t>",
         );
@@ -264,7 +264,7 @@ mod tests {
 
         let (facts, diags) = lint_index_analysis(
             None,
-            config(PredictorKind::BiMode, 4096),
+            config(PredictorKind::TwoBcGskew, 4096),
             &IndexAnalysisOptions::default(),
             "<t>",
         );
@@ -374,7 +374,7 @@ mod tests {
             (PredictorKind::Ghist, 1024),
             (PredictorKind::Gshare, 1024),
             (PredictorKind::Gselect, 1024),
-            (PredictorKind::EGskew, 4096),
+            (PredictorKind::BiMode, 4096),
         ] {
             let (_, diags) = lint_index_analysis(
                 None,

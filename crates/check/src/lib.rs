@@ -103,11 +103,12 @@ mod tests {
 
     #[test]
     fn preflight_tolerates_note_only_findings() {
-        // EGskew at 8 KB cannot realize its budget exactly — a note, and
-        // notes must not reject the paper's own suite configurations.
+        // The perceptron at 8 KB cannot realize its budget exactly — a
+        // note, and notes must not reject the paper's own suite
+        // configurations.
         let s = ExperimentSpec::self_trained(
             Benchmark::Compress,
-            PredictorConfig::new(PredictorKind::EGskew, 8192).unwrap(),
+            PredictorConfig::new(PredictorKind::Perceptron, 8192).unwrap(),
             SelectionScheme::None,
         )
         .with_instructions(300_000);

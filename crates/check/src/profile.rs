@@ -28,6 +28,26 @@ pub struct ProfileMetadata {
     pub instructions: Option<u64>,
 }
 
+impl ProfileMetadata {
+    /// Renders the known fields as the `# key value` header lines
+    /// [`parse_profile_text`] reads back — the header `sdbp profile` writes.
+    pub fn header(&self) -> String {
+        let mut out = String::new();
+        let fields = [
+            ("benchmark", self.benchmark.clone()),
+            ("input", self.input.clone()),
+            ("seed", self.seed.map(|n| n.to_string())),
+            ("instructions", self.instructions.map(|n| n.to_string())),
+        ];
+        for (key, value) in fields {
+            if let Some(value) = value {
+                out.push_str(&format!("# {key} {value}\n"));
+            }
+        }
+        out
+    }
+}
+
 /// Parses a profile file: header metadata plus `"<hex pc> <executed>
 /// <taken>"` data lines.
 ///
@@ -214,6 +234,15 @@ mod tests {
         assert_eq!(metadata.input.as_deref(), Some("ref"));
         assert_eq!(metadata.seed, Some(2000));
         assert_eq!(metadata.instructions, Some(300_000));
+        // The renderer writes exactly the header the parser read, and
+        // leaves out the fields it does not know.
+        assert_eq!(metadata.header(), text.split("100 ").next().unwrap());
+        let partial = ProfileMetadata {
+            seed: Some(7),
+            ..ProfileMetadata::default()
+        };
+        assert_eq!(partial.header(), "# seed 7\n");
+        assert_eq!(ProfileMetadata::default().header(), "");
     }
 
     #[test]

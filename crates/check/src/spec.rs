@@ -433,11 +433,11 @@ pub fn lint_spec_with_history(
                     ),
                 )
                 .with_span(span("scheme"))
-                .with_suggestion(
-                    "use an analyzable predictor (bimodal, ghist, gshare, gselect, \
-                     e-gskew, perceptron, tage-lite), or select with static_col \
+                .with_suggestion(format!(
+                    "use an analyzable predictor ({}), or select with static_col \
                      from a measured accuracy profile",
-                ),
+                    analyzable_predictors(spec.predictor.size_bytes()).join(", ")
+                )),
             );
         }
     }
@@ -518,6 +518,19 @@ pub fn lint_spec_with_history(
         }
     }
     diags
+}
+
+/// The predictors some static index analysis applies to at `size_bytes`
+/// (SDBP042's suggestion), in [`PredictorKind::ALL`] order.
+fn analyzable_predictors(size_bytes: usize) -> Vec<&'static str> {
+    PredictorKind::ALL
+        .into_iter()
+        .filter(|&kind| {
+            PredictorConfig::new(kind, size_bytes)
+                .is_ok_and(|config| config.index_capability().is_analyzable())
+        })
+        .map(PredictorKind::name)
+        .collect()
 }
 
 #[cfg(test)]
@@ -633,7 +646,7 @@ warmup 1000
 
     #[test]
     fn undersized_hybrid_is_sdbp003() {
-        let (parsed, diags) = parse_spec_text("predictor yags\nsize 8\n", "<test>");
+        let (parsed, diags) = parse_spec_text("predictor tournament\nsize 8\n", "<test>");
         assert!(parsed.spec.is_none());
         assert_eq!(codes_of(&diags), [3]);
         assert!(
@@ -781,7 +794,7 @@ warmup 1000
 
     #[test]
     fn collide_on_an_opaque_predictor_is_sdbp042() {
-        for kind in [PredictorKind::BiMode, PredictorKind::TwoBcGskew] {
+        for kind in [PredictorKind::Tournament, PredictorKind::TwoBcGskew] {
             let spec = ExperimentSpec::self_trained(
                 Benchmark::Compress,
                 PredictorConfig::new(kind, 4096).unwrap(),
@@ -793,6 +806,43 @@ warmup 1000
             assert!(!diags.has_errors(), "a warning, not an error");
             assert!(!diags.passes(true), "fatal under --deny-warnings");
         }
+    }
+
+    #[test]
+    fn sdbp042_suggests_the_analyzable_predictors() {
+        // Derived from the capability source, never typed out: bi-mode is
+        // linear, the opaque hybrids are not named.
+        assert_eq!(
+            analyzable_predictors(4096),
+            [
+                "bimodal",
+                "ghist",
+                "gshare",
+                "bi-mode",
+                "gselect",
+                "perceptron",
+                "tage-lite"
+            ]
+        );
+        // The frontier designs need 32 bytes, so a 16-byte budget drops them.
+        assert_eq!(
+            analyzable_predictors(16),
+            ["bimodal", "ghist", "gshare", "bi-mode", "gselect"]
+        );
+        let spec = ExperimentSpec::self_trained(
+            Benchmark::Compress,
+            PredictorConfig::new(PredictorKind::TwoBcGskew, 4096).unwrap(),
+            SelectionScheme::static_collide(),
+        )
+        .with_instructions(300_000);
+        let diags = lint_spec(&spec, "<t>");
+        let suggestion = diags.iter().next().unwrap().suggestion.clone().unwrap();
+        assert_eq!(
+            suggestion,
+            "use an analyzable predictor (bimodal, ghist, gshare, bi-mode, gselect, \
+             perceptron, tage-lite), or select with static_col from a measured \
+             accuracy profile"
+        );
     }
 
     #[test]
@@ -875,7 +925,7 @@ warmup 1000
     fn unrealizable_budget_is_a_note() {
         let spec = ExperimentSpec::self_trained(
             Benchmark::Gcc,
-            PredictorConfig::new(PredictorKind::EGskew, 8192).unwrap(),
+            PredictorConfig::new(PredictorKind::Perceptron, 8192).unwrap(),
             SelectionScheme::None,
         );
         let diags = lint_spec(&spec, "<test>");
@@ -918,7 +968,7 @@ warmup 1000
     fn history_on_an_opaque_scheme_only_range_checks() {
         let spec = ExperimentSpec::self_trained(
             Benchmark::Gcc,
-            PredictorConfig::new(PredictorKind::BiMode, 4096).unwrap(),
+            PredictorConfig::new(PredictorKind::TwoBcGskew, 4096).unwrap(),
             SelectionScheme::None,
         );
         assert!(lint_spec_with_history(&spec, Some(10), "<t>").is_empty());

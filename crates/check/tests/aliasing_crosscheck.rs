@@ -73,6 +73,19 @@ fn bimodal_hotspot_ranking_matches_the_simulator() {
 }
 
 #[test]
+fn bi_mode_hotspot_ranking_matches_the_simulator() {
+    // The ranking deposits each branch's mass in the choice bank and in
+    // *both* direction banks: which one trains is the choice counter's
+    // state, which the index analysis does not model.
+    let config = PredictorConfig::new(PredictorKind::BiMode, 1024).unwrap();
+    let agree = overlap(config, 20);
+    assert!(
+        agree >= 10,
+        "static analysis and simulation agree on only {agree}/20 bi-mode hotspots"
+    );
+}
+
+#[test]
 fn static_collide_selection_overlaps_measured_collision_hotspots() {
     // `Static_Collide` consumes the same ranking the analyzer reports; its
     // selected hints must land on the branches the simulator *measures* as

@@ -131,16 +131,16 @@ pub fn profile(args: &Args) -> CmdResult {
     let spec = spec_of(args)?;
     let out = args.value("out");
     let profile = BiasProfile::from_source(workload(&spec));
-    // Metadata header: `sdbp check` cross-checks these fields against the
-    // spec the profile is later used with (SDBP030/031/032).
-    let header = format!(
-        "# benchmark {}\n# input {}\n# seed {}\n# instructions {}\n",
-        spec.benchmark.name(),
-        spec.measure_input.name(),
-        spec.seed,
-        spec.measure_budget()
-    );
-    fs::write(out, format!("{header}{}", profile.to_text()))
+    // Metadata header: `sdbp check` and `sdbp select` cross-check these
+    // fields against the spec the profile is later used with
+    // (SDBP030/031/032).
+    let metadata = sdbp_check::ProfileMetadata {
+        benchmark: Some(spec.benchmark.name().to_string()),
+        input: Some(spec.measure_input.name().to_string()),
+        seed: Some(spec.seed),
+        instructions: Some(spec.measure_budget()),
+    };
+    fs::write(out, format!("{}{}", metadata.header(), profile.to_text()))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "wrote {out}: {} sites, {} executions",
@@ -148,6 +148,23 @@ pub fn profile(args: &Args) -> CmdResult {
         grouped(profile.total_executions())
     );
     Ok(())
+}
+
+/// Reads a `--profile` file with `sdbp check`'s parser and cross-checks its
+/// header against the run it will drive: errors (a profile of another
+/// benchmark, SDBP030; malformed lines, SDBP035) fail the command, warnings
+/// (seed or budget drift, SDBP031/032) are printed and let through.
+fn provenanced_profile(path: &str, spec: &ExperimentSpec) -> Result<BiasProfile, CliError> {
+    let (bias, metadata, mut diags) = sdbp_check::parse_profile_text(&read(path)?, path);
+    diags.merge(sdbp_check::lint_profile_against_spec(&metadata, spec, path));
+    eprint!("{}", diags.render_text());
+    if diags.has_errors() {
+        return Err(CliError::Failure(format!(
+            "{path} does not fit this run: {}",
+            diags.summary()
+        )));
+    }
+    Ok(bias)
 }
 
 /// `sdbp select` — select static hints from a profile (or from a fresh run)
@@ -158,7 +175,7 @@ pub fn select(args: &Args) -> CmdResult {
     let source = || workload(&spec);
     let (bias, accuracy) = match args.get("profile") {
         Some(path) => {
-            let bias = BiasProfile::from_text(&read(path)?)?;
+            let bias = provenanced_profile(path, &spec)?;
             let accuracy = if scheme.needs_accuracy_profile() {
                 let mut predictor = spec.predictor.build();
                 Some(sdbp_profiles::AccuracyProfile::collect(

@@ -129,4 +129,12 @@ fn a_bad_spec_value_carries_its_diagnostic() {
         &["sim", "--benchmark", "compres"],
         &["SDBP013", "did you mean 'compress'?"],
     );
+    // Retired predictor kinds are unknown names, not silent aliases.
+    for retired in ["yags", "e-gskew", "local"] {
+        let unknown = format!("unknown predictor '{retired}'");
+        assert_usage_error(
+            &["sim", "--predictor", retired],
+            &["SDBP001", unknown.as_str()],
+        );
+    }
 }

@@ -912,7 +912,7 @@ mod tests {
         let good = spec(SelectionScheme::static_95());
         let mut bad = spec(SelectionScheme::static_collide());
         // Opaque predictor: selection fails with a missing-ranking error.
-        bad.predictor = PredictorConfig::new(PredictorKind::BiMode, 1024).unwrap();
+        bad.predictor = PredictorConfig::new(PredictorKind::TwoBcGskew, 1024).unwrap();
         let results = lab.run_lockstep(&[&good, &bad, &good]);
         assert!(results[0].is_ok());
         assert!(matches!(
@@ -1037,7 +1037,7 @@ mod tests {
     #[test]
     fn static_collide_rejects_opaque_predictors() {
         let mut s = spec(SelectionScheme::static_collide());
-        s.predictor = PredictorConfig::new(PredictorKind::BiMode, 1024).unwrap();
+        s.predictor = PredictorConfig::new(PredictorKind::TwoBcGskew, 1024).unwrap();
         match run_experiment(&s) {
             Err(ExperimentError::Select(SelectError::MissingInterferenceRanking)) => {}
             other => panic!("expected a missing-ranking error, got {other:?}"),

@@ -1,9 +1,9 @@
 //! Exact GF(2) analysis of predictor index functions.
 //!
 //! Every classic predictor index function in this reproduction — bimodal,
-//! ghist, gshare, gselect, the e-gskew skewing hashes — is affine over
-//! GF(2), and the paper's central quantity, destructive aliasing, is
-//! entirely determined by those functions. This crate takes the symbolic
+//! ghist, gshare, gselect, bi-mode's three banks, the skewing hashes — is
+//! affine over GF(2), and the paper's central quantity, destructive
+//! aliasing, is entirely determined by those functions. This crate takes the symbolic
 //! [`IndexSpec`] each linear predictor emits and derives *proofs* where
 //! the sampling analyzer produces estimates:
 //!

@@ -1,6 +1,7 @@
 //! The bi-mode hybrid predictor.
 
 use crate::history::HistoryRegister;
+use crate::index_spec::IndexSpec;
 use crate::table::{fold_tag, pack_entry, swar, PredictionTable, COUNTER_MASK, TAG_SHIFT, VALID};
 use crate::traits::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent};
@@ -22,6 +23,11 @@ use sdbp_trace::{BranchAddr, BranchEvent};
 /// * the choice table is trained with the outcome **except** when its choice
 ///   opposed the outcome and the selected direction table still predicted
 ///   correctly (that exception preserves a useful channeling).
+///
+/// Every index is GF(2)-linear — the choice index selects PC bits, both
+/// direction banks share one gshare index — so static analysis sees all
+/// three banks ([`DynamicPredictor::index_spec`]). Only *which* direction
+/// bank trains is state (the choice counter), so a probe reports both.
 ///
 /// # Examples
 ///
@@ -71,8 +77,15 @@ impl BiMode {
     }
 
     fn direction_index(&self, pc: BranchAddr) -> u64 {
-        (pc.word_index() ^ self.history.bits(self.taken_bank.index_bits()))
-            & self.taken_bank.index_mask()
+        self.direction_index_for(pc, self.history.value())
+    }
+
+    /// The direction-bank index for `pc` under a raw history value — the
+    /// pure form shared by the predict path and
+    /// [`DynamicPredictor::probe_indices`]. The register holds exactly the
+    /// index width, so the mask also cuts the history to its length.
+    fn direction_index_for(&self, pc: BranchAddr, history: u64) -> u64 {
+        (pc.word_index() ^ history) & self.taken_bank.index_mask()
     }
 }
 
@@ -192,6 +205,32 @@ impl DynamicPredictor for BiMode {
 
     fn total_collisions(&self) -> u64 {
         self.choice.collisions() + self.taken_bank.collisions() + self.not_taken_bank.collisions()
+    }
+
+    fn history_bits(&self) -> u32 {
+        self.history.len()
+    }
+
+    /// Bank 0 is the choice table, banks 1 and 2 the taken and not-taken
+    /// direction banks at their shared index. The choice counter decides
+    /// which of the two a branch trains, so both are reported.
+    fn probe_indices(&self, pc: BranchAddr, history: u64, out: &mut Vec<(u32, u64)>) -> bool {
+        let direction = self.direction_index_for(pc, history);
+        out.push((0, self.choice_index(pc)));
+        out.push((1, direction));
+        out.push((2, direction));
+        true
+    }
+
+    fn index_spec(&self) -> Option<IndexSpec> {
+        Some(IndexSpec::from_linear_probe(
+            self,
+            &[
+                self.choice.index_bits(),
+                self.taken_bank.index_bits(),
+                self.not_taken_bank.index_bits(),
+            ],
+        ))
     }
 }
 
@@ -341,6 +380,27 @@ mod tests {
             assert_eq!(b.lookups(), s.lookups());
             assert_eq!(b.collisions(), s.collisions());
         }
+    }
+
+    #[test]
+    fn probe_indices_match_the_live_index_functions() {
+        let mut p = BiMode::new(256);
+        for bit in [true, true, false, true, false, false, true] {
+            p.shift_history(bit);
+        }
+        let pc = BranchAddr(0x1f3c);
+        let (choice, direction) = (p.choice_index(pc), p.direction_index(pc));
+        let mut probes = Vec::new();
+        assert!(p.probe_indices(pc, p.history.value(), &mut probes));
+        assert_eq!(probes, vec![(0, choice), (1, direction), (2, direction)]);
+        assert_eq!(
+            DynamicPredictor::history_bits(&p),
+            p.taken_bank.index_bits()
+        );
+        // Bits above the register's length never reach an index.
+        let mut wide = Vec::new();
+        assert!(p.probe_indices(pc, p.history.value() | !0xff, &mut wide));
+        assert_eq!(wide, probes);
     }
 
     #[test]

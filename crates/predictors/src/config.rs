@@ -5,8 +5,8 @@
 //! [`PredictorConfig::build`] instantiates the simulator.
 
 use crate::{
-    Agree, AnyPredictor, BiMode, Bimodal, DynamicPredictor, EGskew, Ghist, Gselect, Gshare, Local,
-    Perceptron, TageLite, Tournament, TwoBcGskew, Yags,
+    Agree, AnyPredictor, BiMode, Bimodal, DynamicPredictor, Ghist, Gselect, Gshare, Perceptron,
+    TageLite, Tournament, TwoBcGskew,
 };
 use sdbp_trace::BranchAddr;
 use std::fmt;
@@ -27,14 +27,8 @@ pub enum PredictorKind {
     TwoBcGskew,
     /// Bias-bit agreement counters ([`Agree`]).
     Agree,
-    /// Tagged exception caches ([`Yags`]).
-    Yags,
-    /// Raw three-bank majority vote ([`EGskew`]).
-    EGskew,
     /// Bimodal + gshare with a chooser, 21264-style ([`Tournament`]).
     Tournament,
-    /// Two-level per-address history, PAg ([`Local`]).
-    Local,
     /// Address ∥ history concatenated index ([`Gselect`]).
     Gselect,
     /// Hashed perceptron over global history ([`Perceptron`]).
@@ -46,17 +40,14 @@ pub enum PredictorKind {
 impl PredictorKind {
     /// All kinds, in the order the paper's figures present them followed by
     /// the related-work extensions and the post-paper frontier designs.
-    pub const ALL: [PredictorKind; 13] = [
+    pub const ALL: [PredictorKind; 10] = [
         PredictorKind::Bimodal,
         PredictorKind::Ghist,
         PredictorKind::Gshare,
         PredictorKind::BiMode,
         PredictorKind::TwoBcGskew,
         PredictorKind::Agree,
-        PredictorKind::Yags,
-        PredictorKind::EGskew,
         PredictorKind::Tournament,
-        PredictorKind::Local,
         PredictorKind::Gselect,
         PredictorKind::Perceptron,
         PredictorKind::TageLite,
@@ -80,10 +71,7 @@ impl PredictorKind {
             PredictorKind::BiMode => "bi-mode",
             PredictorKind::TwoBcGskew => "2bcgskew",
             PredictorKind::Agree => "agree",
-            PredictorKind::Yags => "yags",
-            PredictorKind::EGskew => "e-gskew",
             PredictorKind::Tournament => "tournament",
-            PredictorKind::Local => "local",
             PredictorKind::Gselect => "gselect",
             PredictorKind::Perceptron => "perceptron",
             PredictorKind::TageLite => "tage-lite",
@@ -93,7 +81,7 @@ impl PredictorKind {
     /// Whether the scheme keeps a global history register (and therefore
     /// participates in the paper's shift-vs-no-shift question).
     pub fn uses_global_history(self) -> bool {
-        !matches!(self, PredictorKind::Bimodal | PredictorKind::Local)
+        self != PredictorKind::Bimodal
     }
 }
 
@@ -114,10 +102,7 @@ impl FromStr for PredictorKind {
             "bi-mode" | "bimode" => Ok(PredictorKind::BiMode),
             "2bcgskew" | "tbcgskew" => Ok(PredictorKind::TwoBcGskew),
             "agree" => Ok(PredictorKind::Agree),
-            "yags" => Ok(PredictorKind::Yags),
-            "e-gskew" | "egskew" => Ok(PredictorKind::EGskew),
             "tournament" | "21264" => Ok(PredictorKind::Tournament),
-            "local" | "pag" => Ok(PredictorKind::Local),
             "gselect" => Ok(PredictorKind::Gselect),
             "perceptron" => Ok(PredictorKind::Perceptron),
             "tage-lite" | "tagelite" | "tage" => Ok(PredictorKind::TageLite),
@@ -141,8 +126,10 @@ pub enum IndexCapability {
     /// (perceptron segment hashing, TAGE tag folding): only the sampled
     /// analysis applies.
     SampledOnly,
-    /// No index function exposed at all — chooser-based hybrids and
-    /// schemes indexed by mutable per-branch state.
+    /// No index function exposed at all — hybrids where what an entry's
+    /// sharing means is state (tournament's chooser, agree's bias bits),
+    /// and 2bcgskew, whose linear banks the interference model does not
+    /// fit (`docs/predictors.md`).
     Opaque,
 }
 
@@ -283,10 +270,11 @@ impl PredictorConfig {
 
     /// Instantiates the predictor simulator.
     ///
-    /// For [`PredictorKind::EGskew`] the three banks split the power-of-two
-    /// budget as closely as representable (each bank gets the largest power
-    /// of two ≤ budget/3), so `size_bytes()` of the result may be slightly
-    /// below the configured budget; every other scheme matches it exactly.
+    /// Schemes whose tables hold entries of other widths than a 2-bit
+    /// counter (agree's bias bits, the perceptron's weights, TAGE-lite's
+    /// tagged entries) round each table to a power of two, so their
+    /// `size_bytes()` may differ from the configured budget (an SDBP004
+    /// note); every other scheme matches it exactly.
     pub fn build(&self) -> Box<dyn DynamicPredictor> {
         self.build_any().into_boxed()
     }
@@ -304,22 +292,10 @@ impl PredictorConfig {
             PredictorKind::BiMode => BiMode::new(self.size_bytes).into(),
             PredictorKind::TwoBcGskew => TwoBcGskew::new(self.size_bytes).into(),
             PredictorKind::Agree => Agree::new(self.size_bytes).into(),
-            PredictorKind::Yags => Yags::new(self.size_bytes).into(),
             PredictorKind::Gselect => Gselect::new(self.size_bytes).into(),
             PredictorKind::Tournament => Tournament::new(self.size_bytes).into(),
-            PredictorKind::Local => Local::new(self.size_bytes).into(),
             PredictorKind::Perceptron => Perceptron::new(self.size_bytes).into(),
             PredictorKind::TageLite => TageLite::new(self.size_bytes).into(),
-            PredictorKind::EGskew => {
-                // Largest power-of-two bank that fits three times in budget.
-                let per_bank = (self.size_bytes / 3).max(1);
-                let per_bank = if per_bank.is_power_of_two() {
-                    per_bank
-                } else {
-                    per_bank.next_power_of_two() >> 1
-                };
-                EGskew::new(3 * per_bank).into()
-            }
         }
     }
 }
@@ -371,9 +347,9 @@ mod tests {
             let cfg = PredictorConfig::new(kind, 4096).unwrap();
             let mut p = cfg.build();
             assert_eq!(p.name(), kind.name());
-            // EGskew rounds its three banks down to powers of two and YAGS
-            // spends part of its budget on tags; both stay within a factor
-            // of two of the request. The plain table schemes match exactly.
+            // The frontier designs round their tables down to powers of
+            // two and agree adds a bias table; all stay within a factor of
+            // two of the request. The plain table schemes match exactly.
             assert!(
                 p.size_bytes() >= 2048 && p.size_bytes() <= 8192,
                 "{kind}: {} bytes",
@@ -420,23 +396,20 @@ mod tests {
 
     #[test]
     fn index_capability_classification() {
-        // Linear: every index bit an XOR clause. Sampled-only: pure
-        // (pc, history) functions with non-linear hashing. Opaque:
-        // chooser-based hybrids and per-branch mutable state.
+        // Linear: every index bit an XOR clause (bi-mode's three banks
+        // included). Sampled-only: pure (pc, history) functions with
+        // non-linear hashing. Opaque: the hybrids that expose nothing.
         for (kind, capability) in [
             (PredictorKind::Bimodal, IndexCapability::Linear),
             (PredictorKind::Ghist, IndexCapability::Linear),
             (PredictorKind::Gshare, IndexCapability::Linear),
             (PredictorKind::Gselect, IndexCapability::Linear),
-            (PredictorKind::EGskew, IndexCapability::Linear),
+            (PredictorKind::BiMode, IndexCapability::Linear),
             (PredictorKind::Perceptron, IndexCapability::SampledOnly),
             (PredictorKind::TageLite, IndexCapability::SampledOnly),
-            (PredictorKind::BiMode, IndexCapability::Opaque),
             (PredictorKind::TwoBcGskew, IndexCapability::Opaque),
             (PredictorKind::Agree, IndexCapability::Opaque),
-            (PredictorKind::Yags, IndexCapability::Opaque),
             (PredictorKind::Tournament, IndexCapability::Opaque),
-            (PredictorKind::Local, IndexCapability::Opaque),
         ] {
             let config = PredictorConfig::new(kind, 4096).unwrap();
             assert_eq!(config.index_capability(), capability, "{kind}");

@@ -11,8 +11,7 @@
 use crate::index_spec::IndexSpec;
 use crate::traits::{DynamicPredictor, Prediction};
 use crate::{
-    Agree, BiMode, Bimodal, EGskew, Ghist, Gselect, Gshare, Local, Perceptron, TageLite,
-    Tournament, TwoBcGskew, Yags,
+    Agree, BiMode, Bimodal, Ghist, Gselect, Gshare, Perceptron, TageLite, Tournament, TwoBcGskew,
 };
 use sdbp_trace::{BranchAddr, BranchEvent};
 
@@ -48,14 +47,8 @@ pub enum AnyPredictor {
     TwoBcGskew(TwoBcGskew),
     /// Agree: counters predict agreement with a per-branch bias bit.
     Agree(Agree),
-    /// YAGS: choice table with tagged direction exception caches.
-    Yags(Yags),
-    /// Raw enhanced-gskew majority vote.
-    EGskew(EGskew),
     /// 21264-style chooser between bimodal and gshare components.
     Tournament(Tournament),
-    /// PAg: per-branch histories indexing a shared pattern table.
-    Local(Local),
     /// Concatenated address/history index bits.
     Gselect(Gselect),
     /// Hashed perceptron: signed weight rows over global history.
@@ -76,10 +69,7 @@ macro_rules! dispatch {
             AnyPredictor::BiMode($p) => $body,
             AnyPredictor::TwoBcGskew($p) => $body,
             AnyPredictor::Agree($p) => $body,
-            AnyPredictor::Yags($p) => $body,
-            AnyPredictor::EGskew($p) => $body,
             AnyPredictor::Tournament($p) => $body,
-            AnyPredictor::Local($p) => $body,
             AnyPredictor::Gselect($p) => $body,
             AnyPredictor::Perceptron($p) => $body,
             AnyPredictor::TageLite($p) => $body,
@@ -183,10 +173,7 @@ from_concrete!(
     BiMode(BiMode),
     TwoBcGskew(TwoBcGskew),
     Agree(Agree),
-    Yags(Yags),
-    EGskew(EGskew),
     Tournament(Tournament),
-    Local(Local),
     Gselect(Gselect),
     Perceptron(Perceptron),
     TageLite(TageLite),

@@ -1,6 +1,6 @@
 //! Packed GF(2)-linear index lookup tables for multi-bank batch kernels.
 //!
-//! Every bank index of the skewed predictors is a GF(2)-linear function of
+//! Every bank index of the skewed 2bcgskew is a GF(2)-linear function of
 //! `(pc word bits, history bits)` — bit selects, XOR folds
 //! ([`crate::history::fold_bits`]) and the bijective feedback shifts inside
 //! [`crate::skew::skew`] are all XOR-compositions. Linearity means the whole

@@ -2,13 +2,12 @@
 //!
 //! This crate implements the five dynamic predictors evaluated by Patil &
 //! Emer (HPCA 2000) — [`Bimodal`], [`Ghist`] (GAg), [`Gshare`], [`BiMode`]
-//! and [`TwoBcGskew`] — plus five period-appropriate designs used for
-//! ablations: the related-work alias reducers [`Agree`], [`Yags`] and the
-//! raw [`EGskew`] majority-vote hybrid, the 21264-style [`Tournament`]
-//! combiner, and the two-level [`Local`] (PAg) predictor. Two post-paper
-//! designs — the hashed [`Perceptron`] and the tagged [`TageLite`] — close
-//! the "do static hints survive modern predictors?" frontier question
-//! (ROADMAP item 4); see `docs/predictors.md` for the full handbook.
+//! and [`TwoBcGskew`] — plus three period-appropriate designs, each feeding
+//! an ablation or a record: the related-work alias reducer [`Agree`], the
+//! 21264-style [`Tournament`] combiner and the concatenating [`Gselect`].
+//! Two post-paper designs — the hashed [`Perceptron`] and the tagged
+//! [`TageLite`] — close the "do static hints survive modern predictors?"
+//! frontier question; see `docs/predictors.md` for the full handbook.
 //!
 //! All predictors:
 //!
@@ -48,11 +47,9 @@ pub mod dispatch;
 pub mod ghist;
 pub mod gselect;
 pub mod gshare;
-pub mod gskew;
 pub mod history;
 mod index_lut;
 pub mod index_spec;
-pub mod local;
 pub mod perceptron;
 pub mod skew;
 pub mod table;
@@ -60,7 +57,6 @@ pub mod tage;
 pub mod tbcgskew;
 pub mod tournament;
 pub mod traits;
-pub mod yags;
 
 pub use agree::Agree;
 pub use bimodal::Bimodal;
@@ -71,17 +67,14 @@ pub use dispatch::AnyPredictor;
 pub use ghist::Ghist;
 pub use gselect::Gselect;
 pub use gshare::Gshare;
-pub use gskew::EGskew;
 pub use history::{fold_bits, HistoryRegister};
 pub use index_spec::{IndexSpec, TableSpec, XorClause, MODELED_PC_BITS};
-pub use local::Local;
 pub use perceptron::Perceptron;
 pub use table::{PredictionTable, ReferenceTable};
 pub use tage::TageLite;
 pub use tbcgskew::TwoBcGskew;
 pub use tournament::Tournament;
 pub use traits::{DynamicPredictor, Prediction};
-pub use yags::Yags;
 
 #[cfg(test)]
 mod proptests;

@@ -62,7 +62,7 @@ impl Perceptron {
     /// The row count is the largest power of two whose weight storage
     /// (`rows × 17` bytes) fits the budget, so the realized
     /// [`size_bytes`](DynamicPredictor::size_bytes) is within a factor of
-    /// two of the request — the same rounding e-gskew applies to its banks.
+    /// two of the request (an SDBP004 note when it falls below).
     ///
     /// # Panics
     ///

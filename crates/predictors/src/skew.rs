@@ -1,9 +1,9 @@
 //! Skewed indexing functions for multi-bank predictors.
 //!
-//! The e-gskew family (Michaud, Seznec & Uhlig; used inside 2bcgskew) indexes
-//! each bank with a *different* hash of `(pc, history)` chosen so that two
-//! branches colliding in one bank are very unlikely to collide in the others;
-//! the majority vote then hides single-bank aliasing.
+//! The skewed predictors (Michaud, Seznec & Uhlig; the e-gskew vote inside
+//! 2bcgskew) index each bank with a *different* hash of `(pc, history)`
+//! chosen so that two branches colliding in one bank are very unlikely to
+//! collide in the others; the majority vote then hides single-bank aliasing.
 //!
 //! The functions here follow the published construction: a bijective one-bit
 //! feedback shift `h` (and its inverse), composed per bank as

@@ -114,8 +114,8 @@ impl TageLite {
     ///
     /// Half the budget goes to the 2-bit base table; the rest splits evenly
     /// across the tagged banks, each rounded down to a power-of-two entry
-    /// count of 13-bit entries — so like e-gskew the realized size is below
-    /// the request (SDBP004 territory) but within a factor of two.
+    /// count of 13-bit entries — so the realized size is below the request
+    /// (SDBP004 territory) but within a factor of two.
     ///
     /// # Panics
     ///

@@ -5,8 +5,7 @@
 //! they observe *exactly* the same branch stream. This crate therefore provides a
 //! self-contained, seedable random-number generator ([`rng::Xoshiro256StarStar`])
 //! together with the sampling distributions the synthetic workloads need
-//! ([`dist`]), plus small helpers used across the workspace: online statistics
-//! ([`stats`]) and plain-text table rendering ([`table`]) used by the
+//! ([`dist`]), plus the plain-text table rendering ([`table`]) used by the
 //! `sdbp bench` experiments.
 //!
 //! # Examples
@@ -26,10 +25,8 @@
 
 pub mod dist;
 pub mod rng;
-pub mod stats;
 pub mod table;
 
 pub use dist::{Alias, Bernoulli, Normal, Zipf};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
-pub use stats::OnlineStats;
 pub use table::TableWriter;

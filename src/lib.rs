@@ -8,9 +8,10 @@
 //! whole experimental apparatus:
 //!
 //! * [`predictors`] — the five dynamic predictors the paper evaluates
-//!   (bimodal, ghist/GAg, gshare, bi-mode, 2bcgskew) plus three
-//!   related-work designs (agree, YAGS, e-gskew), all byte-budgeted and
-//!   instrumented for collision counting;
+//!   (bimodal, ghist/GAg, gshare, bi-mode, 2bcgskew) plus three ablation
+//!   designs (agree, tournament, gselect) and two post-paper ones
+//!   (perceptron, TAGE-lite), all byte-budgeted and instrumented for
+//!   collision counting;
 //! * [`workloads`] — six synthetic SPECINT95-like benchmark models
 //!   calibrated to the paper's Table 1/2/5 characteristics (the original
 //!   Alpha binaries and Atom tracing are unavailable — see `DESIGN.md` §3);
@@ -86,8 +87,8 @@ pub mod prelude {
     };
     pub use sdbp_passes::{Pass, PassRunner};
     pub use sdbp_predictors::{
-        Agree, BiMode, Bimodal, DynamicPredictor, EGskew, Ghist, Gselect, Gshare, Local,
-        Prediction, PredictorConfig, PredictorKind, Tournament, TwoBcGskew, Yags,
+        Agree, BiMode, Bimodal, DynamicPredictor, Ghist, Gselect, Gshare, Prediction,
+        PredictorConfig, PredictorKind, Tournament, TwoBcGskew,
     };
     pub use sdbp_profiles::{
         AccuracyProfile, BiasProfile, HintDatabase, ProfileDatabase, SelectionScheme,
