@@ -6,7 +6,6 @@
 //! across a sweep's few thousand objects vanishingly unlikely, and FNV keeps
 //! the hot profile-hashing path allocation- and dependency-free.
 
-use crate::error::CodecError;
 use std::fmt;
 use std::str::FromStr;
 
@@ -54,13 +53,11 @@ impl fmt::Debug for Digest {
 }
 
 impl FromStr for Digest {
-    type Err = CodecError;
+    type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(CodecError::Invalid {
-                context: format!("digest '{s}' is not 32 hex digits"),
-            });
+            return Err(format!("digest '{s}' is not 32 hex digits"));
         }
         let hi = u64::from_str_radix(&s[..16], 16).expect("validated hex");
         let lo = u64::from_str_radix(&s[16..], 16).expect("validated hex");

@@ -1,89 +1,17 @@
 //! Typed errors for the artifact layer.
 //!
-//! Three error families, matching the three failure surfaces:
+//! Two error families, matching the two failure surfaces:
 //!
-//! * [`CodecError`] — a byte buffer failed envelope or payload validation,
 //! * [`JsonError`] — a manifest line failed to parse as JSON,
 //! * [`StoreError`] — the on-disk store failed, either at the OS level
 //!   ([`StoreError::Io`]) or because a stored object is damaged
 //!   ([`StoreError::Corrupt`]).
 //!
-//! All three implement [`std::error::Error`]; `StoreError::source` chains to
-//! the underlying I/O or codec error so callers can walk the cause chain.
+//! Both implement [`std::error::Error`]; `StoreError::source` chains to the
+//! underlying I/O error so callers can walk the cause chain.
 
 use std::fmt;
 use std::sync::Arc;
-
-/// Errors from encoding or decoding a binary artifact envelope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// The buffer does not start with the `SDBA` artifact magic.
-    BadMagic,
-    /// The artifact holds a different schema than the decoder expected.
-    SchemaMismatch {
-        /// The schema the decoder was asked to read.
-        expected: String,
-        /// The schema the envelope declares.
-        found: String,
-    },
-    /// The artifact's schema version is newer (or otherwise different) than
-    /// this build supports.
-    VersionUnsupported {
-        /// The envelope's schema name.
-        schema: String,
-        /// The version the envelope declares.
-        found: u32,
-        /// The version this build reads and writes.
-        supported: u32,
-    },
-    /// The buffer ended before the field being decoded was complete.
-    Truncated {
-        /// The field (or structure) being decoded when bytes ran out.
-        context: &'static str,
-    },
-    /// The envelope checksum does not match the stored bytes.
-    ChecksumMismatch,
-    /// Well-formed data was followed by bytes that should not be there.
-    TrailingBytes {
-        /// How many unexpected bytes remained.
-        extra: usize,
-    },
-    /// The payload decoded structurally but violates a semantic invariant
-    /// (e.g. a taken count exceeding its executed count).
-    Invalid {
-        /// What invariant failed.
-        context: String,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "not an sdbp artifact (bad magic)"),
-            CodecError::SchemaMismatch { expected, found } => {
-                write!(f, "artifact schema is '{found}', expected '{expected}'")
-            }
-            CodecError::VersionUnsupported {
-                schema,
-                found,
-                supported,
-            } => write!(
-                f,
-                "unsupported {schema} version {found} (this build reads version {supported})"
-            ),
-            CodecError::Truncated { context } => {
-                write!(f, "artifact truncated while reading {context}")
-            }
-            CodecError::ChecksumMismatch => write!(f, "artifact checksum mismatch"),
-            CodecError::TrailingBytes { extra } => {
-                write!(f, "{extra} unexpected trailing bytes after artifact")
-            }
-            CodecError::Invalid { context } => write!(f, "invalid artifact payload: {context}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 /// A JSON parse failure, with the byte offset of the first bad character.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,13 +43,13 @@ pub enum StoreError {
         /// The underlying OS error.
         source: Arc<std::io::Error>,
     },
-    /// A stored object exists but fails validation: bad envelope, checksum
-    /// mismatch, or content that no longer matches its digest.
+    /// A stored object exists but fails validation: content that no
+    /// longer matches its digest, or a missing or foreign header line.
     Corrupt {
         /// The damaged object's path.
         path: String,
         /// What validation failed.
-        source: CodecError,
+        reason: String,
     },
 }
 
@@ -148,12 +76,12 @@ impl PartialEq for StoreError {
                 },
             ) => path == p2 && source.kind() == s2.kind(),
             (
-                StoreError::Corrupt { path, source },
+                StoreError::Corrupt { path, reason },
                 StoreError::Corrupt {
                     path: p2,
-                    source: s2,
+                    reason: r2,
                 },
-            ) => path == p2 && source == s2,
+            ) => path == p2 && reason == r2,
             _ => false,
         }
     }
@@ -163,8 +91,8 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { path, source } => write!(f, "store I/O failure at {path}: {source}"),
-            StoreError::Corrupt { path, source } => {
-                write!(f, "corrupt artifact at {path}: {source}")
+            StoreError::Corrupt { path, reason } => {
+                write!(f, "corrupt artifact at {path}: {reason}")
             }
         }
     }
@@ -174,7 +102,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source.as_ref()),
-            StoreError::Corrupt { source, .. } => Some(source),
+            StoreError::Corrupt { .. } => None,
         }
     }
 }
@@ -183,26 +111,6 @@ impl std::error::Error for StoreError {
 mod tests {
     use super::*;
     use std::error::Error;
-
-    #[test]
-    fn codec_errors_display_their_facts() {
-        let e = CodecError::SchemaMismatch {
-            expected: "a".into(),
-            found: "b".into(),
-        };
-        assert!(e.to_string().contains("'b'"));
-        assert!(e.to_string().contains("'a'"));
-        let e = CodecError::VersionUnsupported {
-            schema: "s".into(),
-            found: 9,
-            supported: 1,
-        };
-        assert!(e.to_string().contains("version 9"));
-        assert!(e.to_string().contains("reads version 1"));
-        assert!(CodecError::Truncated { context: "pc" }
-            .to_string()
-            .contains("pc"));
-    }
 
     #[test]
     fn store_io_errors_compare_by_kind() {
@@ -216,7 +124,7 @@ mod tests {
             a,
             StoreError::Corrupt {
                 path: "x".into(),
-                source: CodecError::BadMagic
+                reason: "no header line".into()
             }
         );
     }
@@ -227,10 +135,12 @@ mod tests {
         assert!(e.source().unwrap().to_string().contains("disk on fire"));
         let e = StoreError::Corrupt {
             path: "p".into(),
-            source: CodecError::ChecksumMismatch,
+            reason: "content hashes to 1, filed under 2".into(),
         };
-        assert!(e.source().unwrap().to_string().contains("checksum"));
-        assert!(e.to_string().contains("corrupt artifact at p"));
+        assert!(e.source().is_none(), "corruption is the root cause");
+        assert!(e
+            .to_string()
+            .contains("corrupt artifact at p: content hashes"));
     }
 
     #[test]

@@ -1,74 +1,55 @@
-//! Versioned artifact serialization and a content-addressed store.
+//! Versioned artifacts and a content-addressed store.
 //!
 //! The paper's workflow is two-phase — a profiling pass produces artifacts
 //! (bias profiles, accuracy profiles, hint databases) that a later
 //! measurement pass consumes — and production-scale sweeps over predictor ×
 //! size × scheme grids want those artifacts to be *durable*: computed once,
 //! written to disk, and exchanged between runs rather than recomputed inside
-//! every process. This crate is the serialization substrate that makes the
-//! rest of the workspace's types storable:
+//! every process. This crate is the substrate that makes them storable:
 //!
-//! * [`Codec`] — a derive-free, hand-rolled binary serialization trait.
-//!   Every artifact travels in a self-describing envelope (`SDBA` magic,
-//!   schema name, schema version, payload length, FNV-1a checksum), so a
-//!   reader can reject foreign files, future schema versions, and bit rot
-//!   with a typed [`CodecError`] instead of a panic or garbage data.
+//! * [`Store`] — a content-addressed object store on disk
+//!   (`objects/<aa>/<rest>`), with atomic temp-file-then-rename writes and
+//!   corruption detection on read. An object is one header line,
+//!   `# <schema> <version>`, then its text body (a profile's own text
+//!   format), so a reader rejects other artifact types, other versions and
+//!   bit rot with a typed [`StoreError`] instead of a panic or garbage data.
 //! * [`Digest`] / [`Hasher`] — a cheap deterministic 128-bit content digest
 //!   (two independent FNV-1a lanes) used to key the store and to fingerprint
 //!   experiment specs in run manifests.
-//! * [`Store`] — a content-addressed object store on disk
-//!   (`objects/<aa>/<rest>`), with atomic temp-file-then-rename writes and
-//!   corruption detection on read.
 //! * [`Json`] — a minimal JSON value with renderer and parser, used for the
 //!   append-only `manifest.jsonl` run manifests (one JSON object per line),
 //!   the `BENCH_*.json` records and `sdbp check --format json`.
 //!
 //! Like the workspace's offline `proptest` shim, everything
 //! here is dependency-free by design: the build environment has no registry
-//! access, so `serde` is not an option. The codecs are small, explicit, and
-//! schema-versioned so stored artifacts survive code evolution.
+//! access, so `serde` is not an option.
 //!
 //! # Examples
 //!
 //! ```
-//! use sdbp_artifacts::{Codec, CodecError, Decoder, Encoder};
+//! use sdbp_artifacts::{Store, StoreError};
 //!
-//! struct Point {
-//!     x: u64,
-//!     y: u64,
-//! }
-//!
-//! impl Codec for Point {
-//!     const SCHEMA: &'static str = "example-point";
-//!     const VERSION: u32 = 1;
-//!     fn encode_payload(&self, e: &mut Encoder) {
-//!         e.u64(self.x);
-//!         e.u64(self.y);
-//!     }
-//!     fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-//!         Ok(Point {
-//!             x: d.u64("x")?,
-//!             y: d.u64("y")?,
-//!         })
-//!     }
-//! }
-//!
-//! let bytes = Point { x: 3, y: 4 }.to_bytes();
-//! let back = Point::from_bytes(&bytes).unwrap();
-//! assert_eq!((back.x, back.y), (3, 4));
+//! # fn main() -> Result<(), StoreError> {
+//! let root = std::env::temp_dir().join(format!("sdbp-doc-store-{}", std::process::id()));
+//! let store = Store::open(&root)?;
+//! let digest = store.put("example-point", 1, "3 4\n")?;
+//! assert_eq!(store.get(digest, "example-point", 1)?.as_deref(), Some("3 4\n"));
+//! // The header line names the schema; another reader's type is corruption.
+//! assert!(store.get(digest, "example-line", 1).is_err());
+//! # std::fs::remove_dir_all(&root).ok();
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod digest;
 pub mod error;
 pub mod json;
 pub mod store;
 
-pub use codec::{peek_schema, Codec, Decoder, Encoder, MAGIC};
 pub use digest::{Digest, Hasher};
-pub use error::{CodecError, JsonError, StoreError};
+pub use error::{JsonError, StoreError};
 pub use json::Json;
 pub use store::{Store, StoreEntry};

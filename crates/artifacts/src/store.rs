@@ -7,6 +7,8 @@
 //! <root>/links/<aa>/<bbbbbbbb...>      named pointers into objects/
 //! ```
 //!
+//! An object is text: one header line, `# <schema> <version>`, naming what
+//! it holds, then its body (for a profile, the profile's text lines).
 //! Objects are immutable and keyed by the [`Digest`] of their bytes, so a
 //! write is naturally idempotent: if the path already exists the content is
 //! already right. Writes go to a temp file in the same directory and then
@@ -20,12 +22,11 @@
 //! at. They are what lets a cache ask "do we already have the bias profile
 //! of this run?" without knowing the profile's bytes in advance.
 //!
-//! Reads re-digest the content and validate the envelope; damage surfaces
+//! Reads re-digest the content and check the header line; damage surfaces
 //! as the typed [`StoreError::Corrupt`], never a panic.
 
-use crate::codec::{peek_schema, Codec};
 use crate::digest::Digest;
-use crate::error::{CodecError, StoreError};
+use crate::error::StoreError;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -69,17 +70,36 @@ pub struct StoreEntry {
 }
 
 impl StoreEntry {
-    /// The schema name and version of the stored artifact, if its envelope
-    /// validates; the [`CodecError`] otherwise (how `artifact ls` flags
-    /// damage without knowing artifact types).
+    /// The schema name and version in the object's header line, if its
+    /// content still matches its digest; [`StoreError::Corrupt`] otherwise
+    /// (how `artifact ls` flags damage without knowing artifact types).
     pub fn schema(&self) -> Result<(String, u32), StoreError> {
         let path = &self.path;
         let bytes = fs::read(path).map_err(|e| StoreError::io(path.display().to_string(), e))?;
         validate_content(&bytes, self.digest, path)?;
-        peek_schema(&bytes).map_err(|source| StoreError::Corrupt {
-            path: path.display().to_string(),
-            source,
-        })
+        let (schema, version, _) = split_header(&bytes).map_err(|reason| corrupt(path, reason))?;
+        Ok((schema.to_string(), version))
+    }
+}
+
+/// Splits an object into the schema and version of its header line and the
+/// body after it.
+fn split_header(bytes: &[u8]) -> Result<(&str, u32, &str), String> {
+    let missing = || "missing '# <schema> <version>' header line".to_string();
+    let text = std::str::from_utf8(bytes).map_err(|_| missing())?;
+    let (header, body) = text.split_once('\n').ok_or_else(missing)?;
+    let (schema, version) = header
+        .strip_prefix("# ")
+        .and_then(|fields| fields.split_once(' '))
+        .ok_or_else(missing)?;
+    let version = version.parse().map_err(|_| missing())?;
+    Ok((schema, version, body))
+}
+
+fn corrupt(path: &Path, reason: String) -> StoreError {
+    StoreError::Corrupt {
+        path: path.display().to_string(),
+        reason,
     }
 }
 
@@ -114,12 +134,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 fn validate_content(bytes: &[u8], digest: Digest, path: &Path) -> Result<(), StoreError> {
     let actual = Digest::of(bytes);
     if actual != digest {
-        return Err(StoreError::Corrupt {
-            path: path.display().to_string(),
-            source: CodecError::Invalid {
-                context: format!("content hashes to {actual}, filed under {digest}"),
-            },
-        });
+        return Err(corrupt(
+            path,
+            format!("content hashes to {actual}, filed under {digest}"),
+        ));
     }
     Ok(())
 }
@@ -214,10 +232,7 @@ impl Store {
         text.trim()
             .parse::<Digest>()
             .map(Some)
-            .map_err(|source| StoreError::Corrupt {
-                path: path.display().to_string(),
-                source,
-            })
+            .map_err(|reason| corrupt(&path, reason))
     }
 
     /// Deletes a link; `Ok(false)` when it was not there.
@@ -252,31 +267,43 @@ impl Store {
         Ok(Some(bytes))
     }
 
-    /// Serializes `value` and stores it, returning the content digest.
+    /// Stores `body` under the header line `# <schema> <version>`,
+    /// returning the object's content digest.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on any filesystem failure.
-    pub fn put<T: Codec>(&self, value: &T) -> Result<Digest, StoreError> {
-        self.put_bytes_addressed(&value.to_bytes())
+    pub fn put(&self, schema: &str, version: u32, body: &str) -> Result<Digest, StoreError> {
+        self.put_bytes_addressed(format!("# {schema} {version}\n{body}").as_bytes())
     }
 
-    /// Reads and decodes an object; `Ok(None)` when absent.
+    /// Reads the body of an object stored as `schema` at `version`;
+    /// `Ok(None)` when absent.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failure, [`StoreError::Corrupt`]
-    /// when the object exists but fails digest or envelope validation.
-    pub fn get<T: Codec>(&self, digest: Digest) -> Result<Option<T>, StoreError> {
+    /// when the object fails its digest check or its header line is
+    /// missing or names another schema or version.
+    pub fn get(
+        &self,
+        digest: Digest,
+        schema: &str,
+        version: u32,
+    ) -> Result<Option<String>, StoreError> {
         let Some(bytes) = self.get_bytes(digest)? else {
             return Ok(None);
         };
-        T::from_bytes(&bytes)
-            .map(Some)
-            .map_err(|source| StoreError::Corrupt {
-                path: self.object_path(digest).display().to_string(),
-                source,
-            })
+        let path = self.object_path(digest);
+        let (found, found_version, body) =
+            split_header(&bytes).map_err(|reason| corrupt(&path, reason))?;
+        if (found, found_version) != (schema, version) {
+            return Err(corrupt(
+                &path,
+                format!("object holds {found} v{found_version}, not {schema} v{version}"),
+            ));
+        }
+        Ok(Some(body.to_string()))
     }
 
     /// Deletes an object; `Ok(false)` when it was not there.
@@ -338,7 +365,7 @@ impl Store {
     }
 
     /// Deletes objects whose content no longer matches their digest or whose
-    /// envelope fails validation, links that are unreadable or point at a
+    /// header line is missing, links that are unreadable or point at a
     /// missing object, plus stray temp files in both areas. Returns
     /// `(removed, kept)` counts.
     ///
@@ -433,21 +460,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Decoder, Encoder};
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Note(String);
-
-    impl Codec for Note {
-        const SCHEMA: &'static str = "test-note";
-        const VERSION: u32 = 1;
-        fn encode_payload(&self, e: &mut Encoder) {
-            e.str(&self.0);
-        }
-        fn decode_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-            Ok(Note(d.str("note")?))
-        }
-    }
+    use proptest::prelude::*;
 
     fn temp_store(tag: &str) -> Store {
         let dir = std::env::temp_dir().join(format!(
@@ -459,19 +472,28 @@ mod tests {
         Store::open(dir).unwrap()
     }
 
+    /// Stores a one-line note as a `test-note` v1 object.
+    fn put_note(store: &Store, note: &str) -> Digest {
+        store.put("test-note", 1, &format!("{note}\n")).unwrap()
+    }
+
+    fn get_note(store: &Store, digest: Digest) -> Result<Option<String>, StoreError> {
+        store.get(digest, "test-note", 1)
+    }
+
     #[test]
     fn put_get_roundtrip_and_idempotence() {
         let store = temp_store("roundtrip");
-        let digest = store.put(&Note("hello".into())).unwrap();
+        let digest = put_note(&store, "hello");
         assert!(store.contains(digest));
+        assert_eq!(get_note(&store, digest).unwrap(), Some("hello\n".into()));
         assert_eq!(
-            store.get::<Note>(digest).unwrap(),
-            Some(Note("hello".into()))
+            store.get_bytes(digest).unwrap(),
+            Some(b"# test-note 1\nhello\n".to_vec()),
+            "one header line, then the body"
         );
         // Second put of identical content is a no-op.
-        assert!(!store
-            .put_bytes(digest, &Note("hello".into()).to_bytes())
-            .unwrap());
+        assert!(!store.put_bytes(digest, b"# test-note 1\nhello\n").unwrap());
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -480,7 +502,7 @@ mod tests {
         let store = temp_store("absent");
         let digest = Digest::of(b"never stored");
         assert_eq!(store.get_bytes(digest).unwrap(), None);
-        assert_eq!(store.get::<Note>(digest).unwrap(), None);
+        assert_eq!(get_note(&store, digest).unwrap(), None);
         assert!(!store.remove(digest).unwrap());
         let _ = fs::remove_dir_all(store.root());
     }
@@ -488,11 +510,11 @@ mod tests {
     #[test]
     fn truncated_object_is_typed_corruption_not_a_panic() {
         let store = temp_store("truncated");
-        let digest = store.put(&Note("soon to be damaged".into())).unwrap();
+        let digest = put_note(&store, "soon to be damaged");
         let path = store.object_path(digest);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        match store.get::<Note>(digest) {
+        match get_note(&store, digest) {
             Err(StoreError::Corrupt { path: p, .. }) => {
                 assert!(p.contains(&digest.to_string()[2..]))
             }
@@ -504,24 +526,88 @@ mod tests {
     #[test]
     fn bitflipped_object_is_detected() {
         let store = temp_store("bitflip");
-        let digest = store.put(&Note("flip me".into())).unwrap();
+        let digest = put_note(&store, "flip me");
         let path = store.object_path(digest);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.get::<Note>(digest),
+            get_note(&store, digest),
             Err(StoreError::Corrupt { .. })
         ));
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
+    fn foreign_or_missing_headers_read_as_corruption() {
+        let store = temp_store("headers");
+        let other_schema = store.put("test-other", 1, "hello\n").unwrap();
+        let other_version = store.put("test-note", 2, "hello\n").unwrap();
+        // Intact objects whose bytes carry no header: text without one, and
+        // a binary blob (the shape of an object written before headers).
+        let headless = store.put_bytes_addressed(b"hello\n").unwrap();
+        let binary = store.put_bytes_addressed(b"SDBA\x11\x00\xff\xfe").unwrap();
+        for (digest, reason) in [
+            (other_schema, "object holds test-other v1, not test-note v1"),
+            (other_version, "object holds test-note v2, not test-note v1"),
+            (headless, "missing '# <schema> <version>' header line"),
+            (binary, "missing '# <schema> <version>' header line"),
+        ] {
+            match get_note(&store, digest) {
+                Err(StoreError::Corrupt { reason: r, .. }) => assert_eq!(r, reason),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        // `ls` labels what it can and flags the rest; `gc` prunes the rest.
+        let schemas: Vec<_> = store
+            .list()
+            .unwrap()
+            .iter()
+            .map(|e| e.schema().ok())
+            .collect();
+        assert_eq!(schemas.iter().flatten().count(), 2, "{schemas:?}");
+        assert_eq!(store.gc().unwrap(), (2, 2));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn every_truncation_reads_as_corruption() {
+        let store = temp_store("cuts");
+        let digest = put_note(&store, "cut me anywhere");
+        let path = store.object_path(digest);
+        let bytes = fs::read(&path).unwrap();
+        for len in 0..bytes.len() {
+            fs::write(&path, &bytes[..len]).unwrap();
+            assert!(
+                matches!(get_note(&store, digest), Err(StoreError::Corrupt { .. })),
+                "prefix of {len}"
+            );
+        }
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn random_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..48)) {
+            let store = temp_store("garbage");
+            let digest = store.put_bytes_addressed(&bytes).unwrap();
+            let read = get_note(&store, digest);
+            let header_matches =
+                std::str::from_utf8(&bytes).is_ok_and(|text| text.starts_with("# test-note 1\n"));
+            prop_assert_eq!(read.is_ok(), header_matches);
+            let _ = store.list().unwrap()[0].schema();
+            let _ = fs::remove_dir_all(store.root());
+        }
+    }
+
+    #[test]
     fn list_is_sorted_and_skips_temp_files() {
         let store = temp_store("list");
-        let d1 = store.put(&Note("one".into())).unwrap();
-        let d2 = store.put(&Note("two".into())).unwrap();
+        let d1 = put_note(&store, "one");
+        let d2 = put_note(&store, "two");
         let shard = store.object_path(d1);
         fs::write(shard.parent().unwrap().join("tmp-999-0"), b"junk").unwrap();
         let entries = store.list().unwrap();
@@ -536,13 +622,13 @@ mod tests {
     #[test]
     fn links_resolve_and_replace_atomically() {
         let store = temp_store("links");
-        let target = store.put(&Note("pointed at".into())).unwrap();
+        let target = put_note(&store, "pointed at");
         let name = Digest::of(b"derived cache key");
         assert_eq!(store.get_link(name).unwrap(), None);
         store.put_link(name, target).unwrap();
         assert_eq!(store.get_link(name).unwrap(), Some(target));
         // Links are replaceable (unlike objects).
-        let other = store.put(&Note("new target".into())).unwrap();
+        let other = put_note(&store, "new target");
         store.put_link(name, other).unwrap();
         assert_eq!(store.get_link(name).unwrap(), Some(other));
         assert!(store.remove_link(name).unwrap());
@@ -553,7 +639,7 @@ mod tests {
     #[test]
     fn gc_prunes_dangling_and_garbled_links() {
         let store = temp_store("gc-links");
-        let target = store.put(&Note("kept".into())).unwrap();
+        let target = put_note(&store, "kept");
         let good = Digest::of(b"good link");
         store.put_link(good, target).unwrap();
         let dangling = Digest::of(b"dangling link");
@@ -574,8 +660,8 @@ mod tests {
     #[test]
     fn gc_removes_damage_and_keeps_the_healthy() {
         let store = temp_store("gc");
-        let keep = store.put(&Note("healthy".into())).unwrap();
-        let damaged = store.put(&Note("doomed".into())).unwrap();
+        let keep = put_note(&store, "healthy");
+        let damaged = put_note(&store, "doomed");
         let path = store.object_path(damaged);
         fs::write(&path, b"garbage").unwrap();
         let tmp = path.parent().unwrap().join("tmp-1-1");

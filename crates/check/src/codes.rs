@@ -142,7 +142,7 @@ pub const REGISTRY: &[CodeInfo] = &[
         code: BUDGET_NOT_REALIZABLE,
         name: "budget-not-realizable",
         severity: Severity::Note,
-        summary: "the scheme's bank split cannot realize the byte budget exactly",
+        summary: "the built predictor's size differs from the byte budget",
     },
     CodeInfo {
         code: HISTORY_LENGTH_INVALID,

@@ -84,44 +84,27 @@ fn direction(taken: bool) -> &'static str {
     }
 }
 
-/// Thresholds for the profile cross-checks.
-///
-/// A hint on a branch whose profiled bias is below
-/// [`bias_floor`](Self::bias_floor) is never reported as contradicting (the
-/// majority direction of a coin-flip branch is noise); a profiled branch
-/// with bias at least [`coverage_bias`](Self::coverage_bias) and at least
-/// [`coverage_executions`](Self::coverage_executions) executions but no
-/// hint is reported as a coverage gap.
-#[derive(Debug, Clone, Copy)]
-pub struct HintLintOptions {
-    /// Minimum profiled bias for SDBP023 (hint contradicts profile).
-    pub bias_floor: f64,
-    /// Minimum profiled bias for SDBP024 (coverage gap).
-    pub coverage_bias: f64,
-    /// Minimum executions for SDBP024.
-    pub coverage_executions: u64,
-    /// Cap on emitted SDBP024 notes (gaps beyond it are summarized).
-    pub max_coverage_notes: usize,
-}
-
-impl Default for HintLintOptions {
-    fn default() -> Self {
-        Self {
-            bias_floor: 0.60,
-            coverage_bias: 0.99,
-            coverage_executions: 1_000,
-            max_coverage_notes: 5,
-        }
-    }
-}
+/// Minimum profiled bias for SDBP023 (hint contradicts profile): the
+/// majority direction of a coin-flip branch is noise.
+const BIAS_FLOOR: f64 = 0.60;
+/// Minimum profiled bias for SDBP024 (coverage gap).
+const COVERAGE_BIAS: f64 = 0.99;
+/// Minimum executions for SDBP024.
+const COVERAGE_EXECUTIONS: u64 = 1_000;
+/// Cap on emitted SDBP024 notes (gaps beyond it are summarized).
+const MAX_COVERAGE_NOTES: usize = 5;
 
 /// Cross-checks a hint database against the bias profile it was (or should
 /// have been) selected from: SDBP022/023/024.
+///
+/// A hint against a branch whose profiled bias is below 60% is never
+/// reported as contradicting it; a branch with at least 99% bias and 1,000
+/// executions but no hint is a coverage gap, and gaps beyond the five
+/// busiest are summarized in one note.
 pub fn lint_hints_against_profile(
     hints: &HintDatabase,
     profile: &BiasProfile,
     origin: &str,
-    options: HintLintOptions,
 ) -> Diagnostics {
     let mut diags = Diagnostics::new();
     let mut entries: Vec<(BranchAddr, bool)> = hints.iter().collect();
@@ -138,7 +121,7 @@ pub fn lint_hints_against_profile(
             ),
             Some(stats) => {
                 if stats.executed > 0
-                    && stats.bias() >= options.bias_floor
+                    && stats.bias() >= BIAS_FLOOR
                     && taken != stats.majority_taken()
                 {
                     diags.push(
@@ -166,14 +149,14 @@ pub fn lint_hints_against_profile(
         .iter()
         .filter(|(pc, stats)| {
             !hints.contains(*pc)
-                && stats.executed >= options.coverage_executions
-                && stats.bias() >= options.coverage_bias
+                && stats.executed >= COVERAGE_EXECUTIONS
+                && stats.bias() >= COVERAGE_BIAS
         })
         .map(|(pc, stats)| (pc, stats.executed, stats.bias()))
         .collect();
     gaps.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let total_gaps = gaps.len();
-    for (pc, executed, bias) in gaps.into_iter().take(options.max_coverage_notes) {
+    for (pc, executed, bias) in gaps.into_iter().take(MAX_COVERAGE_NOTES) {
         diags.push(
             Diagnostic::note(
                 codes::HINT_COVERAGE_GAP,
@@ -185,13 +168,13 @@ pub fn lint_hints_against_profile(
             .with_span(Span::field(origin, "hints")),
         );
     }
-    if total_gaps > options.max_coverage_notes {
+    if total_gaps > MAX_COVERAGE_NOTES {
         diags.push(
             Diagnostic::note(
                 codes::HINT_COVERAGE_GAP,
                 format!(
                     "{} more strongly biased branches have no hint",
-                    total_gaps - options.max_coverage_notes
+                    total_gaps - MAX_COVERAGE_NOTES
                 ),
             )
             .with_span(Span::field(origin, "hints")),
@@ -257,7 +240,7 @@ mod tests {
         hints.insert(BranchAddr(0x100), false); // contradicts
         hints.insert(BranchAddr(0x104), false); // against a coin flip: fine
         hints.insert(BranchAddr(0x200), true); // never profiled
-        let diags = lint_hints_against_profile(&hints, &profile, "<t>", HintLintOptions::default());
+        let diags = lint_hints_against_profile(&hints, &profile, "<t>");
         assert_eq!(codes_of(&diags), [23, 22]);
         assert!(!diags.has_errors());
     }
@@ -265,16 +248,12 @@ mod tests {
     #[test]
     fn coverage_gaps_are_capped_notes() {
         let mut profile = BiasProfile::new();
-        for i in 0..8u64 {
+        for i in 0..MAX_COVERAGE_NOTES as u64 + 5 {
             profile.insert(BranchAddr(0x1000 + 4 * i), site(5000, 4999));
         }
         let hints = HintDatabase::new();
-        let options = HintLintOptions {
-            max_coverage_notes: 3,
-            ..HintLintOptions::default()
-        };
-        let diags = lint_hints_against_profile(&hints, &profile, "<t>", options);
-        assert_eq!(codes_of(&diags), [24, 24, 24, 24]);
+        let diags = lint_hints_against_profile(&hints, &profile, "<t>");
+        assert_eq!(codes_of(&diags), [24; MAX_COVERAGE_NOTES + 1]);
         assert!(diags.is_clean(), "notes stay clean");
         let last = diags.iter().last().unwrap();
         assert!(last.message.contains("5 more"), "{}", last.message);
@@ -288,7 +267,7 @@ mod tests {
         profile.insert(BranchAddr(0x108), site(10, 10)); // cold
         let mut hints = HintDatabase::new();
         hints.insert(BranchAddr(0x100), true);
-        let diags = lint_hints_against_profile(&hints, &profile, "<t>", HintLintOptions::default());
+        let diags = lint_hints_against_profile(&hints, &profile, "<t>");
         assert!(diags.is_empty(), "{}", diags.render_text());
     }
 }

@@ -18,19 +18,6 @@ use sdbp_index_analysis::{analyze, SpecFacts};
 use sdbp_predictors::{IndexCapability, PredictorConfig};
 use sdbp_profiles::BiasProfile;
 
-/// Tuning knobs for [`lint_index_analysis`].
-#[derive(Debug, Clone, Copy)]
-pub struct IndexAnalysisOptions {
-    /// Maximum number of SDBP063 proven-pair notes reported.
-    pub top_pairs: usize,
-}
-
-impl Default for IndexAnalysisOptions {
-    fn default() -> Self {
-        Self { top_pairs: 10 }
-    }
-}
-
 /// Runs the exact analysis on `config` and renders the proven facts as
 /// diagnostics (all note severity — these are findings about the design,
 /// not misconfigurations).
@@ -38,14 +25,15 @@ impl Default for IndexAnalysisOptions {
 /// `profile`, when given, additionally drives the SDBP063 proven-pair
 /// search: profiled branches are grouped by their exact PC image per bank,
 /// and groups mixing opposing majority directions are reported as proven
-/// destructive aliasing, ordered by execution mass.
+/// destructive aliasing, ordered by execution mass, at most `top_pairs` of
+/// them.
 ///
 /// Returns the derived [`SpecFacts`] for linear predictors, `None` (with an
 /// SDBP064 note) otherwise.
 pub fn lint_index_analysis(
     profile: Option<&BiasProfile>,
     config: PredictorConfig,
-    options: &IndexAnalysisOptions,
+    top_pairs: usize,
     origin: &str,
 ) -> (Option<SpecFacts>, Diagnostics) {
     let mut diags = Diagnostics::new();
@@ -124,7 +112,7 @@ pub fn lint_index_analysis(
             }
         }
         findings.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        for (_, message) in findings.into_iter().take(options.top_pairs) {
+        for (_, message) in findings.into_iter().take(top_pairs) {
             diags.push(
                 Diagnostic::note(codes::PROVEN_ALIASING_PAIR, message)
                     .with_span(Span::field(origin, "profile"))
@@ -222,12 +210,8 @@ mod tests {
         // gshare 1KB: 12 of 32 modeled PC bits reach the index, so the
         // collision classes have 2^20 members — one SDBP060 note, nothing
         // else without a profile.
-        let (facts, diags) = lint_index_analysis(
-            None,
-            config(PredictorKind::Gshare, 1024),
-            &IndexAnalysisOptions::default(),
-            "<t>",
-        );
+        let (facts, diags) =
+            lint_index_analysis(None, config(PredictorKind::Gshare, 1024), 10, "<t>");
         let facts = facts.unwrap();
         assert_eq!(facts.tables[0].pc_rank, 12);
         assert_eq!(codes_of(&diags), [60]);
@@ -238,36 +222,24 @@ mod tests {
 
     #[test]
     fn bimode_reports_one_class_note_per_bank() {
-        let (facts, diags) = lint_index_analysis(
-            None,
-            config(PredictorKind::BiMode, 4096),
-            &IndexAnalysisOptions::default(),
-            "<t>",
-        );
+        let (facts, diags) =
+            lint_index_analysis(None, config(PredictorKind::BiMode, 4096), 10, "<t>");
         assert_eq!(facts.unwrap().tables.len(), 3);
         assert_eq!(codes_of(&diags), [60, 60, 60]);
     }
 
     #[test]
     fn sampled_only_and_opaque_get_distinct_sdbp064_notes() {
-        let (facts, diags) = lint_index_analysis(
-            None,
-            config(PredictorKind::Perceptron, 4096),
-            &IndexAnalysisOptions::default(),
-            "<t>",
-        );
+        let (facts, diags) =
+            lint_index_analysis(None, config(PredictorKind::Perceptron, 4096), 10, "<t>");
         assert!(facts.is_none());
         assert_eq!(codes_of(&diags), [64]);
         let d = diags.iter().next().unwrap();
         assert!(d.message.contains("non-linearly"), "{}", d.message);
         assert!(d.notes[0].contains("--aliasing"), "{:?}", d.notes);
 
-        let (facts, diags) = lint_index_analysis(
-            None,
-            config(PredictorKind::TwoBcGskew, 4096),
-            &IndexAnalysisOptions::default(),
-            "<t>",
-        );
+        let (facts, diags) =
+            lint_index_analysis(None, config(PredictorKind::TwoBcGskew, 4096), 10, "<t>");
         assert!(facts.is_none());
         assert_eq!(codes_of(&diags), [64]);
         let d = diags.iter().next().unwrap();
@@ -304,7 +276,7 @@ mod tests {
         let (_, diags) = lint_index_analysis(
             Some(&profile),
             config(PredictorKind::Bimodal, 64),
-            &IndexAnalysisOptions::default(),
+            10,
             "<t>",
         );
         assert_eq!(codes_of(&diags), [60, 63]);
@@ -329,12 +301,8 @@ mod tests {
             );
             profile.insert(BranchAddr(base + stride), SiteStats { executed, taken: 0 });
         }
-        let (_, diags) = lint_index_analysis(
-            Some(&profile),
-            config(PredictorKind::Bimodal, 64),
-            &IndexAnalysisOptions { top_pairs: 2 },
-            "<t>",
-        );
+        let (_, diags) =
+            lint_index_analysis(Some(&profile), config(PredictorKind::Bimodal, 64), 2, "<t>");
         assert_eq!(codes_of(&diags), [60, 63, 63]);
         let messages: Vec<&str> = diags.iter().skip(1).map(|d| d.message.as_str()).collect();
         // Heaviest pair (executed 500 each) first.
@@ -376,12 +344,7 @@ mod tests {
             (PredictorKind::Gselect, 1024),
             (PredictorKind::BiMode, 4096),
         ] {
-            let (_, diags) = lint_index_analysis(
-                None,
-                config(kind, size),
-                &IndexAnalysisOptions::default(),
-                "<t>",
-            );
+            let (_, diags) = lint_index_analysis(None, config(kind, size), 10, "<t>");
             assert!(
                 codes_of(&diags).iter().all(|c| *c == 60),
                 "{kind}: {}",

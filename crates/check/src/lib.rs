@@ -47,8 +47,8 @@ pub mod trace;
 pub use aliasing::lint_aliasing;
 pub use codes::{lookup, CodeInfo, REGISTRY};
 pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
-pub use hints::{lint_hints_against_profile, parse_hints_text, HintLintOptions};
-pub use index_analysis::{lint_facts, lint_index_analysis, IndexAnalysisOptions};
+pub use hints::{lint_hints_against_profile, parse_hints_text};
+pub use index_analysis::{lint_facts, lint_index_analysis};
 pub use manifest::lint_manifest_text;
 pub use profile::{
     lint_profile_against_spec, lint_profile_database, parse_profile_text, ProfileMetadata,

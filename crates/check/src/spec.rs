@@ -458,18 +458,22 @@ pub fn lint_spec_with_history(
         );
     }
 
-    // SDBP004 + SDBP005/006 need the built predictor.
+    // SDBP004 + SDBP005/006 need the built predictor. Only agree comes out
+    // larger than its budget: its bias bits sit on top of the counters.
     let built = spec.predictor.build();
-    if built.size_bytes() != spec.predictor.size_bytes() {
+    let (realized, configured) = (built.size_bytes(), spec.predictor.size_bytes());
+    if realized != configured {
+        let why = if realized > configured {
+            "its per-branch bias bits sit on top of the counter budget"
+        } else {
+            "bank split rounds down to powers of two"
+        };
         diags.push(
             Diagnostic::note(
                 codes::BUDGET_NOT_REALIZABLE,
                 format!(
-                    "{} realizes {} of the {} configured bytes (bank split \
-                     rounds down to powers of two)",
-                    spec.predictor.kind(),
-                    built.size_bytes(),
-                    spec.predictor.size_bytes()
+                    "{} realizes {realized} of the {configured} configured bytes ({why})",
+                    spec.predictor.kind()
                 ),
             )
             .with_span(span("size")),
@@ -765,6 +769,53 @@ warmup 1000
             max_bias_change: 2.0,
         });
         assert_eq!(codes_of(&lint_spec(&spec, "<t>")), [7]);
+    }
+
+    #[test]
+    fn sdbp004_names_why_the_size_misses() {
+        let note = |kind| {
+            let spec = ExperimentSpec::self_trained(
+                Benchmark::Gcc,
+                PredictorConfig::new(kind, 4096).unwrap(),
+                SelectionScheme::None,
+            );
+            lint_spec(&spec, "<t>")
+                .iter()
+                .find(|d| d.code == codes::BUDGET_NOT_REALIZABLE)
+                .map(|d| d.message.clone())
+        };
+        assert_eq!(
+            note(PredictorKind::Agree).unwrap(),
+            "agree realizes 6144 of the 4096 configured bytes (its per-branch \
+             bias bits sit on top of the counter budget)"
+        );
+        for (kind, realized) in [
+            (PredictorKind::Perceptron, 2176),
+            (PredictorKind::TageLite, 3296),
+        ] {
+            assert_eq!(
+                note(kind).unwrap(),
+                format!(
+                    "{kind} realizes {realized} of the 4096 configured bytes (bank split \
+                     rounds down to powers of two)"
+                )
+            );
+        }
+        assert_eq!(note(PredictorKind::Gshare), None);
+        // The larger-than-budget reason names agree's state, so agree must
+        // stay the only kind that outgrows its budget.
+        for kind in PredictorKind::ALL {
+            for size in [1024, 4096, 65536] {
+                let built = PredictorConfig::new(kind, size)
+                    .unwrap()
+                    .build()
+                    .size_bytes();
+                assert!(
+                    built <= size || kind == PredictorKind::Agree,
+                    "{kind} builds {built} of {size} bytes"
+                );
+            }
+        }
     }
 
     #[test]

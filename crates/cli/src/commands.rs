@@ -170,48 +170,35 @@ fn provenanced_profile(path: &str, spec: &ExperimentSpec) -> Result<BiasProfile,
 /// `sdbp select` — select static hints from a profile (or from a fresh run)
 /// and write the hint database.
 pub fn select(args: &Args) -> CmdResult {
-    let spec = spec_of(args)?;
+    let spec = one_budget(spec_of(args)?);
     let (scheme, out) = (spec.scheme, args.value("out"));
-    let source = || workload(&spec);
-    let (bias, accuracy) = match args.get("profile") {
+    let hints = match args.get("profile") {
+        // No profile file: the experiment's own phase one.
+        None => Lab::new().select_hints(&spec)?,
+        // The bias comes from the file; an accuracy profile, when the
+        // scheme needs one, from a fresh run of the workload options.
         Some(path) => {
             let bias = provenanced_profile(path, &spec)?;
-            let accuracy = if scheme.needs_accuracy_profile() {
+            let accuracy = scheme.needs_accuracy_profile().then(|| {
                 let mut predictor = spec.predictor.build();
-                Some(sdbp_profiles::AccuracyProfile::collect(
-                    source(),
-                    predictor.as_mut(),
-                ))
+                sdbp_profiles::AccuracyProfile::collect(workload(&spec), predictor.as_mut())
+            });
+            // Static_Collide ranks interference against the configured
+            // predictor's index function; other schemes never consult one.
+            let ranking = if scheme.needs_interference_ranking() {
+                sdbp_profiles::rank_interference(
+                    &bias,
+                    spec.predictor,
+                    &sdbp_profiles::InterferenceOptions::default(),
+                )
             } else {
                 None
             };
-            (bias, accuracy)
+            scheme
+                .select_with_interference(&bias, accuracy.as_ref(), ranking.as_ref())
+                .map_err(|e| e.to_string())?
         }
-        // No profile file: both profiles come from a fresh run — fused
-        // into a single generator traversal through the pass framework.
-        None if scheme.needs_accuracy_profile() => {
-            let mut predictor = spec.predictor.build();
-            let mut bias_pass = sdbp_profiles::BiasPass::new();
-            let mut accuracy_pass = sdbp_profiles::AccuracyPass::new(predictor.as_mut());
-            sdbp_passes::PassRunner::new().run(source(), &mut [&mut bias_pass, &mut accuracy_pass]);
-            (bias_pass.into_profile(), Some(accuracy_pass.into_profile()))
-        }
-        None => (BiasProfile::from_source(source()), None),
     };
-    // Static_Collide ranks interference against the configured predictor's
-    // index function; other schemes never consult a ranking.
-    let ranking = if scheme.needs_interference_ranking() {
-        sdbp_profiles::rank_interference(
-            &bias,
-            spec.predictor,
-            &sdbp_profiles::InterferenceOptions::default(),
-        )
-    } else {
-        None
-    };
-    let hints = scheme
-        .select_with_interference(&bias, accuracy.as_ref(), ranking.as_ref())
-        .map_err(|e| e.to_string())?;
     fs::write(out, hints.to_text()).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}: {} ({scheme})", hints);
     Ok(())
@@ -545,12 +532,7 @@ pub fn check(args: &Args) -> CmdResult {
         let (hints, hint_diags) = sdbp_check::parse_hints_text(&read(path)?, path);
         diags.merge(hint_diags);
         if let Some(bias) = &profile {
-            diags.merge(sdbp_check::lint_hints_against_profile(
-                &hints,
-                bias,
-                path,
-                sdbp_check::HintLintOptions::default(),
-            ));
+            diags.merge(sdbp_check::lint_hints_against_profile(&hints, bias, path));
         }
     }
 
@@ -573,9 +555,8 @@ pub fn check(args: &Args) -> CmdResult {
             diags.merge(aliasing_diags);
         }
         if index_analysis {
-            let options = sdbp_check::IndexAnalysisOptions { top_pairs: top };
             let (_, index_diags) =
-                sdbp_check::lint_index_analysis(Some(&bias), spec.predictor, &options, origin);
+                sdbp_check::lint_index_analysis(Some(&bias), spec.predictor, top, origin);
             diags.merge(index_diags);
         }
     }
@@ -642,19 +623,16 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
         }
         "inspect" => {
             let digest: Digest = args.parsed("digest")?;
-            let bytes = store
-                .get_bytes(digest)?
+            let entry = store
+                .list()?
+                .into_iter()
+                .find(|entry| entry.digest == digest)
                 .ok_or_else(|| CliError::Failure(format!("no object {digest} in the store")))?;
-            let (schema, version) = sdbp_artifacts::peek_schema(&bytes).map_err(|e| {
-                CliError::Store(format!(
-                    "corrupt artifact at {}: {e}",
-                    store.object_path(digest).display()
-                ))
-            })?;
+            let (schema, version) = entry.schema()?;
             println!("digest:  {digest}");
-            println!("path:    {}", store.object_path(digest).display());
+            println!("path:    {}", entry.path.display());
             println!("schema:  {schema} v{version}");
-            println!("size:    {} bytes", grouped(bytes.len() as u64));
+            println!("size:    {} bytes", grouped(entry.size));
             Ok(())
         }
         "gc" => {
@@ -935,16 +913,21 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
         let store = Store::open(&dir).unwrap();
         let digest = store.put_bytes_addressed(b"loose bytes").unwrap();
+        let profile = store.put("sdbp-bias-profile", 2, "10 3 0\n").unwrap();
         let store_arg = dir.to_str().unwrap().to_string();
         artifact("ls", &args(&["artifact", "ls", "--store", &store_arg])).unwrap();
-        let hex = digest.to_string();
-        artifact(
-            "inspect",
-            &args(&[
-                "artifact", "inspect", "--store", &store_arg, "--digest", &hex,
-            ]),
-        )
-        .unwrap_err(); // loose bytes carry no envelope: corrupt, exit 3
+        let inspect = |digest: Digest| {
+            let hex = digest.to_string();
+            artifact(
+                "inspect",
+                &args(&[
+                    "artifact", "inspect", "--store", &store_arg, "--digest", &hex,
+                ]),
+            )
+        };
+        inspect(profile).unwrap();
+        // Loose bytes carry no header line: corrupt, exit 3.
+        assert_eq!(inspect(digest).unwrap_err().exit_code(), 3);
         artifact("gc", &args(&["artifact", "gc", "--store", &store_arg])).unwrap();
         fs::remove_dir_all(&dir).ok();
     }

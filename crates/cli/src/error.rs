@@ -84,7 +84,7 @@ mod tests {
     fn experiment_errors_classify_by_variant() {
         let corrupt = ExperimentError::StoreCorrupt {
             path: "objects/ab/cd".into(),
-            source: sdbp_artifacts::CodecError::BadMagic,
+            reason: "missing '# <schema> <version>' header line".into(),
         };
         assert_eq!(CliError::from(corrupt).exit_code(), 3);
         let rejected = ExperimentError::Rejected {

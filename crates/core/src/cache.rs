@@ -27,7 +27,7 @@
 //! (default 128 M instructions, override with `SDBP_TRACE_CACHE`; `0`
 //! disables trace caching entirely). Profiles are small and never evicted.
 
-use sdbp_artifacts::{Codec, Digest, Hasher, Store, StoreError};
+use sdbp_artifacts::{Digest, Hasher, Store, StoreError};
 use sdbp_passes::{Pass, PassRunner, TraversalStats};
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{AccuracyPass, AccuracyProfile, BiasPass, BiasProfile};
@@ -44,6 +44,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// in particular the same benchmark under a **different seed is a miss**
 /// (its event stream is a different random draw).
 pub type ArtifactKey = (Benchmark, InputSet, u64, u64);
+
+/// The schema and version a stored bias profile's header line names; its
+/// body is [`BiasProfile::to_text`].
+const BIAS_SCHEMA: (&str, u32) = ("sdbp-bias-profile", 2);
+
+/// The schema and version a stored accuracy profile's header line names;
+/// its body is [`AccuracyProfile::to_text`].
+const ACCURACY_SCHEMA: (&str, u32) = ("sdbp-accuracy-profile", 2);
 
 /// Default trace-store capacity in summed instruction budgets.
 pub const DEFAULT_TRACE_CACHE_INSTRUCTIONS: u64 = 128_000_000;
@@ -412,7 +420,7 @@ impl ArtifactCache {
         let mut bias_cold = false;
         if bias_slot.get().is_none() {
             let disk_key = bias_profile_digest(benchmark, input, seed, instructions);
-            match self.disk_fetch::<BiasProfile>(disk_key) {
+            match self.disk_fetch(disk_key, BIAS_SCHEMA, BiasProfile::from_text) {
                 Some(stored) => bias_value = Some(Arc::new(stored)),
                 None => bias_cold = true,
             }
@@ -424,7 +432,7 @@ impl ArtifactCache {
                 continue;
             }
             let disk_key = accuracy_profile_digest(benchmark, input, seed, instructions, predictor);
-            match self.disk_fetch::<AccuracyProfile>(disk_key) {
+            match self.disk_fetch(disk_key, ACCURACY_SCHEMA, AccuracyProfile::from_text) {
                 Some(stored) => acc_values[i] = Some(Arc::new(stored)),
                 None => acc_cold.push(i),
             }
@@ -457,14 +465,14 @@ impl ArtifactCache {
             if let Some(pass) = bias_pass {
                 let profile = Arc::new(pass.into_profile());
                 let disk_key = bias_profile_digest(benchmark, input, seed, instructions);
-                self.disk_persist(disk_key, &*profile);
+                self.disk_persist(disk_key, BIAS_SCHEMA, &profile.to_text());
                 bias_value = Some(profile);
             }
             for (&i, pass) in acc_cold.iter().zip(acc_passes) {
                 let profile = Arc::new(pass.into_profile());
                 let disk_key =
                     accuracy_profile_digest(benchmark, input, seed, instructions, predictors[i]);
-                self.disk_persist(disk_key, &*profile);
+                self.disk_persist(disk_key, ACCURACY_SCHEMA, &profile.to_text());
                 acc_values[i] = Some(profile);
             }
         }
@@ -531,17 +539,36 @@ impl ArtifactCache {
         }
     }
 
-    /// Probes the disk tier for a profile filed under a derived key.
+    /// Probes the disk tier for a profile filed under a derived key: the
+    /// object the key links to must be a `schema` object whose body
+    /// `parse` reads.
     ///
-    /// Corruption self-heals: the damaged link/object is deleted, the probe
-    /// reports a miss, and the caller's recomputation re-persists a healthy
-    /// copy. I/O failures also degrade to a miss — the disk tier is an
-    /// accelerator, never a correctness dependency.
-    fn disk_fetch<T: Codec>(&self, key: Digest) -> Option<T> {
+    /// Corruption self-heals: damaged bytes, a missing or foreign header
+    /// line, or a body `parse` rejects delete the link and its object, the
+    /// probe reports a miss, and the caller's recomputation re-persists a
+    /// healthy copy. I/O failures also degrade to a miss — the disk tier is
+    /// an accelerator, never a correctness dependency.
+    fn disk_fetch<T>(
+        &self,
+        key: Digest,
+        (schema, version): (&str, u32),
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Option<T> {
         let store = self.disk.get()?;
-        let fetched = store
-            .get_link(key)
-            .and_then(|target| target.map_or(Ok(None), |t| store.get::<T>(t)));
+        let fetched = store.get_link(key).and_then(|target| {
+            let Some(target) = target else {
+                return Ok(None);
+            };
+            let Some(body) = store.get(target, schema, version)? else {
+                return Ok(None);
+            };
+            parse(&body)
+                .map(Some)
+                .map_err(|reason| StoreError::Corrupt {
+                    path: store.object_path(target).display().to_string(),
+                    reason,
+                })
+        });
         match fetched {
             Ok(Some(value)) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -560,10 +587,10 @@ impl ArtifactCache {
         None
     }
 
-    /// Best-effort write-through of a freshly computed profile.
-    fn disk_persist<T: Codec>(&self, key: Digest, value: &T) {
+    /// Best-effort write-through of a freshly computed profile's text.
+    fn disk_persist(&self, key: Digest, (schema, version): (&str, u32), body: &str) {
         if let Some(store) = self.disk.get() {
-            if let Ok(target) = store.put(value) {
+            if let Ok(target) = store.put(schema, version, body) {
                 let _ = store.put_link(key, target);
             }
         }
@@ -995,6 +1022,69 @@ mod tests {
         let s = healed.stats();
         assert_eq!((s.disk_hits, s.disk_misses), (2, 0), "{s}");
         assert_eq!(s.trace_misses, 0);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_bias_link_to_an_accuracy_object_heals() {
+        let store = temp_store("misfiled");
+        let warm = cache();
+        warm.attach_store(Arc::clone(&store));
+        let original = bias(&warm, 1);
+        let _ = accuracy(&warm, gshare());
+        // Point the bias link at the intact accuracy object: its bytes match
+        // their digest, but its header names the accuracy schema.
+        let bias_key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        let acc_key =
+            accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
+        let acc_target = store.get_link(acc_key).unwrap().unwrap();
+        store.put_link(bias_key, acc_target).unwrap();
+        match store.get(acc_target, BIAS_SCHEMA.0, BIAS_SCHEMA.1) {
+            Err(StoreError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("sdbp-accuracy-profile"), "{reason}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+
+        let healing = cache();
+        healing.attach_store(Arc::clone(&store));
+        let recomputed = bias(&healing, 1);
+        assert_eq!(*recomputed, *original, "corruption never surfaces");
+        let s = healing.stats();
+        assert_eq!((s.disk_hits, s.disk_misses), (0, 1), "{s}");
+        assert_eq!(s.trace_misses, 1, "the bias was recomputed");
+
+        let healed = cache();
+        healed.attach_store(Arc::clone(&store));
+        assert_eq!(*bias(&healed, 1), *original);
+        let s = healed.stats();
+        assert_eq!((s.disk_hits, s.disk_misses), (1, 0), "{s}");
+        assert_eq!(s.trace_misses, 0);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn stored_profiles_are_a_header_line_and_their_text() {
+        let store = temp_store("text");
+        let warm = cache();
+        warm.attach_store(Arc::clone(&store));
+        let profile = accuracy(&warm, gshare());
+        let bias_profile = bias(&warm, 1);
+        let object = |key| {
+            let target = store.get_link(key).unwrap().unwrap();
+            String::from_utf8(store.get_bytes(target).unwrap().unwrap()).unwrap()
+        };
+        let bias_key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
+        assert_eq!(
+            object(bias_key),
+            format!("# sdbp-bias-profile 2\n{}", bias_profile.to_text())
+        );
+        let acc_key =
+            accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
+        assert_eq!(
+            object(acc_key),
+            format!("# sdbp-accuracy-profile 2\n{}", profile.to_text())
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -10,7 +10,7 @@ use crate::cache::{ArtifactCache, ArtifactKey};
 use crate::combined::{CombinedPredictor, ShiftPolicy};
 use crate::report::Report;
 use crate::simulator::MeasurePass;
-use sdbp_artifacts::{CodecError, StoreError};
+use sdbp_artifacts::StoreError;
 use sdbp_passes::Pass;
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{
@@ -389,8 +389,8 @@ impl fmt::Display for SpecProblem {
 /// Errors from experiment execution and artifact persistence.
 ///
 /// The taxonomy distinguishes what went wrong — a selection failure, a
-/// pre-flight rejection, an I/O failure of the artifact store, a codec or
-/// schema-version mismatch, or store corruption — so callers can react per
+/// pre-flight rejection, an I/O failure of the artifact store, or store
+/// corruption — so callers can react per
 /// class (the CLI maps classes to distinct exit codes). Every variant
 /// implements [`std::error::Error`] with [`source`](std::error::Error::source)
 /// chaining to the underlying cause where one exists.
@@ -418,21 +418,13 @@ pub enum ExperimentError {
         /// The underlying I/O error.
         source: Arc<std::io::Error>,
     },
-    /// An artifact failed to encode or decode (including schema-version
-    /// mismatches from a store written by a different build).
-    Codec {
-        /// What was being (de)serialized.
-        context: String,
-        /// The underlying codec error.
-        source: CodecError,
-    },
-    /// A stored artifact's bytes do not match their content digest or
-    /// envelope checksum — on-disk corruption, not a logic error.
+    /// A stored artifact or manifest fails validation — on-disk
+    /// corruption, not a logic error.
     StoreCorrupt {
-        /// Path of the damaged object.
+        /// Path of the damaged object or manifest.
         path: String,
         /// What the validation found.
-        source: CodecError,
+        reason: String,
     },
     /// An error replayed from a previous run's manifest whose precise
     /// variant could not be reconstructed; `kind` preserves the original
@@ -454,7 +446,6 @@ impl ExperimentError {
             ExperimentError::Rejected { .. } => "rejected",
             ExperimentError::Skipped { .. } => "skipped",
             ExperimentError::Io { .. } => "io",
-            ExperimentError::Codec { .. } => "codec",
             ExperimentError::StoreCorrupt { .. } => "store-corrupt",
             ExperimentError::Replayed { kind, .. } => kind,
         }
@@ -480,25 +471,15 @@ impl PartialEq for ExperimentError {
                 },
             ) => ca == cb && sa.kind() == sb.kind(),
             (
-                ExperimentError::Codec {
-                    context: ca,
-                    source: sa,
-                },
-                ExperimentError::Codec {
-                    context: cb,
-                    source: sb,
-                },
-            ) => ca == cb && sa == sb,
-            (
                 ExperimentError::StoreCorrupt {
                     path: pa,
-                    source: sa,
+                    reason: ra,
                 },
                 ExperimentError::StoreCorrupt {
                     path: pb,
-                    source: sb,
+                    reason: rb,
                 },
-            ) => pa == pb && sa == sb,
+            ) => pa == pb && ra == rb,
             (
                 ExperimentError::Replayed {
                     kind: ka,
@@ -525,11 +506,8 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Io { context, source } => {
                 write!(f, "artifact I/O failed while {context}: {source}")
             }
-            ExperimentError::Codec { context, source } => {
-                write!(f, "artifact codec failed while {context}: {source}")
-            }
-            ExperimentError::StoreCorrupt { path, source } => {
-                write!(f, "corrupt artifact at {path}: {source}")
+            ExperimentError::StoreCorrupt { path, reason } => {
+                write!(f, "corrupt artifact at {path}: {reason}")
             }
             ExperimentError::Replayed { kind, message } => {
                 write!(f, "replayed {kind} error from manifest: {message}")
@@ -543,10 +521,9 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::Select(e) => Some(e),
             ExperimentError::Io { source, .. } => Some(source.as_ref()),
-            ExperimentError::Codec { source, .. }
-            | ExperimentError::StoreCorrupt { source, .. } => Some(source),
             ExperimentError::Rejected { .. }
             | ExperimentError::Skipped { .. }
+            | ExperimentError::StoreCorrupt { .. }
             | ExperimentError::Replayed { .. } => None,
         }
     }
@@ -565,7 +542,7 @@ impl From<StoreError> for ExperimentError {
                 context: format!("accessing {path}"),
                 source,
             },
-            StoreError::Corrupt { path, source } => ExperimentError::StoreCorrupt { path, source },
+            StoreError::Corrupt { path, reason } => ExperimentError::StoreCorrupt { path, reason },
         }
     }
 }

@@ -25,10 +25,11 @@
 //!   [`ArtifactCache`], returning bit-identical results to a serial run,
 //!   in deterministic spec order.
 //! * [`RunStore`] / [`manifest`] — the durable artifact layer: a
-//!   content-addressed on-disk store caching profiles across processes
-//!   (keyed by [`spec_digest`]-style run digests), plus an append-only
-//!   `manifest.jsonl` of finished cells that lets an interrupted sweep
-//!   resume exactly where it stopped.
+//!   content-addressed on-disk store caching profiles across processes in
+//!   their text formats (keyed by digests of their run coordinates), plus
+//!   an append-only `manifest.jsonl` of finished cells, each filed under
+//!   its [`spec_digest`], that lets an interrupted sweep resume exactly
+//!   where it stopped.
 //!
 //! # Examples
 //!
@@ -62,7 +63,6 @@
 
 pub mod analysis;
 pub mod cache;
-pub mod codec;
 pub mod combined;
 pub mod experiment;
 pub mod manifest;
@@ -78,12 +78,11 @@ pub use analysis::{BranchAnalysis, BranchRecord};
 pub use cache::{
     accuracy_profile_digest, bias_profile_digest, ArtifactCache, ArtifactKey, CacheStats,
 };
-pub use codec::spec_digest;
 pub use combined::{BranchResolution, CombinedPredictor, ShiftPolicy};
 pub use experiment::{
     run_experiment, ExperimentError, ExperimentSpec, Lab, ProfileSource, SpecProblem,
 };
-pub use manifest::{ManifestEntry, ManifestError, RunManifest, RunStore};
+pub use manifest::{spec_digest, ManifestEntry, ManifestError, RunManifest, RunStore};
 pub use metrics::{CollisionStats, SimStats};
 pub use report::Report;
 pub use simulator::{MeasurePass, Simulator};

@@ -16,19 +16,75 @@
 //! tier (profiles keyed by run coordinates), an interrupted grid finishes
 //! from where it stopped, byte-identical to an uninterrupted run.
 
-use crate::codec::spec_digest;
-use crate::experiment::{ExperimentError, ExperimentSpec};
+use crate::experiment::{ExperimentError, ExperimentSpec, ProfileSource};
 use crate::metrics::{CollisionStats, SimStats};
 use crate::report::Report;
-use sdbp_artifacts::{Digest, Json, Store};
+use sdbp_artifacts::{Digest, Hasher, Json, Store};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
-use sdbp_profiles::SelectError;
+use sdbp_profiles::{SelectError, SelectionScheme};
 use sdbp_workloads::Benchmark;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The stable content digest of a spec: the key under which its manifest
+/// entry is filed and `--resume` finds it again.
+///
+/// It hashes a domain tag, then every field in declaration order: the
+/// benchmark, predictor, shift policy and input by name, the scheme and the
+/// training regime as a tag per variant followed by the
+/// [`f64::to_bits`] of each of its parameters, and each explicit budget
+/// behind a presence tag, so `None` and `Some(0)` differ.
+pub fn spec_digest(spec: &ExperimentSpec) -> Digest {
+    fn tagged(h: &mut Hasher, tag: &str, params: &[f64]) {
+        h.write_str(tag);
+        for param in params {
+            h.write_u64(param.to_bits());
+        }
+    }
+    let mut h = Hasher::new();
+    h.write_str("sdbp-spec");
+    h.write_str(spec.benchmark.name());
+    h.write_str(spec.predictor.kind().name());
+    h.write_u64(spec.predictor.size_bytes() as u64);
+    match spec.scheme {
+        SelectionScheme::None => tagged(&mut h, "none", &[]),
+        SelectionScheme::Bias { cutoff } => tagged(&mut h, "bias", &[cutoff]),
+        SelectionScheme::VsAccuracy => tagged(&mut h, "vs-accuracy", &[]),
+        SelectionScheme::Factor { factor } => tagged(&mut h, "factor", &[factor]),
+        SelectionScheme::CollisionAware {
+            min_bias,
+            min_collision_rate,
+        } => tagged(&mut h, "collision-aware", &[min_bias, min_collision_rate]),
+        SelectionScheme::Collide {
+            min_bias,
+            min_score_rate,
+        } => tagged(&mut h, "collide", &[min_bias, min_score_rate]),
+    }
+    h.write_str(spec.shift.label());
+    match spec.profile {
+        ProfileSource::SelfTrained => tagged(&mut h, "self", &[]),
+        ProfileSource::CrossTrained => tagged(&mut h, "cross", &[]),
+        ProfileSource::MergedCrossTrained { max_bias_change } => {
+            tagged(&mut h, "cross-merged", &[max_bias_change])
+        }
+    }
+    h.write_str(spec.measure_input.name());
+    h.write_u64(spec.seed);
+    for budget in [spec.profile_instructions, spec.measure_instructions] {
+        match budget {
+            None => h.write_str("default"),
+            Some(instructions) => {
+                h.write_str("explicit");
+                h.write_u64(instructions);
+            }
+        }
+    }
+    h.write_u64(spec.warmup_instructions);
+    h.finish()
+}
 
 /// One line of a run manifest: a finished (or deliberately skipped) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -341,9 +397,7 @@ impl RunStore {
             let manifest =
                 RunManifest::parse(&text).map_err(|e| ExperimentError::StoreCorrupt {
                     path: path.display().to_string(),
-                    source: sdbp_artifacts::CodecError::Invalid {
-                        context: e.to_string(),
-                    },
+                    reason: e.to_string(),
                 })?;
             if manifest.torn {
                 // Rewrite the good prefix, dropping the torn tail.
@@ -468,6 +522,94 @@ mod tests {
         .with_instructions(100_000)
     }
 
+    #[test]
+    fn spec_digest_is_stable() {
+        assert_eq!(spec_digest(&spec()), spec_digest(&spec().clone()));
+        // Pinned: a digest that drifts between builds strands every
+        // manifest written before the drift (resume would replay nothing).
+        assert_eq!(
+            spec_digest(&spec()).to_string(),
+            "819fb452df753f58437e3f6736e9ee73"
+        );
+    }
+
+    #[test]
+    fn spec_digest_changes_with_every_field() {
+        fn config(kind: PredictorKind, size: usize) -> PredictorConfig {
+            PredictorConfig::new(kind, size).unwrap()
+        }
+        let base = spec();
+        let with = |edit: fn(&mut ExperimentSpec)| {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            spec
+        };
+        let schemes = [
+            SelectionScheme::None,
+            SelectionScheme::Bias { cutoff: 0.95 },
+            SelectionScheme::Bias { cutoff: 0.9 },
+            SelectionScheme::VsAccuracy,
+            SelectionScheme::Factor { factor: 1.0 },
+            SelectionScheme::Factor { factor: 1.25 },
+            SelectionScheme::CollisionAware {
+                min_bias: 0.8,
+                min_collision_rate: 0.05,
+            },
+            SelectionScheme::CollisionAware {
+                min_bias: 0.9,
+                min_collision_rate: 0.05,
+            },
+            SelectionScheme::CollisionAware {
+                min_bias: 0.8,
+                min_collision_rate: 0.1,
+            },
+            SelectionScheme::Collide {
+                min_bias: 0.8,
+                min_score_rate: 0.05,
+            },
+            SelectionScheme::Collide {
+                min_bias: 0.9,
+                min_score_rate: 0.05,
+            },
+            SelectionScheme::Collide {
+                min_bias: 0.8,
+                min_score_rate: 0.1,
+            },
+        ];
+        let mut specs: Vec<ExperimentSpec> = schemes
+            .into_iter()
+            .map(|scheme| base.clone().with_scheme(scheme))
+            .collect();
+        specs.extend([
+            with(|s| s.benchmark = Benchmark::Gcc),
+            with(|s| s.predictor = config(PredictorKind::Bimodal, 1024)),
+            with(|s| s.predictor = config(PredictorKind::Gshare, 2048)),
+            with(|s| s.shift = ShiftPolicy::Shift),
+            with(|s| s.profile = ProfileSource::CrossTrained),
+            with(|s| {
+                s.profile = ProfileSource::MergedCrossTrained {
+                    max_bias_change: 0.05,
+                }
+            }),
+            with(|s| {
+                s.profile = ProfileSource::MergedCrossTrained {
+                    max_bias_change: 0.1,
+                }
+            }),
+            with(|s| s.measure_input = InputSet::Train),
+            with(|s| s.seed = 1),
+            with(|s| s.profile_instructions = None),
+            with(|s| s.profile_instructions = Some(0)),
+            with(|s| s.measure_instructions = None),
+            with(|s| s.measure_instructions = Some(0)),
+            with(|s| s.warmup_instructions = 10_000),
+        ]);
+        // `spec()` is static_95: the Bias { cutoff: 0.95 } entry is the base.
+        let digests: std::collections::BTreeSet<Digest> = specs.iter().map(spec_digest).collect();
+        assert_eq!(digests.len(), specs.len(), "two specs share a digest");
+        assert!(digests.contains(&spec_digest(&base)));
+    }
+
     fn report() -> Report {
         Report {
             benchmark: Benchmark::Compress,
@@ -551,7 +693,7 @@ mod tests {
             &spec(),
             &Err(ExperimentError::StoreCorrupt {
                 path: "objects/ab/cd".into(),
-                source: sdbp_artifacts::CodecError::ChecksumMismatch,
+                reason: "content hashes to 1, filed under 2".into(),
             }),
             Duration::ZERO,
         );

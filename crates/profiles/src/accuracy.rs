@@ -1,5 +1,6 @@
 //! Per-branch dynamic-predictor accuracy profiles.
 
+use crate::line_format;
 use sdbp_predictors::{DynamicPredictor, Prediction};
 use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, PcMap};
 
@@ -106,8 +107,7 @@ impl AccuracyProfile {
         self.sites.get(&pc).map(|s| s.rate())
     }
 
-    /// Inserts or replaces the counters of one site (used by the artifact
-    /// codec and by tests).
+    /// Inserts or replaces the counters of one site (used by tests).
     pub fn insert(&mut self, pc: BranchAddr, counters: SiteAccuracy) {
         self.sites.insert(pc, counters);
     }
@@ -141,11 +141,53 @@ impl AccuracyProfile {
         let correct: u64 = self.sites.values().map(|s| s.correct).sum();
         correct as f64 / executed as f64
     }
+
+    /// Serializes to the text format
+    /// `"<hex pc> <executed> <correct> <destructive collisions>"` per line,
+    /// sorted by address: the line format of
+    /// [`BiasProfile::to_text`](crate::BiasProfile::to_text) with this
+    /// profile's counters (the body of a stored accuracy profile).
+    pub fn to_text(&self) -> String {
+        line_format::write_sites(
+            self.iter()
+                .map(|(pc, s)| (pc, [s.executed, s.correct, s.destructive_collisions])),
+        )
+    }
+
+    /// Parses the format written by [`AccuracyProfile::to_text`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first malformed line.
+    pub fn from_text(text: &str) -> Result<Self, String> {
+        let sites = line_format::parse_lines(text, Self::parse_line)?;
+        Ok(Self {
+            sites: sites.into_iter().collect(),
+        })
+    }
+
+    /// Parses one line of the [`to_text`](AccuracyProfile::to_text) format:
+    /// `None` for a blank or `#` comment line, otherwise the site or a
+    /// message naming the bad field. Neither counter may exceed `executed`.
+    pub fn parse_line(line: &str) -> Option<Result<(BranchAddr, SiteAccuracy), String>> {
+        let site = line_format::parse_site(line, ["executed", "correct", "destructive"])?;
+        Some(
+            site.map(|(pc, [executed, correct, destructive_collisions])| {
+                let counters = SiteAccuracy {
+                    executed,
+                    correct,
+                    destructive_collisions,
+                };
+                (pc, counters)
+            }),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sdbp_predictors::{Bimodal, Ghist};
     use sdbp_trace::{BranchEvent, SliceSource};
 
@@ -203,6 +245,77 @@ mod tests {
         assert_eq!(p.overall(), 0.0);
         assert!(p.accuracy(BranchAddr(0)).is_none());
         assert_eq!(SiteAccuracy::default().rate(), 0.0);
+    }
+
+    fn site(executed: u64, correct: u64, destructive_collisions: u64) -> SiteAccuracy {
+        SiteAccuracy {
+            executed,
+            correct,
+            destructive_collisions,
+        }
+    }
+
+    #[test]
+    fn text_roundtrip_is_sorted_and_order_free() {
+        let sites = [
+            (0x100, site(50, 48, 3)),
+            (0x10, site(9, 0, 9)),
+            (0x9000, site(1, 1, 0)),
+        ];
+        let mut p = AccuracyProfile::new();
+        for (pc, s) in sites {
+            p.insert(BranchAddr(pc), s);
+        }
+        let text = p.to_text();
+        assert_eq!(text, "10 9 0 9\n100 50 48 3\n9000 1 1 0\n");
+        assert_eq!(AccuracyProfile::from_text(&text).unwrap(), p);
+        // Insertion order must not leak into the text.
+        let mut reordered = AccuracyProfile::new();
+        for (pc, s) in sites.into_iter().rev() {
+            reordered.insert(BranchAddr(pc), s);
+        }
+        assert_eq!(reordered.to_text(), text);
+    }
+
+    #[test]
+    fn from_text_rejects_impossible_counters_and_garbage() {
+        for (text, error) in [
+            (
+                "10 1 2 0\n",
+                "line 1: correct count 2 exceeds executed count 1",
+            ),
+            (
+                "10 1 1 2\n",
+                "line 1: destructive count 2 exceeds executed count 1",
+            ),
+            ("zz 1 1 1\n", "line 1: bad pc"),
+            ("# header\n10 4 3\n", "line 2: bad destructive count"),
+        ] {
+            assert_eq!(AccuracyProfile::from_text(text), Err(error.to_string()));
+        }
+        assert!(AccuracyProfile::from_text("# only a comment\n\n")
+            .unwrap()
+            .is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn accuracy_profiles_roundtrip(sites in proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()), 0..32)) {
+            let mut p = AccuracyProfile::new();
+            for (pc, executed, correct, destructive) in sites {
+                let executed = u64::from(executed);
+                let counters = site(
+                    executed,
+                    u64::from(correct).min(executed),
+                    u64::from(destructive).min(executed),
+                );
+                p.insert(BranchAddr(u64::from(pc)), counters);
+            }
+            prop_assert_eq!(AccuracyProfile::from_text(&p.to_text()).unwrap(), p);
+        }
     }
 
     #[test]

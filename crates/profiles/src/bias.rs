@@ -1,5 +1,6 @@
 //! Per-branch bias profiles.
 
+use crate::line_format;
 use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, PcMap, SiteStats};
 
 /// Execution/taken counts per static branch, gathered from one or more runs.
@@ -95,15 +96,9 @@ impl BiasProfile {
 
     /// Serializes to the text format `"<hex pc> <executed> <taken>"` per
     /// line, sorted by address (the on-disk profile-database format used by
-    /// the CLI).
+    /// the CLI, and the body of a stored bias profile).
     pub fn to_text(&self) -> String {
-        let mut entries: Vec<(BranchAddr, &SiteStats)> = self.iter().collect();
-        entries.sort_unstable_by_key(|(pc, _)| *pc);
-        let mut out = String::new();
-        for (pc, stats) in entries {
-            out.push_str(&format!("{:x} {} {}\n", pc.0, stats.executed, stats.taken));
-        }
-        out
+        line_format::write_sites(self.iter().map(|(pc, s)| (pc, [s.executed, s.taken])))
     }
 
     /// Parses the format written by [`BiasProfile::to_text`].
@@ -112,41 +107,18 @@ impl BiasProfile {
     ///
     /// Returns a message naming the first malformed line.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut profile = Self::new();
-        for (idx, line) in text.lines().enumerate() {
-            if let Some(site) = Self::parse_line(line) {
-                let (pc, stats) = site.map_err(|e| format!("line {}: {e}", idx + 1))?;
-                profile.insert(pc, stats);
-            }
-        }
-        Ok(profile)
+        let sites = line_format::parse_lines(text, Self::parse_line)?;
+        Ok(Self {
+            sites: sites.into_iter().collect(),
+        })
     }
 
     /// Parses one line of the [`to_text`](BiasProfile::to_text) format,
     /// `<hex pc> <executed> <taken>`: `None` for a blank or `#` comment
     /// line, otherwise the site or a message naming the bad field.
     pub fn parse_line(line: &str) -> Option<Result<(BranchAddr, SiteStats), String>> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return None;
-        }
-        let mut parts = line.split_whitespace();
-        let pc = parts
-            .next()
-            .and_then(|p| u64::from_str_radix(p.trim_start_matches("0x"), 16).ok());
-        let mut count = || parts.next().and_then(|p| p.parse::<u64>().ok());
-        let (executed, taken) = (count(), count());
-        Some(match (pc, executed, taken) {
-            (None, ..) => Err("bad pc".to_string()),
-            (_, None, _) => Err("bad executed count".to_string()),
-            (_, _, None) => Err("bad taken count".to_string()),
-            (Some(_), Some(executed), Some(taken)) if taken > executed => Err(format!(
-                "taken count {taken} exceeds executed count {executed}"
-            )),
-            (Some(pc), Some(executed), Some(taken)) => {
-                Ok((BranchAddr(pc), SiteStats { executed, taken }))
-            }
-        })
+        let site = line_format::parse_site(line, ["executed", "taken"])?;
+        Some(site.map(|(pc, [executed, taken])| (pc, SiteStats { executed, taken })))
     }
 }
 
@@ -161,6 +133,7 @@ impl Extend<BranchEvent> for BiasProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sdbp_trace::SliceSource;
 
     fn ev(pc: u64, taken: bool) -> BranchEvent {
@@ -249,6 +222,22 @@ mod tests {
         assert!(BiasProfile::from_text("# just a comment\n")
             .unwrap()
             .is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn bias_profiles_roundtrip(sites in proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), any::<u32>()), 0..32)) {
+            let mut p = BiasProfile::new();
+            for (pc, executed, taken) in sites {
+                let executed = u64::from(executed);
+                let taken = u64::from(taken).min(executed);
+                p.insert(BranchAddr(u64::from(pc)), SiteStats { executed, taken });
+            }
+            prop_assert_eq!(BiasProfile::from_text(&p.to_text()).unwrap(), p);
+        }
     }
 
     #[test]

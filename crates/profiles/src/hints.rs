@@ -1,5 +1,6 @@
 //! The static-hint database.
 
+use crate::line_format;
 use sdbp_trace::{BranchAddr, PcMap};
 use std::fmt;
 
@@ -92,14 +93,9 @@ impl HintDatabase {
     ///
     /// Returns a message naming the first malformed line.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut db = Self::new();
-        for (idx, line) in text.lines().enumerate() {
-            if let Some(hint) = Self::parse_line(line) {
-                let (pc, taken) = hint.map_err(|e| format!("line {}: {e}", idx + 1))?;
-                db.insert(pc, taken);
-            }
-        }
-        Ok(db)
+        Ok(line_format::parse_lines(text, Self::parse_line)?
+            .into_iter()
+            .collect())
     }
 
     /// Parses one line of the [`to_text`](HintDatabase::to_text) format,

@@ -43,10 +43,10 @@
 
 pub mod accuracy;
 pub mod bias;
-pub mod codec;
 pub mod database;
 pub mod hints;
 pub mod interference;
+mod line_format;
 pub mod passes;
 pub mod select;
 
