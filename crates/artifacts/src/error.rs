@@ -4,7 +4,7 @@
 //!
 //! * [`JsonError`] — a manifest line failed to parse as JSON,
 //! * [`StoreError`] — the on-disk store failed, either at the OS level
-//!   ([`StoreError::Io`]) or because a stored object is damaged
+//!   ([`StoreError::Io`]) or because a stored entry is damaged
 //!   ([`StoreError::Corrupt`]).
 //!
 //! Both implement [`std::error::Error`]; `StoreError::source` chains to the
@@ -30,7 +30,7 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Errors from the on-disk content-addressed store.
+/// Errors from the on-disk key-addressed store.
 ///
 /// `Io` wraps the OS error in an [`Arc`] so the variant stays [`Clone`]
 /// (sweep results fan one store failure out to many cells).
@@ -43,10 +43,10 @@ pub enum StoreError {
         /// The underlying OS error.
         source: Arc<std::io::Error>,
     },
-    /// A stored object exists but fails validation: content that no
-    /// longer matches its digest, or a missing or foreign header line.
+    /// A stored entry exists but fails validation: a body that no longer
+    /// matches its header's digest, or a missing or foreign header line.
     Corrupt {
-        /// The damaged object's path.
+        /// The damaged entry's path.
         path: String,
         /// What validation failed.
         reason: String,
@@ -135,12 +135,10 @@ mod tests {
         assert!(e.source().unwrap().to_string().contains("disk on fire"));
         let e = StoreError::Corrupt {
             path: "p".into(),
-            reason: "content hashes to 1, filed under 2".into(),
+            reason: "body hashes to 1, header says 2".into(),
         };
         assert!(e.source().is_none(), "corruption is the root cause");
-        assert!(e
-            .to_string()
-            .contains("corrupt artifact at p: content hashes"));
+        assert!(e.to_string().contains("corrupt artifact at p: body hashes"));
     }
 
     #[test]

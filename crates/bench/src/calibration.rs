@@ -57,7 +57,7 @@ pub fn diag_classes(benchmark: Benchmark, predictor: PredictorConfig) -> String 
     let source = workload
         .generator(InputSet::Ref, SEED)
         .take_instructions(INSTRUCTIONS);
-    let mut combined = CombinedPredictor::pure_dynamic(predictor.build());
+    let mut combined = CombinedPredictor::pure_dynamic(predictor.build_any());
     let mut per_class: HashMap<&'static str, (u64, u64)> = HashMap::new();
     let stats = Simulator::new().run_with_observer(source, &mut combined, |event, res| {
         let class = class_by_pc.get(&event.pc.0).copied().unwrap_or("?");

@@ -15,7 +15,7 @@
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use sdbp_index_analysis::{analyze, SpecFacts};
-use sdbp_predictors::{IndexCapability, PredictorConfig};
+use sdbp_predictors::{DynamicPredictor, IndexCapability, PredictorConfig};
 use sdbp_profiles::BiasProfile;
 
 /// Runs the exact analysis on `config` and renders the proven facts as
@@ -39,7 +39,7 @@ pub fn lint_index_analysis(
     let mut diags = Diagnostics::new();
     let span = || Span::field(origin, "predictor");
     let capability = config.index_capability();
-    let spec = config.build().index_spec();
+    let spec = config.build_any().index_spec();
     let Some(spec) = spec else {
         let message = match capability {
             IndexCapability::SampledOnly => format!(

@@ -136,10 +136,7 @@ mod tests {
                 format!(r#""status":"error","error":{{"kind":"rejected","message":"{reason}"}}"#)
             }
         };
-        format!(
-            r#"{{"cell":{cell},"spec":"{}","wall_ms":1,{outcome}}}"#,
-            Digest([1, 2])
-        )
+        format!(r#"{{"cell":{cell},"spec":"{}",{outcome}}}"#, Digest([1, 2]))
     }
 
     #[test]
@@ -163,7 +160,7 @@ mod tests {
 
     #[test]
     fn schema_drift_is_distinguished_from_damage() {
-        let alien = r#"{"cell":0,"spec":"not-a-digest","wall_ms":1,"status":"ok"}"#;
+        let alien = r#"{"cell":0,"spec":"not-a-digest","status":"ok"}"#;
         let diags = lint_manifest_text(alien, "m.jsonl");
         assert!(diags.render_text().contains("SDBP051"));
         assert_eq!(diags.errors(), 1);
@@ -190,7 +187,6 @@ mod tests {
         let skipped = ManifestEntry {
             cell: 3,
             spec_digest: Digest([9, 9]),
-            wall_ms: 0,
             outcome: Err(ExperimentError::Skipped {
                 reason: "cell cap of 3 reached before this cell".into(),
             }),

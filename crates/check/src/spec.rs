@@ -460,7 +460,7 @@ pub fn lint_spec_with_history(
 
     // SDBP004 + SDBP005/006 need the built predictor. Only agree comes out
     // larger than its budget: its bias bits sit on top of the counters.
-    let built = spec.predictor.build();
+    let built = spec.predictor.build_any();
     let (realized, configured) = (built.size_bytes(), spec.predictor.size_bytes());
     if realized != configured {
         let why = if realized > configured {
@@ -493,7 +493,7 @@ pub fn lint_spec_with_history(
                 .with_span(span("history")),
             );
         } else {
-            let derived = DynamicPredictor::history_bits(&*built);
+            let derived = built.history_bits();
             if history == 0 || history > 64 {
                 diags.push(
                     Diagnostic::error(
@@ -808,7 +808,7 @@ warmup 1000
             for size in [1024, 4096, 65536] {
                 let built = PredictorConfig::new(kind, size)
                     .unwrap()
-                    .build()
+                    .build_any()
                     .size_bytes();
                 assert!(
                     built <= size || kind == PredictorKind::Agree,

@@ -24,8 +24,8 @@ fn source() -> impl BranchSource {
 
 /// Top `n` branches by measured destructive collisions, ties by address.
 fn measured_top(config: PredictorConfig, n: usize) -> Vec<BranchAddr> {
-    let mut predictor = config.build();
-    let accuracy = AccuracyProfile::collect(source(), &mut *predictor);
+    let mut predictor = config.build_any();
+    let accuracy = AccuracyProfile::collect(source(), &mut predictor);
     let mut sites: Vec<(BranchAddr, u64)> = accuracy
         .iter()
         .filter(|(_, s)| s.destructive_collisions > 0)

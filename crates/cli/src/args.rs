@@ -45,7 +45,7 @@ pub const VOCABULARY: &[(&str, &str, &str)] = &[
     ("index-analysis", "", "prove the index function's collision structure"),
     ("format", "text|json", "rustc-style text or JSON diagnostics"),
     ("deny-warnings", "", "fail on warnings too"),
-    ("digest", "HEX", "the object's digest"),
+    ("digest", "HEX", "the key of a store entry, as `artifact ls` lists it"),
     ("quick", "", "the CI smoke budget, each suite in under a second"),
 ];
 

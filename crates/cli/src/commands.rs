@@ -180,8 +180,8 @@ pub fn select(args: &Args) -> CmdResult {
         Some(path) => {
             let bias = provenanced_profile(path, &spec)?;
             let accuracy = scheme.needs_accuracy_profile().then(|| {
-                let mut predictor = spec.predictor.build();
-                sdbp_profiles::AccuracyProfile::collect(workload(&spec), predictor.as_mut())
+                let mut predictor = spec.predictor.build_any();
+                sdbp_profiles::AccuracyProfile::collect(workload(&spec), &mut predictor)
             });
             // Static_Collide ranks interference against the configured
             // predictor's index function; other schemes never consult one.
@@ -296,9 +296,9 @@ fn grid_benchmarks(args: &Args, spec: &ExperimentSpec) -> Result<Vec<Benchmark>,
 /// `sdbp grid` — the Figure 7–12 experiment: every paper predictor at
 /// `--size` under the three static schemes, run in parallel with shared
 /// profile/trace artifacts. Covers one benchmark by default; `--family`
-/// sweeps every benchmark of a workload family in one sweep (the stderr
-/// summary then reports MISPs/KI per family), and `--trace` admits an
-/// external trace file and grids over it.
+/// sweeps every benchmark of a workload family in one sweep (one table per
+/// benchmark), and `--trace` admits an external trace file and grids over
+/// it.
 pub fn grid(args: &Args) -> CmdResult {
     args.requires("resume", "store")?;
     args.requires("max-cells", "store")?;
@@ -582,15 +582,15 @@ pub const ARTIFACT: &[(&str, &str)] = &[
 ];
 
 /// `sdbp artifact <action>` — inspect and maintain a durable artifact
-/// store: `ls` (every object with schema and size), `inspect --digest HEX`
-/// (one object in detail), `gc` (prune corrupt objects, dangling links,
-/// and stale temp files).
+/// store: `ls` (every entry with its key, schema and size), `inspect
+/// --digest HEX` (the entry filed under that key), `gc` (prune corrupt
+/// entries and stale temp files).
 pub fn artifact(action: &str, args: &Args) -> CmdResult {
     let store = Store::open(args.value("store"))?;
     match action {
         "ls" => {
             let entries = store.list()?;
-            let mut t = TableWriter::with_columns(&["digest", "schema", "version", "bytes"]);
+            let mut t = TableWriter::with_columns(&["key", "schema", "version", "bytes"]);
             t.align(3, sdbp_util::table::Align::Right);
             let mut damaged = 0usize;
             for entry in &entries {
@@ -602,7 +602,7 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
                     }
                 };
                 t.row(vec![
-                    entry.digest.to_string(),
+                    entry.key.to_string(),
                     schema,
                     version,
                     grouped(entry.size),
@@ -610,7 +610,7 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
             }
             println!("{}", t.render());
             println!(
-                "{} objects in {}{}",
+                "{} entries in {}{}",
                 entries.len(),
                 store.root().display(),
                 if damaged > 0 {
@@ -622,14 +622,14 @@ pub fn artifact(action: &str, args: &Args) -> CmdResult {
             Ok(())
         }
         "inspect" => {
-            let digest: Digest = args.parsed("digest")?;
+            let key: Digest = args.parsed("digest")?;
             let entry = store
                 .list()?
                 .into_iter()
-                .find(|entry| entry.digest == digest)
-                .ok_or_else(|| CliError::Failure(format!("no object {digest} in the store")))?;
+                .find(|entry| entry.key == key)
+                .ok_or_else(|| CliError::Failure(format!("no entry {key} in the store")))?;
             let (schema, version) = entry.schema()?;
-            println!("digest:  {digest}");
+            println!("key:     {key}");
             println!("path:    {}", entry.path.display());
             println!("schema:  {schema} v{version}");
             println!("size:    {} bytes", grouped(entry.size));
@@ -912,8 +912,12 @@ mod tests {
         let dir = std::env::temp_dir().join("sdbp-cli-artifact-test");
         fs::remove_dir_all(&dir).ok();
         let store = Store::open(&dir).unwrap();
-        let digest = store.put_bytes_addressed(b"loose bytes").unwrap();
-        let profile = store.put("sdbp-bias-profile", 2, "10 3 0\n").unwrap();
+        let (profile, damaged) = (Digest::of(b"profile"), Digest::of(b"damaged"));
+        for key in [profile, damaged] {
+            store.put(key, "sdbp-bias-profile", 3, "10 3 0\n").unwrap();
+        }
+        let damaged_entry = store.list().unwrap().into_iter().find(|e| e.key == damaged);
+        fs::write(damaged_entry.unwrap().path, b"loose bytes").unwrap();
         let store_arg = dir.to_str().unwrap().to_string();
         artifact("ls", &args(&["artifact", "ls", "--store", &store_arg])).unwrap();
         let inspect = |digest: Digest| {
@@ -927,8 +931,10 @@ mod tests {
         };
         inspect(profile).unwrap();
         // Loose bytes carry no header line: corrupt, exit 3.
-        assert_eq!(inspect(digest).unwrap_err().exit_code(), 3);
+        assert_eq!(inspect(damaged).unwrap_err().exit_code(), 3);
         artifact("gc", &args(&["artifact", "gc", "--store", &store_arg])).unwrap();
+        assert_eq!(inspect(damaged).unwrap_err().exit_code(), 1, "gc pruned it");
+        inspect(profile).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -81,8 +81,8 @@ const COMMANDS: &[Command] = &[
             format=text deny-warnings benchmark predictor size scheme shift training input \
             seed instructions profile_instructions measure_instructions warmup history",
             commands::check) },
-    Command { name: "artifact", about: "inspect a durable artifact store: list its objects, \
-        show one, or prune corrupt objects, dangling links and stale temp files",
+    Command { name: "artifact", about: "inspect a durable artifact store: list its entries, \
+        show one, or prune corrupt entries and stale temp files",
         takes: Word(|| commands::ARTIFACT.to_vec(), commands::artifact) },
     Command { name: "bench", about: "regenerate one harness result (docs/experiments.md maps \
         every word): the record suites write BENCH_<word>.json, all_experiments \
@@ -238,7 +238,7 @@ examples:
   sdbp grid --benchmark go --size 8192 --threads 4
   sdbp gen --benchmark compress --out compress.sdbt --instructions 1000000
   sdbp sim --trace compress.sdbt --predictor bimodal --size 2048
-  # sweep the whole server family in one run (per-family stderr summary):
+  # sweep the whole server family in one run (one table per benchmark):
   sdbp grid --family server --size 8192
   # admit an external trace (perf script output works too), then grid it:
   sdbp ingest --trace capture.sdbt

@@ -27,7 +27,7 @@
 //! (default 128 M instructions, override with `SDBP_TRACE_CACHE`; `0`
 //! disables trace caching entirely). Profiles are small and never evicted.
 
-use sdbp_artifacts::{Digest, Hasher, Store, StoreError};
+use sdbp_artifacts::{Digest, Hasher, Store};
 use sdbp_passes::{Pass, PassRunner, TraversalStats};
 use sdbp_predictors::PredictorConfig;
 use sdbp_profiles::{AccuracyPass, AccuracyProfile, BiasPass, BiasProfile};
@@ -47,11 +47,11 @@ pub type ArtifactKey = (Benchmark, InputSet, u64, u64);
 
 /// The schema and version a stored bias profile's header line names; its
 /// body is [`BiasProfile::to_text`].
-const BIAS_SCHEMA: (&str, u32) = ("sdbp-bias-profile", 2);
+const BIAS_SCHEMA: (&str, u32) = ("sdbp-bias-profile", 3);
 
 /// The schema and version a stored accuracy profile's header line names;
 /// its body is [`AccuracyProfile::to_text`].
-const ACCURACY_SCHEMA: (&str, u32) = ("sdbp-accuracy-profile", 2);
+const ACCURACY_SCHEMA: (&str, u32) = ("sdbp-accuracy-profile", 3);
 
 /// Default trace-store capacity in summed instruction budgets.
 pub const DEFAULT_TRACE_CACHE_INSTRUCTIONS: u64 = 128_000_000;
@@ -251,9 +251,9 @@ impl ArtifactCache {
     }
 
     /// Attaches a persistent disk tier: profile lookups that miss in memory
-    /// first probe `store` (keyed by [`bias_profile_digest`] /
-    /// [`accuracy_profile_digest`] links) and persist what they compute.
-    /// Damaged entries self-heal — they are deleted and recomputed, never
+    /// first read `store` (entries keyed by [`bias_profile_digest`] /
+    /// [`accuracy_profile_digest`]) and persist what they compute. Damaged
+    /// entries self-heal — they are recomputed and rewritten, never
     /// surfaced. At most one store can be attached; later calls are ignored.
     pub fn attach_store(&self, store: Arc<Store>) {
         let _ = self.disk.set(store);
@@ -539,15 +539,14 @@ impl ArtifactCache {
         }
     }
 
-    /// Probes the disk tier for a profile filed under a derived key: the
-    /// object the key links to must be a `schema` object whose body
-    /// `parse` reads.
+    /// Reads a profile filed under `key` from the disk tier: the entry
+    /// must be a `schema` entry whose body `parse` reads.
     ///
     /// Corruption self-heals: damaged bytes, a missing or foreign header
-    /// line, or a body `parse` rejects delete the link and its object, the
-    /// probe reports a miss, and the caller's recomputation re-persists a
-    /// healthy copy. I/O failures also degrade to a miss — the disk tier is
-    /// an accelerator, never a correctness dependency.
+    /// line, or a body `parse` rejects read as a miss, and the caller's
+    /// recomputation replaces the entry. I/O failures also degrade to a
+    /// miss — the disk tier is an accelerator, never a correctness
+    /// dependency.
     fn disk_fetch<T>(
         &self,
         key: Digest,
@@ -555,44 +554,24 @@ impl ArtifactCache {
         parse: fn(&str) -> Result<T, String>,
     ) -> Option<T> {
         let store = self.disk.get()?;
-        let fetched = store.get_link(key).and_then(|target| {
-            let Some(target) = target else {
-                return Ok(None);
-            };
-            let Some(body) = store.get(target, schema, version)? else {
-                return Ok(None);
-            };
-            parse(&body)
-                .map(Some)
-                .map_err(|reason| StoreError::Corrupt {
-                    path: store.object_path(target).display().to_string(),
-                    reason,
-                })
-        });
-        match fetched {
-            Ok(Some(value)) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(value);
-            }
-            Ok(None) => {}
-            Err(StoreError::Corrupt { .. }) => {
-                if let Ok(Some(target)) = store.get_link(key) {
-                    let _ = store.remove(target);
-                }
-                let _ = store.remove_link(key);
-            }
-            Err(StoreError::Io { .. }) => {}
-        }
-        self.disk_misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let value = store
+            .get(key, schema, version)
+            .ok()
+            .flatten()
+            .and_then(|body| parse(&body).ok());
+        let counter = if value.is_some() {
+            &self.disk_hits
+        } else {
+            &self.disk_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Best-effort write-through of a freshly computed profile's text.
     fn disk_persist(&self, key: Digest, (schema, version): (&str, u32), body: &str) {
         if let Some(store) = self.disk.get() {
-            if let Ok(target) = store.put(schema, version, body) {
-                let _ = store.put_link(key, target);
-            }
+            let _ = store.put(key, schema, version, body);
         }
     }
 }
@@ -688,6 +667,7 @@ impl fmt::Debug for ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdbp_artifacts::StoreError;
     use sdbp_predictors::PredictorKind;
 
     const BUDGET: u64 = 50_000;
@@ -945,6 +925,12 @@ mod tests {
         Arc::new(Store::open(dir).unwrap())
     }
 
+    /// The file `store` keeps the entry filed under `key` in.
+    fn entry_path(store: &Store, key: Digest) -> std::path::PathBuf {
+        let entries = store.list().unwrap();
+        entries.into_iter().find(|e| e.key == key).unwrap().path
+    }
+
     #[test]
     fn disk_tier_shares_profiles_across_processes() {
         let store = temp_store("share");
@@ -975,10 +961,9 @@ mod tests {
         let warm = cache();
         warm.attach_store(Arc::clone(&store));
         let original = bias(&warm, 1);
-        // Damage the stored object behind the link.
+        // Damage the stored entry.
         let key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
-        let target = store.get_link(key).unwrap().unwrap();
-        std::fs::write(store.object_path(target), b"garbage").unwrap();
+        std::fs::write(entry_path(&store, key), b"garbage").unwrap();
 
         let healing = cache();
         healing.attach_store(Arc::clone(&store));
@@ -1001,11 +986,10 @@ mod tests {
         warm.attach_store(Arc::clone(&store));
         let original = accuracy(&warm, gshare());
         let key = accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
-        let target = store.get_link(key).unwrap().unwrap();
-        std::fs::write(store.object_path(target), b"garbage").unwrap();
+        std::fs::write(entry_path(&store, key), b"garbage").unwrap();
 
         // One bundle: the bias revives from disk, the damaged accuracy
-        // object is deleted and recomputed on the bundle's one traversal.
+        // entry is recomputed on the bundle's one traversal and rewritten.
         let healing = cache();
         healing.attach_store(Arc::clone(&store));
         let recomputed = accuracy(&healing, gshare());
@@ -1026,20 +1010,20 @@ mod tests {
     }
 
     #[test]
-    fn a_bias_link_to_an_accuracy_object_heals() {
+    fn an_accuracy_entry_under_a_bias_key_heals() {
         let store = temp_store("misfiled");
         let warm = cache();
         warm.attach_store(Arc::clone(&store));
         let original = bias(&warm, 1);
         let _ = accuracy(&warm, gshare());
-        // Point the bias link at the intact accuracy object: its bytes match
-        // their digest, but its header names the accuracy schema.
+        // File a copy of the intact accuracy entry under the bias key: its
+        // body matches its header's digest, but the header names the
+        // accuracy schema.
         let bias_key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
         let acc_key =
             accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
-        let acc_target = store.get_link(acc_key).unwrap().unwrap();
-        store.put_link(bias_key, acc_target).unwrap();
-        match store.get(acc_target, BIAS_SCHEMA.0, BIAS_SCHEMA.1) {
+        std::fs::copy(entry_path(&store, acc_key), entry_path(&store, bias_key)).unwrap();
+        match store.get(bias_key, BIAS_SCHEMA.0, BIAS_SCHEMA.1) {
             Err(StoreError::Corrupt { reason, .. }) => {
                 assert!(reason.contains("sdbp-accuracy-profile"), "{reason}")
             }
@@ -1070,20 +1054,20 @@ mod tests {
         warm.attach_store(Arc::clone(&store));
         let profile = accuracy(&warm, gshare());
         let bias_profile = bias(&warm, 1);
-        let object = |key| {
-            let target = store.get_link(key).unwrap().unwrap();
-            String::from_utf8(store.get_bytes(target).unwrap().unwrap()).unwrap()
+        let entry = |key| std::fs::read_to_string(entry_path(&store, key)).unwrap();
+        let stored = |schema: &str, text: String| {
+            format!("# {schema} 3 {}\n{text}", Digest::of(text.as_bytes()))
         };
         let bias_key = bias_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET);
         assert_eq!(
-            object(bias_key),
-            format!("# sdbp-bias-profile 2\n{}", bias_profile.to_text())
+            entry(bias_key),
+            stored("sdbp-bias-profile", bias_profile.to_text())
         );
         let acc_key =
             accuracy_profile_digest(Benchmark::Compress, InputSet::Ref, 1, BUDGET, gshare());
         assert_eq!(
-            object(acc_key),
-            format!("# sdbp-accuracy-profile 2\n{}", profile.to_text())
+            entry(acc_key),
+            stored("sdbp-accuracy-profile", profile.to_text())
         );
         let _ = std::fs::remove_dir_all(store.root());
     }

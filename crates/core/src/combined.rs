@@ -2,7 +2,6 @@
 
 use sdbp_predictors::{AnyPredictor, DynamicPredictor};
 use sdbp_profiles::HintDatabase;
-use sdbp_trace::BranchAddr;
 use std::fmt;
 
 /// Whether statically predicted branches shift their outcomes into the
@@ -129,24 +128,9 @@ impl CombinedPredictor {
         Self::new(dynamic, HintDatabase::new(), ShiftPolicy::NoShift)
     }
 
-    /// The dynamic component's scheme name.
-    pub fn dynamic_name(&self) -> &'static str {
-        self.dynamic.name()
-    }
-
-    /// The dynamic component's size in bytes.
-    pub fn dynamic_size_bytes(&self) -> usize {
-        self.dynamic.size_bytes()
-    }
-
     /// The hint database.
     pub fn hints(&self) -> &HintDatabase {
         &self.hints
-    }
-
-    /// The configured shift policy.
-    pub fn shift_policy(&self) -> ShiftPolicy {
-        self.shift_policy
     }
 
     /// Total dynamic-table collisions observed so far.
@@ -228,12 +212,6 @@ impl CombinedPredictor {
         self.dynamic.predict_update_batch(events, &mut self.scratch);
         Some(&self.scratch)
     }
-
-    /// Consumes the combined predictor, returning the dynamic component
-    /// (e.g. to inspect collision counters after a run).
-    pub fn into_dynamic(self) -> Box<dyn DynamicPredictor> {
-        self.dynamic.into_boxed()
-    }
 }
 
 impl fmt::Debug for CombinedPredictor {
@@ -247,19 +225,11 @@ impl fmt::Debug for CombinedPredictor {
     }
 }
 
-/// Convenience: test whether a pc is statically predicted.
-impl CombinedPredictor {
-    /// Whether `pc` would be resolved statically.
-    pub fn is_static(&self, pc: BranchAddr) -> bool {
-        self.hints.contains(pc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdbp_predictors::{Bimodal, Ghist};
-    use sdbp_trace::BranchEvent;
+    use sdbp_trace::{BranchAddr, BranchEvent};
 
     fn ev(pc: u64, taken: bool) -> BranchEvent {
         BranchEvent::new(BranchAddr(pc), taken, 0)
@@ -336,16 +306,13 @@ mod tests {
         let mut hints = HintDatabase::new();
         hints.insert(BranchAddr(0x10), true);
         let c = CombinedPredictor::new(Box::new(Bimodal::new(128)), hints, ShiftPolicy::Shift);
-        assert_eq!(c.dynamic_name(), "bimodal");
-        assert_eq!(c.dynamic_size_bytes(), 128);
-        assert_eq!(c.shift_policy(), ShiftPolicy::Shift);
-        assert!(c.is_static(BranchAddr(0x10)));
-        assert!(!c.is_static(BranchAddr(0x14)));
+        assert!(c.hints().contains(BranchAddr(0x10)));
+        assert!(!c.hints().contains(BranchAddr(0x14)));
         assert_eq!(c.hints().len(), 1);
         let debug = format!("{c:?}");
-        assert!(debug.contains("bimodal"));
-        let dynamic = c.into_dynamic();
-        assert_eq!(dynamic.size_bytes(), 128);
+        assert!(debug.contains("dynamic: \"bimodal\""), "{debug}");
+        assert!(debug.contains("size_bytes: 128"), "{debug}");
+        assert!(debug.contains("shift_policy: Shift"), "{debug}");
     }
 
     #[test]

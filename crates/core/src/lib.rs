@@ -24,12 +24,12 @@
 //!   [`ExperimentSpec`]s across scoped worker threads sharing one
 //!   [`ArtifactCache`], returning bit-identical results to a serial run,
 //!   in deterministic spec order.
-//! * [`RunStore`] / [`manifest`] — the durable artifact layer: a
-//!   content-addressed on-disk store caching profiles across processes in
-//!   their text formats (keyed by digests of their run coordinates), plus
-//!   an append-only `manifest.jsonl` of finished cells, each filed under
-//!   its [`spec_digest`], that lets an interrupted sweep resume exactly
-//!   where it stopped.
+//! * [`RunStore`] / [`manifest`] — the durable artifact layer: an on-disk
+//!   store caching profiles across processes in their text formats, one
+//!   file per profile named by the digest of its run coordinates, plus an
+//!   append-only `manifest.jsonl` of finished cells, each filed under its
+//!   [`spec_digest`], that lets an interrupted sweep resume exactly where
+//!   it stopped.
 //!
 //! # Examples
 //!

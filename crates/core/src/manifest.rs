@@ -2,8 +2,10 @@
 //!
 //! A sweep given a `--store` directory records every finished cell as one
 //! JSON line in `manifest.jsonl`: the cell index, the spec's content digest
-//! (see [`spec_digest`]), the wall time, and the
-//! outcome — a flattened [`Report`] or a typed error. The file is
+//! (see [`spec_digest`]) and the outcome — a flattened [`Report`] or a typed
+//! error. Every field is deterministic, so two runs of one grid write the
+//! same lines, in completion order. Lines written by earlier builds also
+//! carry a `wall_ms` field, which the parser reads past. The file is
 //! **append-only** and each entry is written with a single `write` call, so
 //! a killed run leaves at most one torn final line; [`RunManifest::parse`]
 //! tolerates exactly that and reports it as [`RunManifest::torn`], while
@@ -27,7 +29,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// The stable content digest of a spec: the key under which its manifest
 /// entry is filed and `--resume` finds it again.
@@ -93,8 +94,6 @@ pub struct ManifestEntry {
     pub cell: usize,
     /// Content digest of the cell's [`ExperimentSpec`].
     pub spec_digest: Digest,
-    /// Wall-clock milliseconds the cell ran (0 for replayed/skipped cells).
-    pub wall_ms: u64,
     /// What the cell produced.
     pub outcome: Result<Report, ExperimentError>,
 }
@@ -238,7 +237,6 @@ impl ManifestEntry {
         let mut members = vec![
             ("cell".to_string(), Json::Int(self.cell as i64)),
             ("spec".to_string(), Json::str(self.spec_digest.to_string())),
-            ("wall_ms".to_string(), Json::Int(self.wall_ms as i64)),
         ];
         match &self.outcome {
             Ok(report) => {
@@ -260,7 +258,8 @@ impl ManifestEntry {
     }
 
     /// Parses one manifest line. `line` is the 1-based line number used in
-    /// error messages.
+    /// error messages. Fields it does not read, such as the `wall_ms` of
+    /// lines written by earlier builds, are ignored.
     pub fn parse_line(text: &str, line: usize) -> Result<Self, ManifestError> {
         let bad = |message: String| ManifestError { line, message };
         let obj = Json::parse(text).map_err(|e| bad(format!("{e}")))?;
@@ -268,7 +267,6 @@ impl ManifestEntry {
         let spec_digest: Digest = str_field(&obj, "spec", line)?
             .parse()
             .map_err(|e| bad(format!("spec digest: {e}")))?;
-        let wall_ms = u64_field(&obj, "wall_ms", line)?;
         let outcome = match str_field(&obj, "status", line)? {
             "ok" => Ok(report_from_json(field(&obj, "report", line)?, line)?),
             "error" => {
@@ -283,7 +281,6 @@ impl ManifestEntry {
         Ok(ManifestEntry {
             cell,
             spec_digest,
-            wall_ms,
             outcome,
         })
     }
@@ -343,23 +340,19 @@ impl RunManifest {
     }
 
     /// The canonical form used for byte-identity comparisons between runs:
-    /// entries sorted by cell index with wall times (the only
-    /// nondeterministic field) zeroed, one line each.
+    /// entries sorted by cell index, one line per cell (the first recorded).
     pub fn canonical(&self) -> String {
-        let mut entries = self.entries.clone();
+        let mut entries: Vec<&ManifestEntry> = self.entries.iter().collect();
         entries.sort_by_key(|e| e.cell);
         entries.dedup_by_key(|e| e.cell);
-        let mut out = String::new();
-        for mut entry in entries {
-            entry.wall_ms = 0;
-            out.push_str(&entry.to_line());
-            out.push('\n');
-        }
-        out
+        entries
+            .iter()
+            .map(|e| format!("{}\n", e.to_line()))
+            .collect()
     }
 }
 
-/// The on-disk home of a sweep: a content-addressed [`Store`] (profile disk
+/// The on-disk home of a sweep: a key-addressed [`Store`] (profile disk
 /// tier) plus the append-only `manifest.jsonl`, both under one root.
 pub struct RunStore {
     root: PathBuf,
@@ -442,7 +435,7 @@ impl RunStore {
         &self.root
     }
 
-    /// The content-addressed store living under this root (attach it to an
+    /// The profile store living under this root (attach it to an
     /// [`ArtifactCache`](crate::ArtifactCache) as the profile disk tier).
     pub fn store(&self) -> Arc<Store> {
         Arc::clone(&self.store)
@@ -496,12 +489,10 @@ pub fn entry_for(
     cell: usize,
     spec: &ExperimentSpec,
     outcome: &Result<Report, ExperimentError>,
-    elapsed: Duration,
 ) -> ManifestEntry {
     ManifestEntry {
         cell,
         spec_digest: spec_digest(spec),
-        wall_ms: elapsed.as_millis() as u64,
         outcome: outcome.clone(),
     }
 }
@@ -634,12 +625,7 @@ mod tests {
     }
 
     fn ok_entry(cell: usize) -> ManifestEntry {
-        entry_for(
-            cell,
-            &spec().with_seed(cell as u64),
-            &Ok(report()),
-            Duration::from_millis(17),
-        )
+        entry_for(cell, &spec().with_seed(cell as u64), &Ok(report()))
     }
 
     #[test]
@@ -658,7 +644,7 @@ mod tests {
             ExperimentError::Select(SelectError::MissingAccuracyProfile),
             ExperimentError::Select(SelectError::MissingInterferenceRanking),
         ] {
-            let err_entry = entry_for(4, &spec(), &Err(error), Duration::ZERO);
+            let err_entry = entry_for(4, &spec(), &Err(error));
             let back = ManifestEntry::parse_line(&err_entry.to_line(), 1).unwrap();
             assert_eq!(back, err_entry);
             assert_eq!(back.to_line(), err_entry.to_line(), "lines stay identical");
@@ -674,7 +660,7 @@ mod tests {
         let mut collisions = report();
         collisions.stats.collisions.constructive = collisions.stats.collisions.total;
         for bad in [misp, statics, collisions] {
-            let line = entry_for(0, &spec(), &Ok(bad), Duration::ZERO).to_line();
+            let line = entry_for(0, &spec(), &Ok(bad)).to_line();
             let err = ManifestEntry::parse_line(&line, 5).unwrap_err();
             assert_eq!(err.line, 5);
             assert!(err.message.contains("counters exceed"), "{err}");
@@ -693,9 +679,8 @@ mod tests {
             &spec(),
             &Err(ExperimentError::StoreCorrupt {
                 path: "objects/ab/cd".into(),
-                reason: "content hashes to 1, filed under 2".into(),
+                reason: "body hashes to 1, header says 2".into(),
             }),
-            Duration::ZERO,
         );
         let back = ManifestEntry::parse_line(&entry.to_line(), 1).unwrap();
         match &back.outcome {
@@ -723,21 +708,48 @@ mod tests {
 
     #[test]
     fn canonical_sorts_dedups_and_zeroes_wall_time() {
-        let mut a = ok_entry(1);
-        a.wall_ms = 900;
-        let mut b = ok_entry(0);
-        b.wall_ms = 5;
-        let stale = ok_entry(1); // superseded duplicate of cell 1
-        let m1 = RunManifest {
-            entries: vec![a.clone(), b.clone()],
-            torn: false,
+        let (a, b) = (ok_entry(1), ok_entry(0));
+        // The same cells as lines of an earlier build, whose wall times
+        // differ from run to run.
+        let timed = |entry: &ManifestEntry, ms: u32| {
+            let line = entry.to_line();
+            line.replacen(",\"status\"", &format!(",\"wall_ms\":{ms},\"status\""), 1)
         };
+        let m1 = RunManifest::parse(&format!("{}\n{}\n", timed(&a, 900), timed(&b, 5))).unwrap();
         let m2 = RunManifest {
-            entries: vec![stale, b, a],
+            entries: vec![a.clone(), b.clone(), a.clone()],
             torn: true,
         };
         assert_eq!(m1.canonical(), m2.canonical());
-        assert!(m1.canonical().contains("\"wall_ms\":0"));
+        assert_eq!(
+            m1.canonical(),
+            format!("{}\n{}\n", b.to_line(), a.to_line())
+        );
+        assert!(!m1.canonical().contains("wall_ms"));
+    }
+
+    #[test]
+    fn lines_with_a_wall_time_parse_and_replay() {
+        // Earlier builds wrote each line with a `wall_ms` after the spec
+        // digest.
+        let entry = ok_entry(2);
+        let line = entry.to_line();
+        let timed = line.replacen(",\"status\"", ",\"wall_ms\":412,\"status\"", 1);
+        assert!(timed.contains("\"wall_ms\":412"), "{timed}");
+        let back = ManifestEntry::parse_line(&timed, 1).unwrap();
+        assert_eq!(back, entry);
+        assert_eq!(back.to_line(), line);
+
+        let root = std::env::temp_dir().join(format!("sdbp-timed-store-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).unwrap();
+        fs::write(RunStore::manifest_path(&root), format!("{timed}\n")).unwrap();
+        let resumed = RunStore::open(&root, true).unwrap();
+        let replay = resumed
+            .replay(&spec().with_seed(2))
+            .expect("cell 2 completed");
+        assert_eq!(replay.outcome, Ok(report()));
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -747,9 +759,7 @@ mod tests {
 
         let fresh = RunStore::open(&root, false).unwrap();
         let s = spec();
-        fresh
-            .append(&entry_for(0, &s, &Ok(report()), Duration::from_millis(3)))
-            .unwrap();
+        fresh.append(&entry_for(0, &s, &Ok(report()))).unwrap();
         // Simulate a kill mid-write of the next cell.
         drop(fresh);
         let path = RunStore::manifest_path(&root);
@@ -782,7 +792,6 @@ mod tests {
             &Err(ExperimentError::Skipped {
                 reason: "cell cap reached".into(),
             }),
-            Duration::ZERO,
         );
         assert!(!entry.is_completed());
         let back = ManifestEntry::parse_line(&entry.to_line(), 1).unwrap();

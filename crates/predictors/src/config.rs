@@ -2,7 +2,7 @@
 //!
 //! The experiment harness sweeps predictor kind × size; [`PredictorConfig`]
 //! is the serializable description of one point of that grid and
-//! [`PredictorConfig::build`] instantiates the simulator.
+//! [`PredictorConfig::build_any`] instantiates the simulator.
 
 use crate::{
     Agree, AnyPredictor, BiMode, Bimodal, DynamicPredictor, Ghist, Gselect, Gshare, Perceptron,
@@ -199,11 +199,11 @@ impl std::error::Error for ConfigError {}
 /// # Examples
 ///
 /// ```
-/// use sdbp_predictors::{PredictorConfig, PredictorKind};
+/// use sdbp_predictors::{DynamicPredictor, PredictorConfig, PredictorKind};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cfg = PredictorConfig::new(PredictorKind::Gshare, 16 * 1024)?;
-/// let p = cfg.build();
+/// let p = cfg.build_any();
 /// assert_eq!(p.size_bytes(), 16 * 1024);
 /// assert_eq!(p.name(), "gshare");
 /// # Ok(())
@@ -268,22 +268,16 @@ impl PredictorConfig {
         }
     }
 
-    /// Instantiates the predictor simulator.
+    /// Instantiates the predictor simulator behind the enum-dispatched
+    /// [`AnyPredictor`], the form the simulation hot path wants: the inner
+    /// loop then resolves `predict_update` by discriminant match instead
+    /// of a virtual call.
     ///
     /// Schemes whose tables hold entries of other widths than a 2-bit
     /// counter (agree's bias bits, the perceptron's weights, TAGE-lite's
     /// tagged entries) round each table to a power of two, so their
     /// `size_bytes()` may differ from the configured budget (an SDBP004
     /// note); every other scheme matches it exactly.
-    pub fn build(&self) -> Box<dyn DynamicPredictor> {
-        self.build_any().into_boxed()
-    }
-
-    /// Instantiates the predictor behind the enum-dispatched
-    /// [`AnyPredictor`], the form the simulation hot path wants: the inner
-    /// loop then resolves `predict_update` by discriminant match instead
-    /// of a virtual call. Sizing rules are identical to
-    /// [`PredictorConfig::build`].
     pub fn build_any(&self) -> AnyPredictor {
         match self.kind {
             PredictorKind::Bimodal => Bimodal::new(self.size_bytes).into(),
@@ -345,7 +339,7 @@ mod tests {
     fn build_produces_working_predictors_of_declared_size() {
         for kind in PredictorKind::ALL {
             let cfg = PredictorConfig::new(kind, 4096).unwrap();
-            let mut p = cfg.build();
+            let mut p = cfg.build_any();
             assert_eq!(p.name(), kind.name());
             // The frontier designs round their tables down to powers of
             // two and agree adds a bias table; all stay within a factor of

@@ -78,17 +78,6 @@ macro_rules! dispatch {
     };
 }
 
-impl AnyPredictor {
-    /// Unwraps into a boxed trait object (boxing the enum unless it already
-    /// holds a [`AnyPredictor::Custom`] box).
-    pub fn into_boxed(self) -> Box<dyn DynamicPredictor> {
-        match self {
-            AnyPredictor::Custom(b) => b,
-            other => Box::new(other),
-        }
-    }
-}
-
 impl DynamicPredictor for AnyPredictor {
     fn name(&self) -> &'static str {
         dispatch!(self, p => p.name())
@@ -196,7 +185,7 @@ mod tests {
     fn enum_dispatch_matches_direct_calls() {
         for kind in PredictorKind::ALL {
             let config = PredictorConfig::new(kind, 2048).unwrap();
-            let mut direct = config.build();
+            let mut direct: Box<dyn DynamicPredictor> = Box::new(config.build_any());
             let mut via_enum = config.build_any();
             assert_eq!(via_enum.name(), direct.name());
             assert_eq!(via_enum.size_bytes(), direct.size_bytes());
@@ -286,14 +275,5 @@ mod tests {
         assert!(matches!(p, AnyPredictor::Custom(_)));
         assert_eq!(p.name(), "gshare");
         assert_eq!(p.size_bytes(), 1024);
-    }
-
-    #[test]
-    fn into_boxed_does_not_double_box_custom() {
-        let boxed: Box<dyn DynamicPredictor> = Box::new(Bimodal::new(256));
-        let p = AnyPredictor::from(boxed).into_boxed();
-        assert_eq!(p.name(), "bimodal");
-        let q = AnyPredictor::from(Bimodal::new(256)).into_boxed();
-        assert_eq!(q.size_bytes(), 256);
     }
 }

@@ -11,7 +11,7 @@ use crate::counter::SaturatingCounter;
 use crate::history::HistoryRegister;
 use crate::skew::{h, h_inv, h_inv_pow, h_pow, skew};
 use crate::table::{PredictionTable, ReferenceTable};
-use crate::{PredictorConfig, PredictorKind};
+use crate::{DynamicPredictor, PredictorConfig, PredictorKind};
 use proptest::prelude::*;
 use sdbp_trace::BranchAddr;
 
@@ -32,7 +32,7 @@ proptest! {
         let kind = PredictorKind::ALL[kind_idx];
         let size = 1usize << size_shift.max(5); // >= 32 bytes, covers hybrids
         let run = || {
-            let mut p = PredictorConfig::new(kind, size).expect("valid").build();
+            let mut p = PredictorConfig::new(kind, size).expect("valid").build_any();
             let mut outcomes = Vec::new();
             for &(pc, taken) in &stream {
                 let pred = p.predict_update(BranchAddr(pc), taken);
@@ -51,7 +51,7 @@ proptest! {
     fn collisions_bounded_by_lookups(stream in arb_stream()) {
         let mut p = PredictorConfig::new(PredictorKind::Gshare, 64)
             .expect("valid")
-            .build();
+            .build_any();
         let mut last = 0;
         for (i, &(pc, taken)) in stream.iter().enumerate() {
             p.predict_update(BranchAddr(pc), taken);
@@ -226,7 +226,7 @@ proptest! {
     ) {
         let kind = PredictorKind::ALL[kind_idx];
         let config = PredictorConfig::new(kind, 1usize << size_shift).expect("valid");
-        let p = config.build();
+        let p = config.build_any();
         match p.index_spec() {
             None => prop_assert!(!config.index_capability().is_linear(), "{}", kind),
             Some(spec) => {
@@ -259,8 +259,8 @@ proptest! {
         let kind = PredictorKind::ALL[kind_idx];
         let size = 1usize << size_shift;
         let config = PredictorConfig::new(kind, size).expect("valid");
-        let mut batched = config.build();
-        let mut scalar = config.build();
+        let mut batched = config.build_any();
+        let mut scalar = config.build_any();
         let events: Vec<sdbp_trace::BranchEvent> = stream
             .iter()
             .map(|&(pc, taken)| sdbp_trace::BranchEvent::new(BranchAddr(pc), taken, 0))
@@ -286,7 +286,7 @@ proptest! {
         kind_idx in 0usize..PredictorKind::ALL.len(),
     ) {
         let kind = PredictorKind::ALL[kind_idx];
-        let mut p = PredictorConfig::new(kind, 256).expect("valid").build();
+        let mut p = PredictorConfig::new(kind, 256).expect("valid").build_any();
         for (i, &(pc, taken)) in stream.iter().enumerate() {
             if i % 3 == 0 {
                 // A "statically predicted" branch: history only.

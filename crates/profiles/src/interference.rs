@@ -145,7 +145,7 @@ pub fn rank_interference(
     config: PredictorConfig,
     options: &InterferenceOptions,
 ) -> Option<InterferenceRanking> {
-    let predictor = config.build();
+    let predictor = config.build_any();
     // Deterministic order: HashMap iteration must not leak into float sums.
     let mut branches: Vec<(BranchAddr, u64, u64)> = profile
         .iter()
@@ -185,7 +185,7 @@ pub fn rank_interference(
         });
     }
 
-    rank_sampled(&*predictor, &branches, options)
+    rank_sampled(&predictor, &branches, options)
 }
 
 /// The sampling fallback for non-linear (but probeable) predictors:
@@ -366,9 +366,9 @@ mod tests {
             (PredictorKind::BiMode, 256),
         ] {
             let cfg = config(kind, size);
-            let predictor = cfg.build();
+            let predictor = cfg.build_any();
             assert!(
-                DynamicPredictor::history_bits(&*predictor) <= options.exhaustive_bits,
+                predictor.history_bits() <= options.exhaustive_bits,
                 "{kind}: test requires exhaustive enumeration"
             );
             let mut branches: Vec<(BranchAddr, u64, u64)> = profile
@@ -377,7 +377,7 @@ mod tests {
                 .collect();
             branches.sort_unstable_by_key(|(pc, _, _)| *pc);
             let exact = rank_interference(&profile, cfg, &options).unwrap();
-            let sampled = rank_sampled(&*predictor, &branches, &options).unwrap();
+            let sampled = rank_sampled(&predictor, &branches, &options).unwrap();
             assert!(!exact.hotspots.is_empty(), "{kind}: profile must interfere");
             assert_eq!(exact.hotspots, sampled.hotspots, "{kind}");
             assert_eq!(

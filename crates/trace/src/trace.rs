@@ -86,23 +86,6 @@ impl Trace {
         self.events.iter()
     }
 
-    /// A deterministic content digest over the metadata and every event —
-    /// the identity a durable artifact store files this trace (and things
-    /// derived from it) under. Two traces digest equal iff they would
-    /// replay identically.
-    pub fn digest(&self) -> sdbp_artifacts::Digest {
-        let mut h = sdbp_artifacts::Hasher::new();
-        h.write_str("sdbp-trace");
-        h.write_str(&self.meta.name);
-        h.write_u64(self.meta.total_instructions);
-        h.write_u64(self.events.len() as u64);
-        for e in &self.events {
-            h.write_u64(e.pc.0);
-            h.write_u64(((e.gap as u64) << 1) | e.taken as u64);
-        }
-        h.finish()
-    }
-
     /// Dynamic conditional branches per thousand instructions (the paper's
     /// CBRs/KI characterization metric). Returns `0.0` for an empty trace.
     pub fn cbrs_per_ki(&self) -> f64 {
@@ -249,17 +232,6 @@ mod tests {
         assert_eq!(back, events);
         let refs: Vec<&BranchEvent> = (&t).into_iter().collect();
         assert_eq!(refs.len(), 3);
-    }
-
-    #[test]
-    fn digest_separates_traces_and_is_stable() {
-        let a: Trace = vec![ev(0, true, 1), ev(4, false, 2)].into_iter().collect();
-        assert_eq!(a.digest(), a.clone().digest());
-        // Any change — direction, gap, pc, or name — moves the digest.
-        let flipped: Trace = vec![ev(0, false, 1), ev(4, false, 2)].into_iter().collect();
-        assert_ne!(a.digest(), flipped.digest());
-        let renamed = Trace::from_parts(TraceMeta::named("other"), a.events().to_vec());
-        assert_ne!(a.digest(), renamed.digest());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper evaluates six SPECINT95 programs; ROADMAP item 2 asks where
 //! static hints help on workloads the paper never saw. Families group
 //! benchmarks whose branch streams are *comparable* — aggregating Mbr/s or
-//! MISPs/KI across families would average incommensurable streams, so sweep
-//! summaries and `BENCH_families.json` report per family.
+//! MISPs/KI across families would average incommensurable streams, so
+//! `BENCH_families.json` reports per family.
 //!
 //! * [`WorkloadFamily::Spec95`] — the paper's six calibrated models.
 //! * [`WorkloadFamily::Server`] — high CBR/KI, flat biases, and

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut results = Vec::new();
     {
         let mut predictor = CombinedPredictor::pure_dynamic(
-            PredictorConfig::new(PredictorKind::Bimodal, 8 * 1024)?.build(),
+            PredictorConfig::new(PredictorKind::Bimodal, 8 * 1024)?.build_any(),
         );
         let sim = Simulator::new().run(
             workload
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for kind in [PredictorKind::Gshare, PredictorKind::TwoBcGskew] {
         let mut predictor =
-            CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 8 * 1024)?.build());
+            CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 8 * 1024)?.build_any());
         let sim = Simulator::new().run(
             workload
                 .generator(InputSet::Ref, 7)
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for kind in [PredictorKind::Bimodal, PredictorKind::Ghist] {
         let mut predictor =
-            CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 1024)?.build());
+            CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 1024)?.build_any());
         let stats = Simulator::new().run(SliceSource::from_trace(&trace), &mut predictor);
         println!(
             "  {:<9} accuracy {:.1}% on the alternating branch",

@@ -77,13 +77,13 @@ fn file_roundtrip_and_simulation_equivalence() {
     let mut live = CombinedPredictor::pure_dynamic(
         PredictorConfig::new(PredictorKind::Gshare, 2048)
             .expect("valid")
-            .build(),
+            .build_any(),
     );
     let live_stats = Simulator::new().run(SliceSource::from_trace(&trace), &mut live);
     let mut from_file = CombinedPredictor::pure_dynamic(
         PredictorConfig::new(PredictorKind::Gshare, 2048)
             .expect("valid")
-            .build(),
+            .build_any(),
     );
     let file_stats = Simulator::new().run(SliceSource::from_trace(&loaded), &mut from_file);
     assert_eq!(live_stats, file_stats);

@@ -75,7 +75,7 @@ fn static_branches_never_touch_dynamic_tables() {
     let mut combined = CombinedPredictor::new(
         PredictorConfig::new(PredictorKind::Gshare, 1024)
             .expect("valid size")
-            .build(),
+            .build_any(),
         hints,
         ShiftPolicy::NoShift,
     );

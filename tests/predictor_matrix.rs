@@ -20,7 +20,7 @@ fn run(
     let mut predictor = CombinedPredictor::new(
         PredictorConfig::new(kind, size)
             .expect("valid size")
-            .build(),
+            .build_any(),
         hints,
         policy,
     );
@@ -119,7 +119,7 @@ fn declared_sizes_are_honored() {
     for kind in PredictorKind::ALL {
         let p = PredictorConfig::new(kind, 16 * 1024)
             .expect("valid")
-            .build();
+            .build_any();
         let size = p.size_bytes();
         // agree carries a 1-bit bias table on top of its counters (1.5x);
         // the frontier designs round their tables down; everything else

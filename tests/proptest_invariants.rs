@@ -34,7 +34,7 @@ proptest! {
             .collect();
         let policy = if shift { ShiftPolicy::Shift } else { ShiftPolicy::NoShift };
         let mut combined = CombinedPredictor::new(
-            PredictorConfig::new(kind, 1024).expect("valid").build(),
+            PredictorConfig::new(kind, 1024).expect("valid").build_any(),
             db.clone(),
             policy,
         );
@@ -68,7 +68,7 @@ proptest! {
             let mut combined = CombinedPredictor::new(
                 PredictorConfig::new(PredictorKind::TwoBcGskew, 1024)
                     .expect("valid")
-                    .build(),
+                    .build_any(),
                 db.clone(),
                 ShiftPolicy::Shift,
             );
