@@ -7,9 +7,10 @@
 //! `SDBP_SCALE`.
 
 use crate::SEED;
-use sdbp_core::{CombinedPredictor, Simulator};
+use sdbp_core::{CombinedPredictor, MeasurePass, SimStats};
+use sdbp_passes::{FnPass, PassRunner};
 use sdbp_predictors::{Gshare, PredictorConfig};
-use sdbp_trace::BranchSource;
+use sdbp_trace::{BranchEvent, BranchSource};
 use sdbp_workloads::{Benchmark, BranchBehavior, InputSet, Workload};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -58,13 +59,21 @@ pub fn diag_classes(benchmark: Benchmark, predictor: PredictorConfig) -> String 
         .generator(InputSet::Ref, SEED)
         .take_instructions(INSTRUCTIONS);
     let mut combined = CombinedPredictor::pure_dynamic(predictor.build_any());
+    let mut stats = SimStats::default();
     let mut per_class: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    let stats = Simulator::new().run_with_observer(source, &mut combined, |event, res| {
-        let class = class_by_pc.get(&event.pc.0).copied().unwrap_or("?");
-        let entry = per_class.entry(class).or_default();
-        entry.0 += 1;
-        entry.1 += u64::from(res.predicted_taken == event.taken);
+    let mut resolutions = Vec::new();
+    let mut pass = FnPass::new("diag-classes", |chunk: &[BranchEvent]| {
+        resolutions.clear();
+        combined.resolve_batch(chunk, &mut resolutions);
+        for (event, res) in chunk.iter().zip(&resolutions) {
+            stats.record(event, res);
+            let class = class_by_pc.get(&event.pc.0).copied().unwrap_or("?");
+            let entry = per_class.entry(class).or_default();
+            entry.0 += 1;
+            entry.1 += u64::from(res.predicted_taken == event.taken);
+        }
     });
+    PassRunner::new().run(source, &mut [&mut pass]);
 
     let mut text = format!(
         "{benchmark} / {} {}B: overall acc {:.2}%  misp/KI {:.2}  collisions {}\n",
@@ -109,7 +118,7 @@ pub fn diag_hist(benchmark: Benchmark, size_bytes: usize) -> String {
             .take_instructions(INSTRUCTIONS);
         let gshare = Gshare::with_history_len(size_bytes, hist);
         let mut combined = CombinedPredictor::pure_dynamic(Box::new(gshare));
-        let stats = Simulator::new().run(source, &mut combined);
+        let stats = MeasurePass::new(&mut combined).run(source);
         writeln!(
             text,
             "{benchmark} gshare {size_bytes}B hist={hist:>2}: acc {:.2}%  misp/KI {:.2}  collisions {}",

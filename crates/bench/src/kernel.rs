@@ -1,7 +1,7 @@
 //! The hot-path simulation-kernel micro-benchmark.
 //!
 //! Measures raw kernel throughput — resolved branches per second through
-//! [`CombinedPredictor`] + [`Simulator`] — for every built-in predictor and
+//! [`CombinedPredictor`] + [`MeasurePass`] — for every built-in predictor and
 //! a gshare size sweep, against a faithful replica of the pre-optimization
 //! kernel: a gshare built on the naive [`ReferenceTable`], virtually
 //! dispatched through a boxed trait object with separate `predict` and
@@ -15,7 +15,7 @@
 
 use crate::{timed, Timing};
 use sdbp_core::{
-    ArtifactCache, BranchResolution, CombinedPredictor, ShiftPolicy, SimStats, Simulator,
+    ArtifactCache, BranchResolution, CombinedPredictor, MeasurePass, ShiftPolicy, SimStats,
 };
 use sdbp_predictors::{
     HistoryRegister, Prediction, PredictorConfig, PredictorKind, ReferenceTable,
@@ -33,8 +33,9 @@ pub const FULL_INSTRUCTIONS: u64 = 4_000_000;
 /// Per-benchmark instruction budget under `--quick` (CI smoke mode).
 pub const QUICK_INSTRUCTIONS: u64 = 200_000;
 
-/// The size at which the baseline comparison runs (the acceptance point:
-/// current gshare at this size must beat the reference kernel by >= 2x).
+/// The size at which the baseline comparison runs: the record's
+/// `gshare_speedup_over_baseline` is current gshare at this size against
+/// the reference kernel (measured, not asserted).
 pub const BASELINE_SIZE: usize = 4 * 1024;
 
 /// The gshare sizes swept in addition to the all-predictor comparison.
@@ -243,7 +244,8 @@ pub fn workload_suite(cache: &ArtifactCache, instructions: u64) -> Vec<Arc<Vec<B
 }
 
 /// One suite pass through the **current** kernel: enum-dispatched predictor,
-/// chunked [`Simulator`] loop, packed tables. Returns (branches, collisions).
+/// chunked [`MeasurePass`] loop driven as a `&mut dyn Pass` (the shape every
+/// sweep cell takes), packed tables. Returns (branches, collisions).
 pub fn current_kernel_pass(
     config: &PredictorConfig,
     suite: &[Arc<Vec<BranchEvent>>],
@@ -252,7 +254,7 @@ pub fn current_kernel_pass(
     let mut collisions = 0u64;
     for events in suite {
         let mut predictor = CombinedPredictor::pure_dynamic(config.build_any());
-        let stats = Simulator::new().run(SliceSource::new(events), &mut predictor);
+        let stats = MeasurePass::new(&mut predictor).run(SliceSource::new(events));
         branches += stats.branches;
         collisions += predictor.total_collisions();
     }
@@ -316,7 +318,7 @@ pub fn baseline_kernel_pass(size_bytes: usize, suite: &[Arc<Vec<BranchEvent>>]) 
             shift_policy: ShiftPolicy::NoShift,
         };
         let mut source = SliceSource::new(events);
-        // The original `run_with_observer` body (warm-up budget 0).
+        // The original single-event accounting loop (warm-up budget 0).
         let mut stats = SimStats::default();
         while let Some(event) = source.next_event() {
             let resolution = predictor.resolve(&event);
@@ -329,7 +331,12 @@ pub fn baseline_kernel_pass(size_bytes: usize, suite: &[Arc<Vec<BranchEvent>>]) 
                 stats.static_mispredictions += u64::from(!correct);
             }
             if resolution.collision {
-                stats.collisions.record(correct);
+                stats.collisions.total += 1;
+                if correct {
+                    stats.collisions.constructive += 1;
+                } else {
+                    stats.collisions.destructive += 1;
+                }
             }
         }
         black_box(&stats);

@@ -14,10 +14,6 @@ pub const SIZE_NOT_POWER_OF_TWO: Code = Code(2);
 pub const SIZE_BELOW_MINIMUM: Code = Code(3);
 /// SDBP004: the configured byte budget is not exactly realizable.
 pub const BUDGET_NOT_REALIZABLE: Code = Code(4);
-/// SDBP005: the history length is outside `1..=index_bits`.
-pub const HISTORY_LENGTH_INVALID: Code = Code(5);
-/// SDBP006: a history length was given for a history-free scheme.
-pub const HISTORY_ON_HISTORY_FREE: Code = Code(6);
 /// SDBP007: a selection-scheme parameter is out of range.
 pub const SCHEME_PARAMETER_OUT_OF_RANGE: Code = Code(7);
 /// SDBP008: an instruction budget is zero.
@@ -58,8 +54,6 @@ pub const PROFILE_SEED_MISMATCH: Code = Code(31);
 pub const PROFILE_BUDGET_MISMATCH: Code = Code(32);
 /// SDBP033: the profile contains no branches.
 pub const EMPTY_PROFILE: Code = Code(33);
-/// SDBP034: branches moved bias between the database's runs.
-pub const UNSTABLE_PROFILE_SITES: Code = Code(34);
 /// SDBP035: a profile line failed to parse.
 pub const PROFILE_PARSE_ERROR: Code = Code(35);
 
@@ -143,18 +137,6 @@ pub const REGISTRY: &[CodeInfo] = &[
         name: "budget-not-realizable",
         severity: Severity::Note,
         summary: "the built predictor's size differs from the byte budget",
-    },
-    CodeInfo {
-        code: HISTORY_LENGTH_INVALID,
-        name: "history-length-invalid",
-        severity: Severity::Error,
-        summary: "the history length is outside 1..=index_bits of the table",
-    },
-    CodeInfo {
-        code: HISTORY_ON_HISTORY_FREE,
-        name: "history-on-history-free",
-        severity: Severity::Warning,
-        summary: "a history length was configured for a scheme that keeps no usable global history",
     },
     CodeInfo {
         code: SCHEME_PARAMETER_OUT_OF_RANGE,
@@ -269,12 +251,6 @@ pub const REGISTRY: &[CodeInfo] = &[
         name: "empty-profile",
         severity: Severity::Warning,
         summary: "the profile contains no branches",
-    },
-    CodeInfo {
-        code: UNSTABLE_PROFILE_SITES,
-        name: "unstable-profile-sites",
-        severity: Severity::Warning,
-        summary: "branches changed bias between the database's runs",
     },
     CodeInfo {
         code: PROFILE_PARSE_ERROR,

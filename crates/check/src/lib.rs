@@ -50,10 +50,8 @@ pub use diag::{Code, Diagnostic, Diagnostics, Severity, Span};
 pub use hints::{lint_hints_against_profile, parse_hints_text};
 pub use index_analysis::{lint_facts, lint_index_analysis};
 pub use manifest::lint_manifest_text;
-pub use profile::{
-    lint_profile_against_spec, lint_profile_database, parse_profile_text, ProfileMetadata,
-};
-pub use spec::{lint_spec, lint_spec_with_history, parse_spec_text, ParsedSpec, SPEC_KEYS};
+pub use profile::{lint_profile_against_spec, parse_profile_text, ProfileMetadata};
+pub use spec::{lint_spec, parse_spec_text, SPEC_KEYS};
 pub use trace::{lint_trace_path, lint_trace_scan};
 
 use sdbp_core::ExperimentSpec;

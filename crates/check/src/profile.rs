@@ -1,19 +1,16 @@
-//! Profile lints: metadata cross-checks and database stability.
+//! Profile lints: metadata cross-checks.
 //!
 //! Profiles written by `sdbp profile` carry their provenance as `# key
 //! value` header comments ([`BiasProfile::from_text`] skips comments, so
 //! the header costs nothing downstream). [`parse_profile_text`] recovers
 //! that metadata and re-parses the data lines with per-line diagnostics;
 //! [`lint_profile_against_spec`] compares the metadata with the spec that
-//! wants to consume the profile; [`lint_profile_database`] checks a
-//! multi-run database for sites that moved bias between runs — the
-//! cross-training hazard of the paper's §5.1.
+//! wants to consume the profile.
 
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use sdbp_core::ExperimentSpec;
-use sdbp_profiles::{BiasProfile, ProfileDatabase};
-use sdbp_trace::BranchAddr;
+use sdbp_profiles::BiasProfile;
 
 /// Provenance metadata recovered from a profile's header comments.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -158,50 +155,11 @@ pub fn lint_profile_against_spec(
     diags
 }
 
-/// Checks a multi-run [`ProfileDatabase`] for branches whose taken-rate
-/// moved by more than `max_bias_change` between runs (SDBP034) — the
-/// branches the paper's merged/filtered Spike database drops before
-/// cross-trained hint selection.
-pub fn lint_profile_database(
-    db: &ProfileDatabase,
-    max_bias_change: f64,
-    origin: &str,
-) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-    if db.num_runs() < 2 {
-        return diags;
-    }
-    let unstable = db.unstable_sites(max_bias_change);
-    if unstable.is_empty() {
-        return diags;
-    }
-    let mut sample: Vec<BranchAddr> = unstable.iter().copied().collect();
-    sample.sort_unstable();
-    let shown: Vec<String> = sample.iter().take(5).map(|pc| pc.to_string()).collect();
-    diags.push(
-        Diagnostic::warning(
-            codes::UNSTABLE_PROFILE_SITES,
-            format!(
-                "{} branches moved taken-rate by more than {:.0}% between the \
-                 database's {} runs (e.g. {})",
-                unstable.len(),
-                100.0 * max_bias_change,
-                db.num_runs(),
-                shown.join(", ")
-            ),
-        )
-        .with_span(Span::field(origin, "runs"))
-        .with_suggestion("select hints from merged_stable() to drop the movers"),
-    );
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdbp_predictors::{PredictorConfig, PredictorKind};
     use sdbp_profiles::SelectionScheme;
-    use sdbp_trace::SiteStats;
     use sdbp_workloads::Benchmark;
 
     fn codes_of(diags: &Diagnostics) -> Vec<u16> {
@@ -290,43 +248,5 @@ mod tests {
         };
         assert!(lint_profile_against_spec(&matching, &spec(), "<t>").is_empty());
         assert!(lint_profile_against_spec(&ProfileMetadata::default(), &spec(), "<t>").is_empty());
-    }
-
-    #[test]
-    fn unstable_database_sites_are_sdbp034() {
-        let mut stable = BiasProfile::new();
-        stable.insert(
-            BranchAddr(0x100),
-            SiteStats {
-                executed: 1000,
-                taken: 990,
-            },
-        );
-        let mut moved = BiasProfile::new();
-        moved.insert(
-            BranchAddr(0x100),
-            SiteStats {
-                executed: 1000,
-                taken: 100,
-            },
-        );
-        let mut db = ProfileDatabase::new("compress");
-        db.add_run("train", stable.clone());
-        db.add_run("ref", moved);
-        let diags = lint_profile_database(&db, 0.05, "<t>");
-        assert_eq!(codes_of(&diags), [34]);
-        assert!(diags.iter().next().unwrap().message.contains("1 branches"));
-
-        let mut consistent = ProfileDatabase::new("compress");
-        consistent.add_run("train", stable.clone());
-        consistent.add_run("ref", stable);
-        assert!(lint_profile_database(&consistent, 0.05, "<t>").is_empty());
-    }
-
-    #[test]
-    fn single_run_databases_cannot_be_unstable() {
-        let mut db = ProfileDatabase::new("compress");
-        db.add_run("train", BiasProfile::new());
-        assert!(lint_profile_database(&db, 0.05, "<t>").is_empty());
     }
 }

@@ -12,8 +12,7 @@
 //!   scheme parameters, zero budgets, warm-up swallowing the run — the rules
 //!   every runner enforces. Its warnings and notes are its own: profiling
 //!   starvation, `static_collide` on an opaque predictor, ineffective shift
-//!   policies, byte budgets the scheme cannot realize exactly, and history
-//!   declarations.
+//!   policies, and byte budgets the scheme cannot realize exactly.
 
 use crate::codes;
 use crate::diag::{Diagnostic, Diagnostics, Span};
@@ -21,17 +20,6 @@ use sdbp_core::{ExperimentSpec, ProfileSource, ShiftPolicy, SpecProblem};
 use sdbp_predictors::{DynamicPredictor, PredictorConfig, PredictorKind};
 use sdbp_profiles::{SelectionScheme, SCHEME_NAMES};
 use sdbp_workloads::{Benchmark, InputSet};
-
-/// A spec parsed from text, plus any side declarations that do not live on
-/// [`ExperimentSpec`] itself.
-#[derive(Debug, Clone, Default)]
-pub struct ParsedSpec {
-    /// The constructed spec; `None` when errors prevented construction.
-    pub spec: Option<ExperimentSpec>,
-    /// An explicit `history <bits>` declaration, checked against the
-    /// predictor's derived history length by [`lint_spec_with_history`].
-    pub declared_history: Option<u32>,
-}
 
 /// The keys [`parse_spec_fields`] understands.
 pub const SPEC_KEYS: &[&str] = &[
@@ -47,7 +35,6 @@ pub const SPEC_KEYS: &[&str] = &[
     "profile_instructions",
     "measure_instructions",
     "warmup",
-    "history",
 ];
 
 /// Edit distance between two ASCII strings (classic two-row Levenshtein).
@@ -94,7 +81,7 @@ const INPUT_NAMES: &[&str] = &["train", "ref"];
 ///
 /// Lines are `key value` pairs; blank lines and `#` comments are skipped.
 /// Diagnostics name the line a field came from.
-pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
+pub fn parse_spec_text(text: &str, origin: &str) -> (Option<ExperimentSpec>, Diagnostics) {
     let lines = text.lines().map(str::trim).zip(1..);
     let fields = lines.filter(|(line, _)| !line.is_empty() && !line.starts_with('#'));
     let fields = fields.map(|(line, n)| {
@@ -111,11 +98,11 @@ pub fn parse_spec_text(text: &str, origin: &str) -> (ParsedSpec, Diagnostics) {
 /// (gcc, ref, seed 2000, gshare, 8192 bytes, scheme none, self-training, no
 /// shift, no warm-up, workload-default budgets). `origin` names the source
 /// in diagnostic spans. A spec is still constructed from whatever parsed
-/// unless the predictor configuration itself is unusable.
+/// unless the predictor configuration itself is unusable (`None` then).
 pub fn parse_spec_fields<'a>(
     fields: impl IntoIterator<Item = (&'a str, &'a str, Option<usize>)>,
     origin: &str,
-) -> (ParsedSpec, Diagnostics) {
+) -> (Option<ExperimentSpec>, Diagnostics) {
     let mut diags = Diagnostics::new();
     let mut benchmark = Benchmark::Gcc;
     let mut kind = PredictorKind::Gshare;
@@ -130,7 +117,6 @@ pub fn parse_spec_fields<'a>(
     let mut profile_instructions: Option<u64> = None;
     let mut measure_instructions: Option<u64> = None;
     let mut warmup: u64 = 0;
-    let mut declared_history: Option<u32> = None;
     let mut config_unusable = false;
 
     for (key, value, line) in fields {
@@ -258,10 +244,6 @@ pub fn parse_spec_fields<'a>(
                 Ok(n) => warmup = n,
                 Err(_) => diags.push(malformed("warmup", "an unsigned integer")),
             },
-            "history" => match value.parse::<u32>() {
-                Ok(h) => declared_history = Some(h),
-                Err(_) => diags.push(malformed("history", "a bit count")),
-            },
             other => diags.push(suggest(
                 Diagnostic::warning(
                     codes::UNKNOWN_SPEC_FIELD,
@@ -326,13 +308,7 @@ pub fn parse_spec_fields<'a>(
         spec.measure_instructions = measure_instructions;
         spec
     });
-    (
-        ParsedSpec {
-            spec,
-            declared_history,
-        },
-        diags,
-    )
+    (spec, diags)
 }
 
 /// Renders one [`ExperimentSpec::validate`] problem as its coded error:
@@ -362,18 +338,8 @@ fn problem_diagnostic(spec: &ExperimentSpec, problem: &SpecProblem, origin: &str
     }
 }
 
-/// Lints a constructed spec (no `history` declaration).
+/// Lints a constructed spec.
 pub fn lint_spec(spec: &ExperimentSpec, origin: &str) -> Diagnostics {
-    lint_spec_with_history(spec, None, origin)
-}
-
-/// Lints a constructed spec, cross-checking an explicit `history <bits>`
-/// declaration against the predictor the spec would actually build.
-pub fn lint_spec_with_history(
-    spec: &ExperimentSpec,
-    declared_history: Option<u32>,
-    origin: &str,
-) -> Diagnostics {
     let mut diags = Diagnostics::new();
     let span = |field: &'static str| Span::field(origin, field);
 
@@ -458,8 +424,8 @@ pub fn lint_spec_with_history(
         );
     }
 
-    // SDBP004 + SDBP005/006 need the built predictor. Only agree comes out
-    // larger than its budget: its bias bits sit on top of the counters.
+    // SDBP004 needs the built predictor. Only agree comes out larger than
+    // its budget: its bias bits sit on top of the counters.
     let built = spec.predictor.build_any();
     let (realized, configured) = (built.size_bytes(), spec.predictor.size_bytes());
     if realized != configured {
@@ -478,48 +444,6 @@ pub fn lint_spec_with_history(
             )
             .with_span(span("size")),
         );
-    }
-    if let Some(history) = declared_history {
-        if !spec.predictor.kind().uses_global_history() {
-            diags.push(
-                Diagnostic::warning(
-                    codes::HISTORY_ON_HISTORY_FREE,
-                    format!(
-                        "history length declared for {}, which keeps no global \
-                         history register",
-                        spec.predictor.kind()
-                    ),
-                )
-                .with_span(span("history")),
-            );
-        } else {
-            let derived = built.history_bits();
-            if history == 0 || history > 64 {
-                diags.push(
-                    Diagnostic::error(
-                        codes::HISTORY_LENGTH_INVALID,
-                        format!("history length {history} outside 1..=64"),
-                    )
-                    .with_span(span("history")),
-                );
-            } else if derived != 0 && history != derived {
-                diags.push(
-                    Diagnostic::error(
-                        codes::HISTORY_LENGTH_INVALID,
-                        format!(
-                            "declared history length {history} does not match the \
-                             {derived} bits {} derives from its {} byte budget",
-                            spec.predictor.kind(),
-                            spec.predictor.size_bytes()
-                        ),
-                    )
-                    .with_span(span("history"))
-                    .with_suggestion(format!(
-                        "declare history {derived}, or drop the declaration"
-                    )),
-                );
-            }
-        }
     }
     diags
 }
@@ -577,9 +501,9 @@ seed 7
 instructions 300000
 warmup 1000
 ";
-        let (parsed, diags) = parse_spec_text(text, "<test>");
+        let (spec, diags) = parse_spec_text(text, "<test>");
         assert!(diags.is_empty(), "{}", diags.render_text());
-        let spec = parsed.spec.unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.benchmark, Benchmark::Compress);
         assert_eq!(spec.predictor.kind(), PredictorKind::Gshare);
         assert_eq!(spec.predictor.size_bytes(), 1024);
@@ -595,9 +519,9 @@ warmup 1000
     fn defaults_mirror_the_cli() {
         // `sdbp` commands parse their options here too, so these are the
         // CLI's defaults as well.
-        let (parsed, diags) = parse_spec_text("", "<args>");
+        let (spec, diags) = parse_spec_text("", "<args>");
         assert!(diags.is_empty());
-        let spec = parsed.spec.unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.benchmark, Benchmark::Gcc);
         assert_eq!(spec.predictor.kind(), PredictorKind::Gshare);
         assert_eq!(spec.predictor.size_bytes(), 8192);
@@ -609,8 +533,8 @@ warmup 1000
     #[test]
     fn option_fields_span_their_key_without_a_line() {
         let fields = [("benchmark", "compres", None), ("size", "3000", None)];
-        let (parsed, diags) = parse_spec_fields(fields, "<args>");
-        assert!(parsed.spec.is_none());
+        let (spec, diags) = parse_spec_fields(fields, "<args>");
+        assert!(spec.is_none());
         assert_eq!(codes_of(&diags), [13, 2]);
         let spans: Vec<String> = diags
             .iter()
@@ -631,7 +555,7 @@ warmup 1000
             ("seed", "1", None),
             ("seed", "7", None),
         ];
-        let spec = parse_spec_fields(fields, "<args>").0.spec.unwrap();
+        let spec = parse_spec_fields(fields, "<args>").0.unwrap();
         assert_eq!(spec.profile_instructions, Some(500));
         assert_eq!(spec.measure_instructions, Some(1000));
         assert_eq!(spec.seed, 7);
@@ -639,8 +563,8 @@ warmup 1000
 
     #[test]
     fn non_power_of_two_size_is_sdbp002_with_fix() {
-        let (parsed, diags) = parse_spec_text("size 3000\n", "<test>");
-        assert!(parsed.spec.is_none());
+        let (spec, diags) = parse_spec_text("size 3000\n", "<test>");
+        assert!(spec.is_none());
         assert_eq!(codes_of(&diags), [2]);
         let d = diags.iter().next().unwrap();
         assert_eq!(d.severity, Severity::Error);
@@ -650,8 +574,8 @@ warmup 1000
 
     #[test]
     fn undersized_hybrid_is_sdbp003() {
-        let (parsed, diags) = parse_spec_text("predictor tournament\nsize 8\n", "<test>");
-        assert!(parsed.spec.is_none());
+        let (spec, diags) = parse_spec_text("predictor tournament\nsize 8\n", "<test>");
+        assert!(spec.is_none());
         assert_eq!(codes_of(&diags), [3]);
         assert!(
             diags
@@ -668,10 +592,10 @@ warmup 1000
     #[test]
     fn both_spellings_of_merged_training_parse_cleanly() {
         for spelling in ["merged", "cross-merged"] {
-            let (parsed, diags) = parse_spec_text(&format!("training {spelling}\n"), "<test>");
+            let (spec, diags) = parse_spec_text(&format!("training {spelling}\n"), "<test>");
             assert!(diags.is_empty(), "{spelling}: {}", diags.render_text());
             assert_eq!(
-                parsed.spec.unwrap().profile,
+                spec.unwrap().profile,
                 ProfileSource::MergedCrossTrained {
                     max_bias_change: 0.05
                 },
@@ -716,8 +640,8 @@ warmup 1000
 
     #[test]
     fn unknown_key_is_a_warning_not_an_error() {
-        let (parsed, diags) = parse_spec_text("benchmork gcc\n", "<test>");
-        assert!(parsed.spec.is_some(), "spec still constructed");
+        let (spec, diags) = parse_spec_text("benchmork gcc\n", "<test>");
+        assert!(spec.is_some(), "spec still constructed");
         assert_eq!(codes_of(&diags), [15]);
         assert!(!diags.has_errors());
         assert_eq!(
@@ -907,20 +831,17 @@ warmup 1000
 
     #[test]
     fn frontier_names_parse_in_spec_files() {
-        let (parsed, diags) = parse_spec_text(
+        let (spec, diags) = parse_spec_text(
             "predictor tage-lite\nsize 4096\nscheme static_collide\n",
             "<t>",
         );
         assert!(diags.is_empty(), "{}", diags.render_text());
-        let spec = parsed.spec.unwrap();
+        let spec = spec.unwrap();
         assert_eq!(spec.predictor.kind(), PredictorKind::TageLite);
         assert_eq!(spec.scheme, SelectionScheme::static_collide());
-        let (parsed, diags) = parse_spec_text("predictor perceptron\nsize 2048\n", "<t>");
+        let (spec, diags) = parse_spec_text("predictor perceptron\nsize 2048\n", "<t>");
         assert!(diags.is_empty(), "{}", diags.render_text());
-        assert_eq!(
-            parsed.spec.unwrap().predictor.kind(),
-            PredictorKind::Perceptron
-        );
+        assert_eq!(spec.unwrap().predictor.kind(), PredictorKind::Perceptron);
     }
 
     #[test]
@@ -986,43 +907,13 @@ warmup 1000
     }
 
     #[test]
-    fn history_declaration_checks_against_the_derived_length() {
-        let spec = paper_spec().with_scheme(SelectionScheme::None);
-        // gshare 1024 B = 4096 entries = 12 index bits of history.
-        assert!(lint_spec_with_history(&spec, Some(12), "<t>").is_empty());
-        let diags = lint_spec_with_history(&spec, Some(5), "<t>");
-        assert_eq!(codes_of(&diags), [5]);
-        assert!(diags.iter().next().unwrap().message.contains("12 bits"));
-        assert_eq!(
-            codes_of(&lint_spec_with_history(&spec, Some(0), "<t>")),
-            [5]
-        );
-        assert_eq!(
-            codes_of(&lint_spec_with_history(&spec, Some(65), "<t>")),
-            [5]
-        );
-    }
-
-    #[test]
-    fn history_on_bimodal_is_sdbp006() {
-        let spec = ExperimentSpec::self_trained(
-            Benchmark::Gcc,
-            PredictorConfig::new(PredictorKind::Bimodal, 1024).unwrap(),
-            SelectionScheme::None,
-        );
-        let diags = lint_spec_with_history(&spec, Some(8), "<t>");
-        assert_eq!(codes_of(&diags), [6]);
+    fn a_history_line_is_an_unknown_field() {
+        // The history length is derived from the size, so there is no
+        // `history` key to declare it with.
+        let (spec, diags) = parse_spec_text("predictor gshare\nhistory 12\n", "<test>");
+        assert!(spec.is_some());
+        assert_eq!(codes_of(&diags), [15]);
         assert!(!diags.has_errors());
-    }
-
-    #[test]
-    fn history_on_an_opaque_scheme_only_range_checks() {
-        let spec = ExperimentSpec::self_trained(
-            Benchmark::Gcc,
-            PredictorConfig::new(PredictorKind::TwoBcGskew, 4096).unwrap(),
-            SelectionScheme::None,
-        );
-        assert!(lint_spec_with_history(&spec, Some(10), "<t>").is_empty());
     }
 
     #[test]

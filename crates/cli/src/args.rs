@@ -25,7 +25,6 @@ pub const VOCABULARY: &[(&str, &str, &str)] = &[
     ("profile_instructions", "N", "the profiling budget alone"),
     ("measure_instructions", "N", "the measurement budget alone"),
     ("warmup", "N", "measured instructions left out of the counts (default 0)"),
-    ("history", "BITS", "the history length the predictor must derive"),
     ("out", "FILE", "the file to write (bench: instead of the word's own output)"),
     ("text", "", "write sdbp text (also for an --out ending in .txt)"),
     ("trace", "FILE", "a trace: ingest admits it; stats, sim and grid run it, not a workload"),
@@ -414,7 +413,7 @@ mod tests {
         // A spec field's help names the default `sdbp check`'s spec parser
         // gives it, so parsing that value must change nothing.
         let parse = |fields: Vec<(&str, &str, Option<usize>)>| {
-            sdbp_check::spec::parse_spec_fields(fields, "<args>").0.spec
+            sdbp_check::spec::parse_spec_fields(fields, "<args>").0
         };
         let defaults = parse(Vec::new());
         let mut checked = 0;

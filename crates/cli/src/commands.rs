@@ -4,7 +4,7 @@ use crate::args::Args;
 use crate::error::CliError;
 use sdbp_artifacts::{Digest, Store};
 use sdbp_check::Diagnostics;
-use sdbp_core::{BranchAnalysis, CombinedPredictor, ExperimentSpec, Lab, Simulator, Sweep};
+use sdbp_core::{BranchAnalysis, CombinedPredictor, ExperimentSpec, Lab, MeasurePass, Sweep};
 use sdbp_predictors::{PredictorConfig, PredictorKind};
 use sdbp_profiles::{BiasProfile, HintDatabase, SelectionScheme, SCHEME_NAMES};
 use sdbp_trace::{import_trace, write_binary, write_text, BranchSource, Trace};
@@ -19,8 +19,8 @@ type CmdResult = Result<(), CliError>;
 /// `sdbp check`'s spec parser; a bad value is a usage error that carries
 /// its coded diagnostic.
 pub(crate) fn spec_of(args: &Args) -> Result<ExperimentSpec, CliError> {
-    let (parsed, diags) = sdbp_check::spec::parse_spec_fields(spec_fields(args), "<args>");
-    match parsed.spec {
+    let (spec, diags) = sdbp_check::spec::parse_spec_fields(spec_fields(args), "<args>");
+    match spec {
         Some(spec) if !diags.has_errors() => Ok(spec),
         _ => Err(CliError::Usage(format!(
             "invalid options for `sdbp {}`\n{}",
@@ -220,7 +220,7 @@ pub fn sim(args: &Args) -> CmdResult {
         };
         let mut combined = CombinedPredictor::new(spec.predictor.build_any(), hints, spec.shift);
         let stats =
-            Simulator::new().run(sdbp_trace::SliceSource::from_trace(&trace), &mut combined);
+            MeasurePass::new(&mut combined).run(sdbp_trace::SliceSource::from_trace(&trace));
         println!("{} on {path}: {stats}", spec.predictor);
         return Ok(());
     }
@@ -500,7 +500,7 @@ pub fn check(args: &Args) -> CmdResult {
     }
 
     // The spec under scrutiny: a `--spec` file, or the inline options.
-    let (origin, (parsed, parse_diags)) = match args.get("spec") {
+    let (origin, (spec, parse_diags)) = match args.get("spec") {
         Some(path) => (path, sdbp_check::parse_spec_text(&read(path)?, path)),
         None => (
             "<args>",
@@ -508,12 +508,8 @@ pub fn check(args: &Args) -> CmdResult {
         ),
     };
     diags.merge(parse_diags);
-    if let Some(spec) = &parsed.spec {
-        diags.merge(sdbp_check::lint_spec_with_history(
-            spec,
-            parsed.declared_history,
-            origin,
-        ));
+    if let Some(spec) = &spec {
+        diags.merge(sdbp_check::lint_spec(spec, origin));
     }
 
     // --profile: metadata cross-checks, and the data for --aliasing.
@@ -521,7 +517,7 @@ pub fn check(args: &Args) -> CmdResult {
     if let Some(path) = args.get("profile") {
         let (bias, metadata, profile_diags) = sdbp_check::parse_profile_text(&read(path)?, path);
         diags.merge(profile_diags);
-        if let Some(spec) = &parsed.spec {
+        if let Some(spec) = &spec {
             diags.merge(sdbp_check::lint_profile_against_spec(&metadata, spec, path));
         }
         profile = Some(bias);
@@ -547,7 +543,7 @@ pub fn check(args: &Args) -> CmdResult {
     // function's collision structure with exact GF(2) linear algebra
     // (SDBP060–SDBP064), the profile driving the SDBP063 proven-pair search.
     let (aliasing, index_analysis) = (args.given("aliasing"), args.given("index-analysis"));
-    if let (Some(spec), true) = (&parsed.spec, aliasing || index_analysis) {
+    if let (Some(spec), true) = (&spec, aliasing || index_analysis) {
         let bias = analyzed_profile(args, spec, profile)?;
         let top = args.parsed("top")?;
         if aliasing {

@@ -79,7 +79,7 @@ const COMMANDS: &[Command] = &[
         fields without running anything",
         takes: Options("spec suite profile hints manifest aliasing index-analysis top=10 \
             format=text deny-warnings benchmark predictor size scheme shift training input \
-            seed instructions profile_instructions measure_instructions warmup history",
+            seed instructions profile_instructions measure_instructions warmup",
             commands::check) },
     Command { name: "artifact", about: "inspect a durable artifact store: list its entries, \
         show one, or prune corrupt entries and stale temp files",

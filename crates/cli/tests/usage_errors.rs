@@ -58,6 +58,13 @@ fn a_misspelt_option_suggests_the_declared_one() {
 }
 
 #[test]
+fn a_retired_option_is_unknown() {
+    // The history length is derived from the size; there is no option to
+    // declare it.
+    assert_usage_error(&["check", "--history", "12"], &["'--history'"]);
+}
+
+#[test]
 fn a_value_option_needs_its_value() {
     let grid = [
         "grid",

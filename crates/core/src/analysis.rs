@@ -8,8 +8,8 @@
 
 use crate::combined::CombinedPredictor;
 use crate::metrics::SimStats;
-use crate::simulator::Simulator;
-use sdbp_trace::{BranchAddr, BranchSource, PcMap};
+use sdbp_passes::{FnPass, PassRunner};
+use sdbp_trace::{BranchAddr, BranchEvent, BranchSource, PcMap};
 
 /// Per-branch counters from one analyzed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,16 +62,25 @@ pub struct BranchAnalysis {
 
 impl BranchAnalysis {
     /// Simulates `source` through `predictor`, recording per-branch detail.
+    /// The aggregate [`stats`](Self::stats) equal a
+    /// [`MeasurePass`](crate::MeasurePass) run without warm-up.
     pub fn run<S: BranchSource>(source: S, predictor: &mut CombinedPredictor) -> Self {
-        let mut branches: PcMap<BranchRecord> = PcMap::default();
-        let stats = Simulator::new().run_with_observer(source, predictor, |event, res| {
-            let r = branches.entry(event.pc).or_default();
-            r.executed += 1;
-            r.mispredicted += u64::from(res.predicted_taken != event.taken);
-            r.static_predicted += u64::from(res.was_static);
-            r.collisions += u64::from(res.collision);
+        let mut analysis = Self::default();
+        let mut resolutions = Vec::new();
+        let mut pass = FnPass::new("branch-analysis", |chunk: &[BranchEvent]| {
+            resolutions.clear();
+            predictor.resolve_batch(chunk, &mut resolutions);
+            for (event, res) in chunk.iter().zip(&resolutions) {
+                analysis.stats.record(event, res);
+                let r = analysis.branches.entry(event.pc).or_default();
+                r.executed += 1;
+                r.mispredicted += u64::from(res.predicted_taken != event.taken);
+                r.static_predicted += u64::from(res.was_static);
+                r.collisions += u64::from(res.collision);
+            }
         });
-        Self { stats, branches }
+        PassRunner::new().run(source, &mut [&mut pass]);
+        analysis
     }
 
     /// The aggregate run statistics.
@@ -122,8 +131,11 @@ impl BranchAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdbp_predictors::Bimodal;
-    use sdbp_trace::{BranchEvent, SliceSource};
+    use crate::{MeasurePass, ShiftPolicy};
+    use sdbp_predictors::{Bimodal, Gshare};
+    use sdbp_profiles::{BiasProfile, SelectionScheme};
+    use sdbp_trace::SliceSource;
+    use sdbp_workloads::{Benchmark, InputSet, Workload};
 
     fn events() -> Vec<BranchEvent> {
         let mut v = Vec::new();
@@ -187,5 +199,42 @@ mod tests {
         assert!(analysis.is_empty());
         assert_eq!(analysis.misprediction_concentration(10), 0.0);
         assert!(analysis.top_mispredictors(3).is_empty());
+    }
+
+    #[test]
+    fn run_stats_equal_a_measure_pass_on_a_twin_predictor() {
+        let events = Workload::spec95(Benchmark::Compress)
+            .generator(InputSet::Ref, 1)
+            .take_instructions(300_000)
+            .collect_trace();
+        let hints = SelectionScheme::static_95()
+            .select(
+                &BiasProfile::from_source(SliceSource::from_trace(&events)),
+                None,
+            )
+            .expect("Static_95 needs no accuracy profile");
+        assert!(!hints.is_empty());
+        let twins = |hints: &sdbp_profiles::HintDatabase, shift| {
+            (
+                CombinedPredictor::new(Gshare::new(1024), hints.clone(), shift),
+                CombinedPredictor::new(Gshare::new(1024), hints.clone(), shift),
+            )
+        };
+        for (hints, shift) in [
+            (sdbp_profiles::HintDatabase::new(), ShiftPolicy::NoShift),
+            (hints.clone(), ShiftPolicy::NoShift),
+            (hints, ShiftPolicy::Shift),
+        ] {
+            let (mut a, mut b) = twins(&hints, shift);
+            let analysis = BranchAnalysis::run(SliceSource::from_trace(&events), &mut a);
+            let measured = MeasurePass::new(&mut b).run(SliceSource::from_trace(&events));
+            assert_eq!(
+                analysis.stats(),
+                &measured,
+                "{} hints, {shift}",
+                hints.len()
+            );
+            assert!(measured.branches > 10_000);
+        }
     }
 }

@@ -201,7 +201,7 @@ impl CombinedPredictor {
     /// prediction returned is dynamic by construction — the caller may treat
     /// `was_static` as false without inspecting anything). The returned
     /// slice lives in an internal scratch buffer reused across calls.
-    pub fn try_resolve_batch_dynamic(
+    pub(crate) fn try_resolve_batch_dynamic(
         &mut self,
         events: &[sdbp_trace::BranchEvent],
     ) -> Option<&[sdbp_predictors::Prediction]> {

@@ -9,10 +9,12 @@
 //!   entirely (the aliasing-relief mechanism); a [`ShiftPolicy`] decides
 //!   whether their outcomes still shift into the global history register
 //!   (§4 / Table 4 of the paper).
-//! * [`Simulator`] — drives a branch stream through a combined predictor,
-//!   producing [`SimStats`]: MISPs/KI (the paper's headline metric),
-//!   accuracy, and the constructive/destructive collision breakdown of
-//!   Figures 1–6.
+//! * [`MeasurePass`] — the measurement phase, the one path every reported
+//!   number takes: drives a branch stream through a combined predictor, on
+//!   its own or fused with other passes, producing [`SimStats`]: MISPs/KI
+//!   (the paper's headline metric), accuracy, and the
+//!   constructive/destructive collision breakdown of Figures 1–6, counted
+//!   by one rule, [`SimStats::record`].
 //! * [`ExperimentSpec`] / [`run_experiment`] / [`Lab`] — the two-phase
 //!   experiment protocol (profile → select hints → measure) with
 //!   self-trained, cross-trained, and merged-profile variants.
@@ -85,5 +87,5 @@ pub use experiment::{
 pub use manifest::{spec_digest, ManifestEntry, ManifestError, RunManifest, RunStore};
 pub use metrics::{CollisionStats, SimStats};
 pub use report::Report;
-pub use simulator::{MeasurePass, Simulator};
+pub use simulator::MeasurePass;
 pub use sweep::{default_threads, Sweep, SweepCell, SweepResult};

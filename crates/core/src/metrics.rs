@@ -1,5 +1,7 @@
 //! Simulation metrics.
 
+use crate::combined::BranchResolution;
+use sdbp_trace::BranchEvent;
 use std::fmt;
 
 /// Collision (aliasing) counts, split the way the paper classifies them:
@@ -17,26 +19,6 @@ pub struct CollisionStats {
 }
 
 impl CollisionStats {
-    /// Records one colliding lookup.
-    pub fn record(&mut self, prediction_correct: bool) {
-        self.total += 1;
-        if prediction_correct {
-            self.constructive += 1;
-        } else {
-            self.destructive += 1;
-        }
-    }
-
-    /// Records a lookup that collided only if `collided` — branchlessly, so
-    /// the simulator's per-event loop carries no data-dependent branch on
-    /// the (near-random) collision bit.
-    #[inline]
-    pub fn record_if(&mut self, collided: bool, prediction_correct: bool) {
-        self.total += u64::from(collided);
-        self.constructive += u64::from(collided & prediction_correct);
-        self.destructive += u64::from(collided & !prediction_correct);
-    }
-
     /// Fraction of collisions that were destructive; `0.0` with none.
     pub fn destructive_fraction(&self) -> f64 {
         if self.total == 0 {
@@ -78,6 +60,40 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Accounts one measured branch and its resolution — the paper's
+    /// accounting rule, and the only place besides [`SimStats::merge`]
+    /// that adds to the counters.
+    ///
+    /// A collision is classified constructive/destructive by whether the
+    /// *final* prediction was correct, the paper's simplified variant of
+    /// Young et al.'s taxonomy. Branchless, so a per-event loop carries no
+    /// data-dependent branch on the (near-random) collision and static
+    /// bits.
+    ///
+    /// ```
+    /// use sdbp_core::{BranchResolution, SimStats};
+    /// use sdbp_trace::{BranchAddr, BranchEvent};
+    ///
+    /// let mut s = SimStats::default();
+    /// let event = BranchEvent::new(BranchAddr(0x40), true, 9);
+    /// let missed = BranchResolution { predicted_taken: false, was_static: false, collision: true };
+    /// s.record(&event, &missed);
+    /// assert_eq!((s.instructions, s.branches, s.mispredictions), (10, 1, 1));
+    /// assert_eq!(s.collisions.destructive, 1);
+    /// ```
+    #[inline]
+    pub fn record(&mut self, event: &BranchEvent, resolution: &BranchResolution) {
+        let correct = resolution.predicted_taken == event.taken;
+        self.instructions += event.instructions();
+        self.branches += 1;
+        self.mispredictions += u64::from(!correct);
+        self.static_predicted += u64::from(resolution.was_static);
+        self.static_mispredictions += u64::from(resolution.was_static & !correct);
+        self.collisions.total += u64::from(resolution.collision);
+        self.collisions.constructive += u64::from(resolution.collision & correct);
+        self.collisions.destructive += u64::from(resolution.collision & !correct);
+    }
+
     /// Adds another run's (or chunk's) counts into this one, field by field.
     pub fn merge(&mut self, other: &SimStats) {
         self.instructions += other.instructions;
@@ -209,10 +225,17 @@ mod tests {
 
     #[test]
     fn collision_classification() {
-        let mut c = CollisionStats::default();
-        c.record(true);
-        c.record(false);
-        c.record(false);
+        let mut s = SimStats::default();
+        let event = BranchEvent::new(sdbp_trace::BranchAddr(0x40), true, 0);
+        for predicted_taken in [true, false, false] {
+            let resolution = BranchResolution {
+                predicted_taken,
+                was_static: false,
+                collision: true,
+            };
+            s.record(&event, &resolution);
+        }
+        let c = s.collisions;
         assert_eq!(c.total, 3);
         assert_eq!(c.constructive, 1);
         assert_eq!(c.destructive, 2);

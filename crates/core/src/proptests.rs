@@ -9,7 +9,7 @@
 
 #![cfg(test)]
 
-use crate::{CombinedPredictor, MeasurePass, ShiftPolicy, Simulator};
+use crate::{CombinedPredictor, MeasurePass, ShiftPolicy};
 use proptest::prelude::*;
 use sdbp_passes::{Pass, PassRunner};
 use sdbp_predictors::{Gshare, PredictorConfig, PredictorKind};
@@ -48,9 +48,9 @@ fn measure(
     shift: ShiftPolicy,
 ) -> crate::SimStats {
     let mut combined = CombinedPredictor::new(Gshare::new(1024), hints.clone(), shift);
-    Simulator::new()
+    MeasurePass::new(&mut combined)
         .with_warmup(warmup)
-        .run(SliceSource::new(events), &mut combined)
+        .run(SliceSource::new(events))
 }
 
 proptest! {

@@ -1,42 +1,66 @@
-//! The measurement-phase simulator.
+//! The measurement phase.
 
 use crate::combined::{BranchResolution, CombinedPredictor};
 use crate::metrics::SimStats;
 use sdbp_passes::{Pass, PassRunner};
 use sdbp_trace::{BranchEvent, BranchSource};
 
-/// Drives a branch stream through a [`CombinedPredictor`], accumulating
-/// [`SimStats`].
+/// The measurement phase: drives a branch stream through a borrowed
+/// [`CombinedPredictor`] and accumulates [`SimStats`] by
+/// [`SimStats::record`].
 ///
-/// Collisions are classified constructive/destructive at resolution time by
-/// whether the *final* prediction was correct — the paper's simplified
-/// variant of Young et al.'s taxonomy.
+/// The predictor trains on every event (including warm-up); statistics see
+/// only measured ones. [`MeasurePass::run`] measures one stream on its own;
+/// as a [`Pass`] it rides a fused traversal next to profile passes or other
+/// measurements. Chunk-invariant — the warm-up cursor and collision
+/// accounting carry across `consume` calls — so a fused traversal is
+/// bit-identical to a dedicated run. It takes no per-event hook: a consumer
+/// that needs per-branch detail runs its own pass next to this one.
 ///
 /// # Examples
 ///
-/// ```
-/// use sdbp_core::{CombinedPredictor, Simulator};
-/// use sdbp_predictors::Gshare;
-/// use sdbp_trace::BranchSource;
-/// use sdbp_workloads::{Benchmark, InputSet, Workload};
+/// A measurement fused with another pass in one traversal:
 ///
-/// let source = Workload::spec95(Benchmark::Compress)
-///     .generator(InputSet::Train, 1)
-///     .take_instructions(200_000);
-/// let mut predictor = CombinedPredictor::pure_dynamic(Box::new(Gshare::new(4096)));
-/// let stats = Simulator::new().run(source, &mut predictor);
-/// assert!(stats.branches > 10_000);
-/// assert!(stats.accuracy() > 0.5);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Simulator {
+/// use sdbp_core::{CombinedPredictor, MeasurePass};
+/// use sdbp_passes::{FnPass, PassRunner};
+/// use sdbp_predictors::Bimodal;
+/// use sdbp_trace::{BranchAddr, BranchEvent, SliceSource};
+///
+/// let events: Vec<BranchEvent> = (0..100)
+///     .map(|i| BranchEvent::new(BranchAddr(0x40), i % 2 == 0, 9))
+///     .collect();
+/// let mut predictor = CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64)));
+/// let mut pass = MeasurePass::new(&mut predictor);
+/// let mut taken = 0;
+/// let mut count = FnPass::new("taken", |chunk: &[BranchEvent]| {
+///     taken += chunk.iter().filter(|e| e.taken).count();
+/// });
+/// PassRunner::new().run(SliceSource::new(&events), &mut [&mut pass, &mut count]);
+/// assert_eq!(pass.stats().branches, 100);
+/// assert_eq!(taken, 50);
+/// ```
+pub struct MeasurePass<'p> {
+    predictor: &'p mut CombinedPredictor,
     warmup_instructions: u64,
+    seen_instructions: u64,
+    warmed_up: bool,
+    stats: SimStats,
+    /// Reused scratch for the per-batch resolutions of the hinted path.
+    resolutions: Vec<BranchResolution>,
 }
 
-impl Simulator {
-    /// Creates a simulator that measures from the first instruction.
-    pub fn new() -> Self {
-        Self::default()
+impl<'p> MeasurePass<'p> {
+    /// A measurement pass measuring from the first event.
+    pub fn new(predictor: &'p mut CombinedPredictor) -> Self {
+        Self {
+            predictor,
+            warmup_instructions: 0,
+            seen_instructions: 0,
+            warmed_up: true,
+            stats: SimStats::default(),
+            resolutions: Vec::with_capacity(BATCH),
+        }
     }
 
     /// Excludes the first `instructions` from the statistics (tables still
@@ -50,212 +74,44 @@ impl Simulator {
     /// to cross the budget, never silently dropped from both windows.
     pub fn with_warmup(mut self, instructions: u64) -> Self {
         self.warmup_instructions = instructions;
-        self
-    }
-
-    /// Runs `source` to exhaustion through `predictor`.
-    pub fn run<S: BranchSource>(&self, source: S, predictor: &mut CombinedPredictor) -> SimStats {
-        self.run_with_observer(source, predictor, |_, _| {})
-    }
-
-    /// Like [`Simulator::run`], invoking `observer` for every measured
-    /// branch with the event and its resolution — the hook used for
-    /// per-branch accuracy collection, misprediction logging, and the
-    /// examples' custom instrumentation.
-    pub fn run_with_observer<S, F>(
-        &self,
-        source: S,
-        predictor: &mut CombinedPredictor,
-        observer: F,
-    ) -> SimStats
-    where
-        S: BranchSource,
-        F: FnMut(&BranchEvent, &BranchResolution),
-    {
-        // The traversal itself belongs to the pass runner: slice-backed
-        // sources (in-memory traces — the artifact-cache path every
-        // experiment takes) hand over their whole remainder in one zero-copy
-        // borrow, everything else streams through one reusable
-        // `BATCH`-sized buffer. The measurement logic lives in
-        // [`MeasurePass`] so it can also ride a fused multi-pass traversal.
-        let mut pass =
-            MeasurePass::with_observer(predictor, observer).with_warmup(self.warmup_instructions);
-        PassRunner::new()
-            .with_chunk(BATCH)
-            .run(source, &mut [&mut pass]);
-        pass.into_stats()
-    }
-}
-
-/// The measurement phase as a composable [`Pass`].
-///
-/// Wraps a borrowed [`CombinedPredictor`] and accumulates [`SimStats`] with
-/// the exact semantics of [`Simulator::run`]: the predictor trains on every
-/// event (including warm-up), statistics and the observer see only measured
-/// ones, and the warm-up boundary follows the straddle rule documented on
-/// [`Simulator::with_warmup`]. Chunk-invariant — the warm-up cursor and
-/// collision accounting carry across `consume` calls — so fusing it with
-/// profile passes in one traversal is bit-identical to a dedicated run.
-///
-/// # Examples
-///
-/// ```
-/// use sdbp_core::{CombinedPredictor, MeasurePass};
-/// use sdbp_passes::PassRunner;
-/// use sdbp_predictors::Bimodal;
-/// use sdbp_trace::{BranchAddr, BranchEvent, SliceSource};
-///
-/// let events: Vec<BranchEvent> = (0..100)
-///     .map(|i| BranchEvent::new(BranchAddr(0x40), i % 2 == 0, 9))
-///     .collect();
-/// let mut predictor = CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64)));
-/// let mut pass = MeasurePass::new(&mut predictor);
-/// PassRunner::new().run(SliceSource::new(&events), &mut [&mut pass]);
-/// assert_eq!(pass.stats().branches, 100);
-/// ```
-pub struct MeasurePass<'p, F = fn(&BranchEvent, &BranchResolution)> {
-    predictor: &'p mut CombinedPredictor,
-    observer: F,
-    run: Run,
-}
-
-impl<'p> MeasurePass<'p, fn(&BranchEvent, &BranchResolution)> {
-    /// A measurement pass with no observer, measuring from the first event.
-    pub fn new(predictor: &'p mut CombinedPredictor) -> Self {
-        Self::with_observer(predictor, |_, _| {})
-    }
-}
-
-impl<'p, F> MeasurePass<'p, F>
-where
-    F: FnMut(&BranchEvent, &BranchResolution),
-{
-    /// A measurement pass invoking `observer` for every measured branch.
-    pub fn with_observer(predictor: &'p mut CombinedPredictor, observer: F) -> Self {
-        Self {
-            predictor,
-            observer,
-            run: Run {
-                warmup_instructions: 0,
-                stats: SimStats::default(),
-                seen_instructions: 0,
-                warmed_up: true,
-                resolutions: Vec::with_capacity(BATCH),
-            },
-        }
-    }
-
-    /// Excludes the first `instructions` from the statistics; see
-    /// [`Simulator::with_warmup`] for the boundary rule.
-    pub fn with_warmup(mut self, instructions: u64) -> Self {
-        self.run.warmup_instructions = instructions;
         // Once the warm-up budget is crossed, every later event is measured;
         // the flag keeps the accounting off the steady-state path.
-        self.run.warmed_up = instructions == 0;
+        self.warmed_up = instructions == 0;
         self
+    }
+
+    /// Runs `source` to exhaustion through the predictor in one traversal
+    /// of its own, returning the statistics.
+    ///
+    /// ```
+    /// use sdbp_core::{CombinedPredictor, MeasurePass};
+    /// use sdbp_predictors::Gshare;
+    /// use sdbp_trace::BranchSource;
+    /// use sdbp_workloads::{Benchmark, InputSet, Workload};
+    ///
+    /// let source = Workload::spec95(Benchmark::Compress)
+    ///     .generator(InputSet::Train, 1)
+    ///     .take_instructions(200_000);
+    /// let mut predictor = CombinedPredictor::pure_dynamic(Box::new(Gshare::new(4096)));
+    /// let stats = MeasurePass::new(&mut predictor).run(source);
+    /// assert!(stats.branches > 10_000);
+    /// assert!(stats.accuracy() > 0.5);
+    /// ```
+    pub fn run<S: BranchSource>(mut self, source: S) -> SimStats {
+        PassRunner::new()
+            .with_chunk(BATCH)
+            .run(source, &mut [&mut self]);
+        self.stats
     }
 
     /// The statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.run.stats
+        &self.stats
     }
 
     /// Consumes the pass, returning the accumulated statistics.
     pub fn into_stats(self) -> SimStats {
-        self.run.stats
-    }
-}
-
-impl<F> Pass for MeasurePass<'_, F>
-where
-    F: FnMut(&BranchEvent, &BranchResolution),
-{
-    fn consume(&mut self, events: &[BranchEvent]) {
-        self.run.process(events, self.predictor, &mut self.observer);
-    }
-
-    fn name(&self) -> &str {
-        "simulator-measure"
-    }
-}
-
-/// Events resolved per predictor batch call; also the chunk size pulled
-/// through `fill_events` for non-slice sources.
-const BATCH: usize = 4096;
-
-/// In-flight accounting state of one simulation run, shared by the
-/// zero-copy and chunked event paths.
-struct Run {
-    warmup_instructions: u64,
-    stats: SimStats,
-    seen_instructions: u64,
-    warmed_up: bool,
-    /// Reused scratch for the per-batch resolutions.
-    resolutions: Vec<BranchResolution>,
-}
-
-impl Run {
-    /// Resolves and accounts one batch of events.
-    ///
-    /// Resolution runs batch-at-a-time through
-    /// [`CombinedPredictor::resolve_batch`] (so the predictor's loop-carried
-    /// state stays in registers), then the accounting pass walks the events
-    /// and resolutions pairwise. Splitting the two preserves the per-event
-    /// semantics exactly: the predictor trains on every event (including
-    /// warm-up), while statistics and the observer see only measured ones.
-    #[inline]
-    fn process<F>(
-        &mut self,
-        events: &[BranchEvent],
-        predictor: &mut CombinedPredictor,
-        observer: &mut F,
-    ) where
-        F: FnMut(&BranchEvent, &BranchResolution),
-    {
-        for chunk in events.chunks(BATCH) {
-            // The measured remainder of each chunk is accounted fully
-            // branchlessly — the collision (and, in the hinted path, static)
-            // bits are the least predictable data in the loop — into local
-            // accumulators, settled into `self.stats` once per chunk
-            // (`self`-routed counters cannot stay in registers across
-            // iterations: the prediction loads might alias them).
-            if let Some(predictions) = predictor.try_resolve_batch_dynamic(chunk) {
-                // Pure-dynamic configurations: account straight off the raw
-                // predictions; every branch is dynamic by construction.
-                let start = self.consume_warmup(chunk);
-                let mut acc = SimStats::default();
-                for (event, &p) in chunk[start..].iter().zip(&predictions[start..]) {
-                    let correct = p.taken == event.taken;
-                    acc.instructions += event.instructions();
-                    acc.branches += 1;
-                    acc.mispredictions += u64::from(!correct);
-                    acc.collisions.record_if(p.collision, correct);
-                    let resolution = BranchResolution {
-                        predicted_taken: p.taken,
-                        was_static: false,
-                        collision: p.collision,
-                    };
-                    observer(event, &resolution);
-                }
-                self.stats.merge(&acc);
-            } else {
-                self.resolutions.clear();
-                predictor.resolve_batch(chunk, &mut self.resolutions);
-                let start = self.consume_warmup(chunk);
-                let mut acc = SimStats::default();
-                for (event, &resolution) in chunk[start..].iter().zip(&self.resolutions[start..]) {
-                    let correct = resolution.predicted_taken == event.taken;
-                    acc.instructions += event.instructions();
-                    acc.branches += 1;
-                    acc.mispredictions += u64::from(!correct);
-                    acc.static_predicted += u64::from(resolution.was_static);
-                    acc.static_mispredictions += u64::from(resolution.was_static & !correct);
-                    acc.collisions.record_if(resolution.collision, correct);
-                    observer(event, &resolution);
-                }
-                self.stats.merge(&acc);
-            }
-        }
+        self.stats
     }
 
     /// Consumes the warm-up prefix of `chunk` event by event, returning the
@@ -278,6 +134,51 @@ impl Run {
     }
 }
 
+impl Pass for MeasurePass<'_> {
+    /// Resolves and accounts the events batch by batch.
+    ///
+    /// Resolution runs batch-at-a-time (so the predictor's loop-carried
+    /// state stays in registers), then the accounting walks the measured
+    /// events and their resolutions pairwise into a local [`SimStats`],
+    /// settled into the pass's total once per batch (`self`-routed counters
+    /// cannot stay in registers across iterations: the prediction loads
+    /// might alias them). [`SimStats::record`] is branchless, so the
+    /// near-random collision and static bits cost no mispredicted branch.
+    fn consume(&mut self, events: &[BranchEvent]) {
+        for chunk in events.chunks(BATCH) {
+            let start = self.consume_warmup(chunk);
+            let mut acc = SimStats::default();
+            if let Some(predictions) = self.predictor.try_resolve_batch_dynamic(chunk) {
+                // Pure-dynamic configurations account straight off the raw
+                // predictions; every branch is dynamic by construction.
+                for (event, p) in chunk[start..].iter().zip(&predictions[start..]) {
+                    let resolution = BranchResolution {
+                        predicted_taken: p.taken,
+                        was_static: false,
+                        collision: p.collision,
+                    };
+                    acc.record(event, &resolution);
+                }
+            } else {
+                self.resolutions.clear();
+                self.predictor.resolve_batch(chunk, &mut self.resolutions);
+                for (event, resolution) in chunk[start..].iter().zip(&self.resolutions[start..]) {
+                    acc.record(event, resolution);
+                }
+            }
+            self.stats.merge(&acc);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "simulator-measure"
+    }
+}
+
+/// Events resolved per predictor batch call; also the chunk size
+/// [`MeasurePass::run`] pulls through `fill_events` for non-slice sources.
+const BATCH: usize = 4096;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,12 +191,16 @@ mod tests {
         BranchEvent::new(BranchAddr(pc), taken, gap)
     }
 
+    fn bimodal() -> CombinedPredictor {
+        CombinedPredictor::pure_dynamic(Bimodal::new(64))
+    }
+
     #[test]
     fn counts_add_up() {
         // Alternating branch defeats bimodal almost entirely.
         let events: Vec<BranchEvent> = (0..1000).map(|i| ev(0x40, i % 2 == 0, 9)).collect();
         let mut p = CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64)));
-        let stats = Simulator::new().run(SliceSource::new(&events), &mut p);
+        let stats = MeasurePass::new(&mut p).run(SliceSource::new(&events));
         assert_eq!(stats.branches, 1000);
         assert_eq!(stats.instructions, 10_000);
         assert!(stats.accuracy() < 0.6);
@@ -310,7 +215,7 @@ mod tests {
         hints.insert(BranchAddr(0x40), true);
         let events: Vec<BranchEvent> = (0..100).map(|i| ev(0x40, i % 10 != 9, 0)).collect();
         let mut p = CombinedPredictor::new(Box::new(Bimodal::new(64)), hints, ShiftPolicy::NoShift);
-        let stats = Simulator::new().run(SliceSource::new(&events), &mut p);
+        let stats = MeasurePass::new(&mut p).run(SliceSource::new(&events));
         assert_eq!(stats.static_predicted, 100);
         assert_eq!(stats.static_mispredictions, 10);
         assert_eq!(stats.mispredictions, 10);
@@ -321,14 +226,10 @@ mod tests {
     #[test]
     fn warmup_discounts_cold_start() {
         let events: Vec<BranchEvent> = (0..200).map(|_| ev(0x40, true, 9)).collect();
-        let cold = Simulator::new().run(
-            SliceSource::new(&events),
-            &mut CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64))),
-        );
-        let warm = Simulator::new().with_warmup(100).run(
-            SliceSource::new(&events),
-            &mut CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64))),
-        );
+        let cold = MeasurePass::new(&mut bimodal()).run(SliceSource::new(&events));
+        let warm = MeasurePass::new(&mut bimodal())
+            .with_warmup(100)
+            .run(SliceSource::new(&events));
         // The single cold mispredict lands in the warm-up window.
         assert_eq!(cold.mispredictions, 1);
         assert_eq!(warm.mispredictions, 0);
@@ -340,10 +241,9 @@ mod tests {
         // 20 events of 10 instructions each (gap 9): 200 instructions total.
         let events: Vec<BranchEvent> = (0..20).map(|_| ev(0x40, true, 9)).collect();
         let run = |warmup: u64| {
-            Simulator::new().with_warmup(warmup).run(
-                SliceSource::new(&events),
-                &mut CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64))),
-            )
+            MeasurePass::new(&mut bimodal())
+                .with_warmup(warmup)
+                .run(SliceSource::new(&events))
         };
         // An event ending exactly on the budget stays in the warm-up window:
         // event 10 ends at instruction 100 == budget.
@@ -367,10 +267,9 @@ mod tests {
         // warm-up + measured instructions account for every event.
         let costs = [2u32, 6, 10, 4, 1]; // gap = cost - 1
         let events: Vec<BranchEvent> = costs.iter().map(|&g| ev(0x40, true, g)).collect();
-        let stats = Simulator::new().with_warmup(12).run(
-            SliceSource::new(&events),
-            &mut CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64))),
-        );
+        let stats = MeasurePass::new(&mut bimodal())
+            .with_warmup(12)
+            .run(SliceSource::new(&events));
         assert_eq!(stats.branches, 3);
         assert_eq!(stats.instructions, 11 + 5 + 2);
     }
@@ -398,10 +297,9 @@ mod tests {
             }
             (branches, mispredictions)
         };
-        let stats = Simulator::new().with_warmup(1000).run(
-            SliceSource::new(&events),
-            &mut CombinedPredictor::pure_dynamic(Box::new(Gshare::new(256))),
-        );
+        let stats = MeasurePass::new(&mut CombinedPredictor::pure_dynamic(Gshare::new(256)))
+            .with_warmup(1000)
+            .run(SliceSource::new(&events));
         assert_eq!((stats.branches, stats.mispredictions), reference);
     }
 
@@ -419,7 +317,7 @@ mod tests {
             events.push(ev(0x1000, state & (1 << 34) != 0, 0));
         }
         let mut p = CombinedPredictor::pure_dynamic(Box::new(Gshare::new(16)));
-        let stats = Simulator::new().run(SliceSource::new(&events), &mut p);
+        let stats = MeasurePass::new(&mut p).run(SliceSource::new(&events));
         assert!(stats.collisions.total > 0, "tiny table must alias");
         assert_eq!(
             stats.collisions.total,
@@ -429,19 +327,20 @@ mod tests {
 
     #[test]
     fn observer_sees_every_measured_branch() {
-        let events: Vec<BranchEvent> = (0..50).map(|i| ev(0x40, i % 2 == 0, 0)).collect();
-        let mut p = CombinedPredictor::pure_dynamic(Box::new(Bimodal::new(64)));
-        let mut observed = 0;
-        let stats = Simulator::new().run_with_observer(
+        // Per-branch consumers ride the measurement's traversal as their
+        // own pass; they see exactly the chunks it measures.
+        let events: Vec<BranchEvent> = (0..5000).map(|i| ev(0x40, i % 2 == 0, 0)).collect();
+        let mut p = bimodal();
+        let mut measure = MeasurePass::new(&mut p);
+        let mut observed = Vec::new();
+        let mut observer = sdbp_passes::FnPass::new("observer", |chunk: &[BranchEvent]| {
+            observed.extend_from_slice(chunk)
+        });
+        PassRunner::new().run(
             SliceSource::new(&events),
-            &mut p,
-            |event, resolution| {
-                observed += 1;
-                assert_eq!(event.pc, BranchAddr(0x40));
-                assert!(!resolution.was_static);
-            },
+            &mut [&mut measure, &mut observer],
         );
-        assert_eq!(observed, 50);
-        assert_eq!(stats.branches, 50);
+        assert_eq!(observed, events);
+        assert_eq!(measure.stats().branches, 5000);
     }
 }

@@ -281,7 +281,7 @@ impl PassRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdbp_trace::{BranchAddr, IterSource, SliceSource};
+    use sdbp_trace::{BranchAddr, BranchSource, SliceSource};
 
     fn ev(pc: u64, taken: bool, gap: u32) -> BranchEvent {
         BranchEvent::new(BranchAddr(pc), taken, gap)
@@ -359,8 +359,9 @@ mod tests {
         let s1 = PassRunner::new()
             .with_chunk(64)
             .run(SliceSource::new(&events), &mut [&mut sliced]);
+        // A budget cap is not slice-backed, so the runner pulls chunks.
         let s2 = PassRunner::new().with_chunk(64).run(
-            IterSource::new(events.iter().copied(), "it"),
+            SliceSource::new(&events).take_instructions(u64::MAX),
             &mut [&mut pulled],
         );
         assert_eq!(sliced.events, pulled.events);

@@ -122,14 +122,6 @@ impl BiasProfile {
     }
 }
 
-impl Extend<BranchEvent> for BiasProfile {
-    fn extend<T: IntoIterator<Item = BranchEvent>>(&mut self, iter: T) {
-        for e in iter {
-            self.record(&e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,10 +132,15 @@ mod tests {
         BranchEvent::new(BranchAddr(pc), taken, 0)
     }
 
+    fn recorded(events: &[BranchEvent]) -> BiasProfile {
+        let mut p = BiasProfile::new();
+        events.iter().for_each(|e| p.record(e));
+        p
+    }
+
     #[test]
     fn records_counts_per_site() {
-        let mut p = BiasProfile::new();
-        p.extend([ev(0x10, true), ev(0x10, false), ev(0x20, true)]);
+        let p = recorded(&[ev(0x10, true), ev(0x10, false), ev(0x20, true)]);
         assert_eq!(p.len(), 2);
         assert_eq!(p.total_executions(), 3);
         let s = p.site(BranchAddr(0x10)).unwrap();
@@ -155,18 +152,13 @@ mod tests {
     fn from_source_equals_manual_recording() {
         let events = [ev(0x10, true), ev(0x14, false)];
         let a = BiasProfile::from_source(SliceSource::new(&events));
-        let mut b = BiasProfile::new();
-        b.extend(events);
-        assert_eq!(a, b);
+        assert_eq!(a, recorded(&events));
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = BiasProfile::new();
-        a.extend([ev(0x10, true), ev(0x20, false)]);
-        let mut b = BiasProfile::new();
-        b.extend([ev(0x10, false), ev(0x30, true)]);
-        a.merge(&b);
+        let mut a = recorded(&[ev(0x10, true), ev(0x20, false)]);
+        a.merge(&recorded(&[ev(0x10, false), ev(0x30, true)]));
         assert_eq!(a.len(), 3);
         let s = a.site(BranchAddr(0x10)).unwrap();
         assert_eq!((s.executed, s.taken), (2, 1));

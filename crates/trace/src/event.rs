@@ -113,65 +113,6 @@ impl Hasher for PcHasher {
     }
 }
 
-/// The resolved direction of a conditional branch.
-///
-/// A two-variant enum rather than a bare `bool` at API boundaries where the
-/// meaning of `true` would be ambiguous.
-///
-/// # Examples
-///
-/// ```
-/// use sdbp_trace::Outcome;
-///
-/// let o = Outcome::from_taken(true);
-/// assert_eq!(o, Outcome::Taken);
-/// assert!(o.is_taken());
-/// assert_eq!(!o, Outcome::NotTaken);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Outcome {
-    /// The branch was taken (control transferred to the target).
-    Taken,
-    /// The branch fell through.
-    NotTaken,
-}
-
-impl Outcome {
-    /// Converts from the `taken` flag representation.
-    pub fn from_taken(taken: bool) -> Self {
-        if taken {
-            Outcome::Taken
-        } else {
-            Outcome::NotTaken
-        }
-    }
-
-    /// Whether this outcome is [`Outcome::Taken`].
-    pub fn is_taken(self) -> bool {
-        matches!(self, Outcome::Taken)
-    }
-}
-
-impl std::ops::Not for Outcome {
-    type Output = Outcome;
-
-    fn not(self) -> Outcome {
-        match self {
-            Outcome::Taken => Outcome::NotTaken,
-            Outcome::NotTaken => Outcome::Taken,
-        }
-    }
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Taken => f.write_str("T"),
-            Outcome::NotTaken => f.write_str("N"),
-        }
-    }
-}
-
 /// One executed conditional branch.
 ///
 /// `gap` records the number of non-branch instructions retired since the
@@ -183,10 +124,10 @@ impl fmt::Display for Outcome {
 /// # Examples
 ///
 /// ```
-/// use sdbp_trace::{BranchAddr, BranchEvent, Outcome};
+/// use sdbp_trace::{BranchAddr, BranchEvent};
 ///
 /// let e = BranchEvent::new(BranchAddr(0x400), true, 6);
-/// assert_eq!(e.outcome(), Outcome::Taken);
+/// assert_eq!(e.to_string(), "0x400 T gap=6");
 /// assert_eq!(e.instructions(), 7, "gap plus the branch itself");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,11 +146,6 @@ impl BranchEvent {
         Self { pc, taken, gap }
     }
 
-    /// The direction as an [`Outcome`].
-    pub fn outcome(&self) -> Outcome {
-        Outcome::from_taken(self.taken)
-    }
-
     /// Instructions this event accounts for: the preceding gap plus the
     /// branch instruction itself.
     pub fn instructions(&self) -> u64 {
@@ -219,7 +155,8 @@ impl BranchEvent {
 
 impl fmt::Display for BranchEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} gap={}", self.pc, self.outcome(), self.gap)
+        let direction = if self.taken { 'T' } else { 'N' };
+        write!(f, "{} {direction} gap={}", self.pc, self.gap)
     }
 }
 
@@ -270,21 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_negation_and_flags() {
-        assert!(Outcome::Taken.is_taken());
-        assert!(!Outcome::NotTaken.is_taken());
-        assert_eq!(!Outcome::Taken, Outcome::NotTaken);
-        assert_eq!(!!Outcome::Taken, Outcome::Taken);
-        assert_eq!(Outcome::from_taken(false), Outcome::NotTaken);
-    }
-
-    #[test]
-    fn outcome_display_is_single_letter() {
-        assert_eq!(Outcome::Taken.to_string(), "T");
-        assert_eq!(Outcome::NotTaken.to_string(), "N");
-    }
-
-    #[test]
     fn event_accounting() {
         let e = BranchEvent::new(BranchAddr(0x8), false, 0);
         assert_eq!(e.instructions(), 1);
@@ -299,5 +221,13 @@ mod tests {
         assert!(s.contains("0x10"));
         assert!(s.contains('T'));
         assert!(s.contains("gap=3"));
+    }
+
+    #[test]
+    fn outcome_display_is_single_letter() {
+        let taken = BranchEvent::new(BranchAddr(0x10), true, 3);
+        let not_taken = BranchEvent::new(BranchAddr(0x10), false, 3);
+        assert_eq!(taken.to_string(), "0x10 T gap=3");
+        assert_eq!(not_taken.to_string(), "0x10 N gap=3");
     }
 }

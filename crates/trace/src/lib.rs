@@ -47,14 +47,13 @@ mod error;
 
 pub use codec::{write_binary, write_text};
 pub use error::{RecordError, TraceError};
-pub use event::{BranchAddr, BranchEvent, Outcome, PcHasher, PcMap, PcSet};
+pub use event::{BranchAddr, BranchEvent, PcHasher, PcMap, PcSet};
 pub use import::{
     autodetect, import_trace, open_path, scan_path, write_perf_text, ImportStream, TraceFormat,
     TraceScan,
 };
 pub use source::{
-    BranchSource, InterleaveSource, IterSource, SampleSource, SkipSource, SliceSource, TakeSource,
-    TeeSource,
+    BranchSource, InterleaveSource, SampleSource, SkipSource, SliceSource, TakeSource,
 };
 pub use stats::{SiteStats, TraceStats};
 pub use trace::{Trace, TraceBuilder, TraceMeta};

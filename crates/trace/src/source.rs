@@ -88,21 +88,6 @@ pub trait BranchSource {
         }
     }
 
-    /// Mirrors every emitted event into `observer` while passing it through
-    /// unchanged — the way to bolt a side consumer (an incremental stats or
-    /// profile collector) onto a stream another component is already
-    /// driving, instead of generating the stream a second time.
-    fn tee<F>(self, observer: F) -> TeeSource<Self, F>
-    where
-        Self: Sized,
-        F: FnMut(&BranchEvent),
-    {
-        TeeSource {
-            inner: self,
-            observer,
-        }
-    }
-
     /// Drops the stream's first `instructions` — the mirror image of
     /// [`take_instructions`](BranchSource::take_instructions), used to cut
     /// cold-start out of a profiling stream.
@@ -278,43 +263,6 @@ impl<S: BranchSource> BranchSource for TakeSource<S> {
     }
 }
 
-/// A source mirroring every emitted event into a side observer; see
-/// [`BranchSource::tee`].
-#[derive(Debug, Clone)]
-pub struct TeeSource<S, F> {
-    inner: S,
-    observer: F,
-}
-
-impl<S: BranchSource, F: FnMut(&BranchEvent)> BranchSource for TeeSource<S, F> {
-    fn next_event(&mut self) -> Option<BranchEvent> {
-        let e = self.inner.next_event()?;
-        (self.observer)(&e);
-        Some(e)
-    }
-
-    fn fill_events(&mut self, buf: &mut Vec<BranchEvent>, max: usize) -> usize {
-        let start = buf.len();
-        let filled = self.inner.fill_events(buf, max);
-        for e in &buf[start..start + filled] {
-            (self.observer)(e);
-        }
-        filled
-    }
-
-    fn drain_as_slice(&mut self) -> Option<&[BranchEvent]> {
-        let events = self.inner.drain_as_slice()?;
-        for e in events {
-            (self.observer)(e);
-        }
-        Some(events)
-    }
-
-    fn label(&self) -> &str {
-        self.inner.label()
-    }
-}
-
 /// A source dropping an instruction-budget prefix; see
 /// [`BranchSource::skip_instructions`].
 #[derive(Debug, Clone)]
@@ -422,17 +370,6 @@ impl<S: BranchSource> InterleaveSource<S> {
             label,
         }
     }
-
-    /// Overrides the report label (defaults to the first source's).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// Sources still in the rotation.
-    pub fn live_sources(&self) -> usize {
-        self.subs.len()
-    }
 }
 
 impl<S: BranchSource> BranchSource for InterleaveSource<S> {
@@ -465,33 +402,6 @@ impl<S: BranchSource> BranchSource for InterleaveSource<S> {
                 }
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Adapts any iterator of events to [`BranchSource`].
-#[derive(Debug, Clone)]
-pub struct IterSource<I> {
-    iter: I,
-    label: String,
-}
-
-impl<I> IterSource<I> {
-    /// Wraps `iter` with a report label.
-    pub fn new(iter: I, label: impl Into<String>) -> Self {
-        Self {
-            iter,
-            label: label.into(),
-        }
-    }
-}
-
-impl<I: Iterator<Item = BranchEvent>> BranchSource for IterSource<I> {
-    fn next_event(&mut self) -> Option<BranchEvent> {
-        self.iter.next()
     }
 
     fn label(&self) -> &str {
@@ -560,16 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_source_adapts_iterators() {
-        let mut s = IterSource::new((0..3).map(|i| ev(i * 4, 0)), "synthetic");
-        assert_eq!(s.label(), "synthetic");
-        assert_eq!(s.next_event().unwrap().pc, BranchAddr(0));
-        assert_eq!(s.next_event().unwrap().pc, BranchAddr(4));
-        assert_eq!(s.next_event().unwrap().pc, BranchAddr(8));
-        assert!(s.next_event().is_none());
-    }
-
-    #[test]
     fn fill_events_matches_next_event_on_slices() {
         let events: Vec<BranchEvent> = (0..10).map(|i| ev(i * 4, i as u32)).collect();
         let mut chunked = SliceSource::new(&events);
@@ -624,9 +524,20 @@ mod tests {
         assert_eq!(capped.fill_events(&mut buf, 64), 0);
     }
 
+    /// A source implementing only the required method, so every other
+    /// method runs its trait default.
+    struct NextOnly<'a>(SliceSource<'a>);
+
+    impl BranchSource for NextOnly<'_> {
+        fn next_event(&mut self) -> Option<BranchEvent> {
+            self.0.next_event()
+        }
+    }
+
     #[test]
     fn default_fill_events_drives_next_event() {
-        let mut s = IterSource::new((0..5).map(|i| ev(i * 4, 0)), "it");
+        let events: Vec<BranchEvent> = (0..5).map(|i| ev(i * 4, 0)).collect();
+        let mut s = NextOnly(SliceSource::new(&events));
         let mut buf = Vec::new();
         assert_eq!(s.fill_events(&mut buf, 3), 3);
         assert_eq!(s.fill_events(&mut buf, 3), 2);
@@ -644,38 +555,9 @@ mod tests {
         assert_eq!(s.next_event(), None, "drained source is exhausted");
         assert_eq!(s.drain_as_slice(), Some(&events[6..]), "empty thereafter");
         // Non-slice-backed sources opt out.
-        let mut it = IterSource::new(events.iter().copied(), "it");
+        let mut it = NextOnly(SliceSource::new(&events));
         assert_eq!(it.drain_as_slice(), None);
         assert!(it.next_event().is_some(), "declining must not consume");
-    }
-
-    #[test]
-    fn tee_observes_every_event_on_every_path() {
-        let events: Vec<BranchEvent> = (0..6).map(|i| ev(i * 4, 1)).collect();
-        // Per-event path.
-        let mut seen = Vec::new();
-        let mut t = SliceSource::new(&events).tee(|e| seen.push(*e));
-        while t.next_event().is_some() {}
-        assert_eq!(seen, events);
-        // Chunked path.
-        let mut seen = Vec::new();
-        let mut t = SliceSource::new(&events).tee(|e| seen.push(*e));
-        let mut buf = Vec::new();
-        while t.fill_events(&mut buf, 4) > 0 {}
-        assert_eq!(seen, events);
-        assert_eq!(buf, events, "tee passes events through unchanged");
-        // Zero-copy drain path.
-        let mut seen = Vec::new();
-        let mut t = SliceSource::new(&events).tee(|e| seen.push(*e));
-        assert_eq!(t.drain_as_slice(), Some(&events[..]));
-        assert_eq!(seen, events);
-    }
-
-    #[test]
-    fn tee_inherits_the_label() {
-        let events = [ev(0, 0)];
-        let t = SliceSource::new(&events).tee(|_| {});
-        assert_eq!(t.label(), "<slice>");
     }
 
     #[test]
@@ -791,7 +673,6 @@ mod tests {
         assert_eq!(emitted.len(), 8);
         // Once a is exhausted the rest is b alone, in order.
         assert_eq!(emitted[4..].iter().filter(|e| e.pc.0 >= 0x2000).count(), 4);
-        assert_eq!(s.live_sources(), 0);
         assert_eq!(s.next_event(), None, "stays exhausted");
     }
 
@@ -800,8 +681,6 @@ mod tests {
         let a = [ev(0, 0)];
         let s = InterleaveSource::new(vec![SliceSource::new(&a)], 0);
         assert_eq!(s.label(), "<slice>", "inherits the first source's label");
-        let s = s.with_label("server_web.ref");
-        assert_eq!(s.label(), "server_web.ref");
         let mut empty: InterleaveSource<SliceSource<'_>> = InterleaveSource::new(vec![], 8);
         assert_eq!(empty.label(), "<interleave>");
         assert_eq!(empty.next_event(), None);

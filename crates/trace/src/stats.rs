@@ -193,14 +193,6 @@ impl TraceStats {
     }
 }
 
-impl Extend<BranchEvent> for TraceStats {
-    fn extend<T: IntoIterator<Item = BranchEvent>>(&mut self, iter: T) {
-        for e in iter {
-            self.record(&e);
-        }
-    }
-}
-
 /// Train-vs-ref behavioral statistics (the paper's Table 5).
 ///
 /// All `*_static` fields count static sites seen in the reference run; the
@@ -374,12 +366,5 @@ mod tests {
         assert_eq!(cmp.bias_change_large_static, 1);
         // 0x10 is unchanged: a small change.
         assert_eq!(cmp.bias_change_small_static, 1);
-    }
-
-    #[test]
-    fn extend_accumulates() {
-        let mut stats = TraceStats::new();
-        stats.extend([ev(0x1, true), ev(0x1, true)]);
-        assert_eq!(stats.dynamic_branches(), 2);
     }
 }

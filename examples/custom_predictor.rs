@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let name = predictor.name();
             let mut combined =
                 CombinedPredictor::new(predictor, hint_db.clone(), ShiftPolicy::NoShift);
-            let stats = Simulator::new().run(source(), &mut combined);
+            let stats = MeasurePass::new(&mut combined).run(source());
             println!(
                 "  {name:<8} {label:<16} {:.3} MISPs/KI (accuracy {:.2}%)",
                 stats.misp_per_ki(),

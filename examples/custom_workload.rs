@@ -39,23 +39,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let workload = Workload::from_spec(spec);
 
-    // One traversal does double duty: a `tee` observer rides the first
-    // simulation's event stream and feeds the trace statistics, instead of
-    // spending a whole extra generation on a dedicated profiling pass.
+    // One traversal does double duty: a pass feeding the trace statistics
+    // rides the first simulation's event stream, fused with the measurement
+    // in one `PassRunner` traversal, instead of spending a whole extra
+    // generation on a dedicated profiling pass.
     let mut stats = TraceStats::new();
     let mut results = Vec::new();
     {
         let mut predictor = CombinedPredictor::pure_dynamic(
             PredictorConfig::new(PredictorKind::Bimodal, 8 * 1024)?.build_any(),
         );
-        let sim = Simulator::new().run(
+        let mut measure = MeasurePass::new(&mut predictor);
+        let mut profile = FnPass::new("trace-stats", |chunk: &[BranchEvent]| {
+            chunk.iter().for_each(|e| stats.record(e))
+        });
+        PassRunner::new().run(
             workload
                 .generator(InputSet::Ref, 7)
-                .take_instructions(2_000_000)
-                .tee(|e| stats.record(e)),
-            &mut predictor,
+                .take_instructions(2_000_000),
+            &mut [&mut measure, &mut profile],
         );
-        results.push((PredictorKind::Bimodal, sim));
+        results.push((PredictorKind::Bimodal, measure.into_stats()));
     }
     println!(
         "custom workload 'interp': {} sites executed, {:.0} CBRs/KI, {:.1}% highly biased",
@@ -67,11 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for kind in [PredictorKind::Gshare, PredictorKind::TwoBcGskew] {
         let mut predictor =
             CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 8 * 1024)?.build_any());
-        let sim = Simulator::new().run(
+        let sim = MeasurePass::new(&mut predictor).run(
             workload
                 .generator(InputSet::Ref, 7)
                 .take_instructions(2_000_000),
-            &mut predictor,
         );
         results.push((kind, sim));
     }
@@ -101,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for kind in [PredictorKind::Bimodal, PredictorKind::Ghist] {
         let mut predictor =
             CombinedPredictor::pure_dynamic(PredictorConfig::new(kind, 1024)?.build_any());
-        let stats = Simulator::new().run(SliceSource::from_trace(&trace), &mut predictor);
+        let stats = MeasurePass::new(&mut predictor).run(SliceSource::from_trace(&trace));
         println!(
             "  {:<9} accuracy {:.1}% on the alternating branch",
             kind.name(),

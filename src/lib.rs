@@ -82,10 +82,10 @@ pub use sdbp_workloads as workloads;
 pub mod prelude {
     pub use sdbp_core::{
         run_experiment, ArtifactCache, BranchAnalysis, BranchRecord, BranchResolution,
-        CombinedPredictor, ExperimentSpec, Lab, ProfileSource, Report, ShiftPolicy, SimStats,
-        Simulator, Sweep, SweepResult,
+        CombinedPredictor, ExperimentSpec, Lab, MeasurePass, ProfileSource, Report, ShiftPolicy,
+        SimStats, Sweep, SweepResult,
     };
-    pub use sdbp_passes::{Pass, PassRunner};
+    pub use sdbp_passes::{FnPass, Pass, PassRunner};
     pub use sdbp_predictors::{
         Agree, BiMode, Bimodal, DynamicPredictor, Ghist, Gselect, Gshare, Prediction,
         PredictorConfig, PredictorKind, Tournament, TwoBcGskew,
@@ -94,8 +94,7 @@ pub mod prelude {
         AccuracyProfile, BiasProfile, HintDatabase, ProfileDatabase, SelectionScheme,
     };
     pub use sdbp_trace::{
-        BranchAddr, BranchEvent, BranchSource, Outcome, SliceSource, Trace, TraceBuilder,
-        TraceStats,
+        BranchAddr, BranchEvent, BranchSource, SliceSource, Trace, TraceBuilder, TraceStats,
     };
     pub use sdbp_workloads::{Benchmark, BranchBehavior, InputSet, Workload, WorkloadGenerator};
 }

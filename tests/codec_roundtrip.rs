@@ -79,13 +79,13 @@ fn file_roundtrip_and_simulation_equivalence() {
             .expect("valid")
             .build_any(),
     );
-    let live_stats = Simulator::new().run(SliceSource::from_trace(&trace), &mut live);
+    let live_stats = MeasurePass::new(&mut live).run(SliceSource::from_trace(&trace));
     let mut from_file = CombinedPredictor::pure_dynamic(
         PredictorConfig::new(PredictorKind::Gshare, 2048)
             .expect("valid")
             .build_any(),
     );
-    let file_stats = Simulator::new().run(SliceSource::from_trace(&loaded), &mut from_file);
+    let file_stats = MeasurePass::new(&mut from_file).run(SliceSource::from_trace(&loaded));
     assert_eq!(live_stats, file_stats);
 
     fs::remove_dir_all(&dir).ok();

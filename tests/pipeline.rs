@@ -79,11 +79,10 @@ fn static_branches_never_touch_dynamic_tables() {
         hints,
         ShiftPolicy::NoShift,
     );
-    let stats = Simulator::new().run(
+    let stats = MeasurePass::new(&mut combined).run(
         workload
             .generator(InputSet::Ref, 2000)
             .take_instructions(300_000),
-        &mut combined,
     );
     assert_eq!(stats.static_predicted, stats.branches);
     assert_eq!(stats.collisions.total, 0);
@@ -113,4 +112,38 @@ fn lab_cache_equals_fresh_runs() {
     let fresh = run_experiment(&s).expect("well-formed");
     assert_eq!(cached_first, cached_second);
     assert_eq!(cached_first, fresh, "cache must not change results");
+}
+
+#[test]
+fn a_fused_stats_pass_collects_what_a_dedicated_traversal_does() {
+    // The `custom_workload` example's shape: a pass feeding `TraceStats`
+    // rides the measurement's traversal.
+    let source = || {
+        Workload::spec95(Benchmark::Compress)
+            .generator(InputSet::Ref, 7)
+            .take_instructions(300_000)
+    };
+    let config = PredictorConfig::new(PredictorKind::Bimodal, 8 * 1024).expect("valid size");
+    let mut predictor = CombinedPredictor::pure_dynamic(config.build_any());
+    let mut measure = MeasurePass::new(&mut predictor);
+    let mut fused = TraceStats::new();
+    let mut profile = FnPass::new("trace-stats", |chunk: &[BranchEvent]| {
+        chunk.iter().for_each(|e| fused.record(e))
+    });
+    PassRunner::new().run(source(), &mut [&mut measure, &mut profile]);
+    let measured = measure.into_stats();
+
+    let dedicated = TraceStats::from_source(source());
+    let sites = |stats: &TraceStats| {
+        let mut sites: Vec<_> = stats.iter().map(|(pc, site)| (pc, *site)).collect();
+        sites.sort_unstable_by_key(|&(pc, _)| pc);
+        sites
+    };
+    assert_eq!(sites(&fused), sites(&dedicated));
+    assert_eq!(fused.dynamic_branches(), dedicated.dynamic_branches());
+    assert_eq!(fused.total_instructions(), dedicated.total_instructions());
+
+    let mut twin = CombinedPredictor::pure_dynamic(config.build_any());
+    assert_eq!(measured, MeasurePass::new(&mut twin).run(source()));
+    assert_eq!(measured.branches, dedicated.dynamic_branches());
 }

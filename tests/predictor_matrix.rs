@@ -24,7 +24,7 @@ fn run(
         hints,
         policy,
     );
-    Simulator::new().run(stream(benchmark), &mut predictor)
+    MeasurePass::new(&mut predictor).run(stream(benchmark))
 }
 
 fn measure(kind: PredictorKind, size: usize, benchmark: Benchmark) -> SimStats {

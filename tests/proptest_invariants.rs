@@ -38,7 +38,7 @@ proptest! {
             db.clone(),
             policy,
         );
-        let stats = Simulator::new().run(SliceSource::new(&events), &mut combined);
+        let stats = MeasurePass::new(&mut combined).run(SliceSource::new(&events));
 
         prop_assert_eq!(stats.branches, events.len() as u64);
         prop_assert_eq!(
@@ -72,7 +72,7 @@ proptest! {
                 db.clone(),
                 ShiftPolicy::Shift,
             );
-            Simulator::new().run(SliceSource::new(&events), &mut combined)
+            MeasurePass::new(&mut combined).run(SliceSource::new(&events))
         };
         prop_assert_eq!(run(), run());
     }
